@@ -35,7 +35,6 @@ __all__ = [
     "InfeasibleStartError",
     "StateChange",
     "CycleSet",
-    "make_cycle",
     "rectify",
     "sample_disjoint_changes",
     "build_alpha_qubo",
@@ -83,18 +82,6 @@ class CycleSet:
 
     def disjoint_from(self, other: "CycleSet") -> bool:
         return not (self.touched & other.touched)
-
-
-def make_cycle(t: int, j: int, i_from: int, i_to: int, n: int, k: int) -> CycleSet:
-    """Single-block move swapping state i_from for i_to at (t, j).
-
-    Empty when the states coincide.
-    """
-    if i_from == i_to:
-        return CycleSet(swaps=(), touched=frozenset())
-    on = flat_index(t, j, i_from, n, k)
-    off = flat_index(t, j, i_to, n, k)
-    return CycleSet(swaps=((on, off),), touched=frozenset([(t, j)]))
 
 
 def rectify(Z: np.ndarray, change: StateChange, k: int) -> CycleSet:
@@ -237,7 +224,6 @@ def alpha_expansion(
     qubo: Qubo,
     x0: np.ndarray,
     batch_size: int = 16,
-    sub_solver: str = "brute",
     budget: Budget | None = None,
     seed: int = 0,
     on_epoch=None,
@@ -246,20 +232,21 @@ def alpha_expansion(
 
     Every candidate state change of every resource is proposed at least once
     per epoch, in a seeded random order.  Batches of rectified, pairwise
-    disjoint moves are scored through build_alpha_qubo and solved exactly
-    (sub_solver "brute", default) or by tabu search; a combination is applied
-    only if its exact score delta is negative, or zero while strictly
-    reducing the switch count during the first epoch.  Stops after an epoch
-    without any accepted move, or when the budget (max_iterations counts
-    epochs) runs out.  budget.max_iterations = 0 returns the start point.
+    disjoint moves (at most batch_size, which must be at least 1) are scored
+    through build_alpha_qubo and solved exactly, or by tabu search above 20
+    moves; a combination is applied only if its exact score delta is
+    negative, or zero while strictly reducing the switch count during the
+    first epoch.  Stops after an epoch without any accepted move, or when
+    the budget (max_iterations counts epochs) runs out.
+    budget.max_iterations = 0 returns the start point.
 
     on_epoch, when given, is called as on_epoch(epoch_index, accepted_moves,
     score) after every epoch.
     """
     if budget is None:
         budget = Budget(max_iterations=1000)
-    if sub_solver not in ("brute", "tabu"):
-        raise ValueError(f"unknown sub_solver {sub_solver!r}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     x = np.asarray(x0).astype(np.int8).copy()
     if qubo.dim != inst.dim or x.shape != (inst.dim,):
         raise ValueError("qubo/x0 dimensions do not match the instance")
@@ -315,11 +302,8 @@ def alpha_expansion(
                 seed=int(rng.integers(2**31)),
                 budget=Budget(max_iterations=200 * max(1, reduced.dim)),
             )
-            sub = (
-                brute_force(sub_req)
-                if sub_solver == "brute" and reduced.dim <= 20
-                else tabu_search(sub_req)
-            )
+            sub = (brute_force(sub_req) if reduced.dim <= 20
+                   else tabu_search(sub_req))
             steps += 1
             alpha = sub.best
             delta = reduced.evaluate(alpha)

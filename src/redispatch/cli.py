@@ -39,10 +39,11 @@ from .experiments import (
     run_timeseries,
     write_csv,
 )
-from .model import decode_one_hot, encode_one_hot, evaluate_schedule
+from .model import encode_one_hot, evaluate_schedule, read_schedule
 from .solvers import (
     Budget,
     SolveRequest,
+    TooLargeError,
     brute_force,
     simulated_annealing,
     tabu_search,
@@ -112,6 +113,17 @@ def _load_dataset(args) -> data_mod.NetworkDataset:
     raise ConfigError("a dataset directory is required (--data-dir)")
 
 
+def _time_limit(args, default: float) -> float:
+    """Validate the shared budget flags; return the time limit in seconds."""
+    if args.max_iterations < 0:
+        raise ConfigError("--max-iterations must be non-negative")
+    if args.time_limit is None:
+        return default
+    if not args.time_limit > 0:
+        raise ConfigError("--time-limit must be positive")
+    return args.time_limit
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -152,11 +164,13 @@ def cmd_build_instance(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    time_limit = _time_limit(args, math.inf)
+    if args.batch_size < 1:
+        raise ConfigError("--batch-size must be at least 1")
     inst = data_mod.load_instance(args.instance)
     qubo = composed_objective(inst)
     x0 = encode_one_hot(np.ones((inst.T, inst.n), dtype=int),
                         inst.T, inst.n, inst.k)
-    time_limit = args.time_limit if args.time_limit else math.inf
     if args.solver == "alpha":
         result = alpha_expansion(
             inst, qubo, x0, batch_size=args.batch_size,
@@ -177,7 +191,6 @@ def cmd_solve(args) -> int:
             qubo=qubo, initial=x0, seed=args.seed,
             budget=Budget(max_iterations=args.max_iterations,
                           time_limit=time_limit),
-            keep_trace=True,
         )
         if args.solver == "tabu":
             result = tabu_search(req)
@@ -186,13 +199,7 @@ def cmd_solve(args) -> int:
         else:
             result = brute_force(req)
     out = _out_dir(args)
-    try:
-        Z = decode_one_hot(result.best, inst.T, inst.n, inst.k)
-        feasible = True
-    except ValueError:
-        from .experiments import project_feasible
-        Z = project_feasible(inst, result.best)
-        feasible = False
+    Z, feasible = read_schedule(result.best, inst.T, inst.n, inst.k)
     report = evaluate_schedule(inst, Z)
     solution = {
         "schedule": Z.tolist(),
@@ -211,8 +218,7 @@ def cmd_solve(args) -> int:
     with open(out / "timing.json", "w", encoding="ascii") as fh:
         json.dump({"wall_seconds": result.wall_seconds}, fh)
         fh.write("\n")
-    if result.trace:
-        write_trace_csv(out / "trace.csv", result.trace)
+    write_trace_csv(out / "trace.csv", result.trace)
     report_rows = [[
         args.solver, args.seed, result.iterations, result.score,
         report.overloaded_lines, report.production_cost,
@@ -235,6 +241,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    time_limit = _time_limit(args, 60.0)
     ds = _load_dataset(args)
     out = _out_dir(args)
     seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else tuple(range(10))
@@ -244,7 +251,7 @@ def cmd_experiment(args) -> int:
         k=args.k if args.k is not None else preset["k"],
         seeds=seeds,
         tabu_iterations=args.max_iterations,
-        time_limit=args.time_limit if args.time_limit else 60.0,
+        time_limit=time_limit,
         max_steps=args.max_steps,
         promote_statics=(args.promote_statics
                          if args.promote_statics is not None
@@ -367,7 +374,8 @@ def main(argv=None) -> int:
         _apply_config_file(args)
         return args.func(args)
     except (ConfigError, data_mod.ParseError, data_mod.SchemaError,
-            data_mod.BadLevelsError, FileNotFoundError) as exc:
+            data_mod.BadLevelsError, FileNotFoundError,
+            TooLargeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -38,13 +38,11 @@ class DecomposeConfig:
     """Tuning for decompose_loop.
 
     subproblem_size bounds the number of free variables per step; strategy is
-    "random" or "score"; sub_iterations budgets the tabu sub-solves.
-    max_steps and time_limit stop the outer loop.
+    "random" or "score".  max_steps and time_limit stop the outer loop.
     """
 
     subproblem_size: int = 50
     strategy: str = "random"
-    sub_iterations: int = 2000
     max_steps: int = 100
     time_limit: float = math.inf
     seed: int = 0
@@ -90,9 +88,9 @@ def decompose_loop(
     """Iterated clamp-solve-merge descent from x0.
 
     Each step solves the clamped subproblem (exhaustively up to 16 free
-    variables, tabu search above) and merges the sub-solution back only if
-    the full score does not increase, so best scores are non-increasing.
-    Deterministic for a fixed config.
+    variables, by 2000 tabu flips above) and merges the sub-solution back
+    only if the full score does not increase, so best scores are
+    non-increasing.  Deterministic for a fixed config.
     """
     x = np.asarray(x0).astype(np.int8).copy()
     if x.shape != (qubo.dim,):
@@ -113,11 +111,9 @@ def decompose_loop(
             qubo=sub,
             initial=x[remap],
             seed=int(rng.integers(2**31)),
-            budget=Budget(max_iterations=config.sub_iterations),
+            budget=Budget(max_iterations=2000),
         )
-        result = brute_force(
-            SolveRequest(qubo=sub, seed=0)
-        ) if sub.dim <= 16 else tabu_search(sub_req)
+        result = brute_force(sub_req) if sub.dim <= 16 else tabu_search(sub_req)
         # sub scores already include the clamp offset, i.e. the full score
         if result.score <= score + 1e-12:
             x[remap] = result.best

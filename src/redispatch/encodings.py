@@ -39,6 +39,7 @@ __all__ = [
     "build_load_qubo",
     "extremal_schedules",
     "extremal_scores",
+    "add_hard_terms",
     "build_objective",
 ]
 
@@ -338,6 +339,22 @@ def extremal_scores(
     return lo, hi
 
 
+def add_hard_terms(
+    inst: ProblemInstance, soft_terms: list[tuple[float, Qubo]], weight: float
+) -> Qubo:
+    """Weighted sum of the soft terms plus the hard constraints times weight.
+
+    The soft terms are summed in the same pass as the one-hot and adjacency
+    blocks; summing them into one Qubo first would hold an extra copy of the
+    objective and walk it twice.
+    """
+    return weighted_sum([
+        *soft_terms,
+        (weight, build_onehot_qubo(inst.T, inst.n, inst.k)),
+        (weight, build_adjacency_qubo(inst.T, inst.n, inst.k)),
+    ])
+
+
 def build_objective(
     inst: ProblemInstance,
     normalized_penalties: bool = True,
@@ -373,6 +390,4 @@ def build_objective(
         add(w_cost, "cost", build_cost_qubo(inst))
     if w_switch > 0:
         add(w_switch * inst.gamma, "switch", build_switch_qubo(inst))
-    terms.append((extra_hard_weight, build_onehot_qubo(inst.T, inst.n, inst.k)))
-    terms.append((extra_hard_weight, build_adjacency_qubo(inst.T, inst.n, inst.k)))
-    return weighted_sum(terms)
+    return add_hard_terms(inst, terms, extra_hard_weight)

@@ -16,10 +16,9 @@ from .alphaexp import alpha_expansion
 from .data import NetworkDataset, build_instance
 from .decomposers import DecomposeConfig, decompose_loop
 from .encodings import (
-    build_adjacency_qubo,
+    add_hard_terms,
     build_load_qubo,
     build_objective,
-    build_onehot_qubo,
     build_power_qubo,
     build_cost_qubo,
     build_switch_qubo,
@@ -33,14 +32,18 @@ from .model import (
     evaluate_schedule,
     line_loads,
     power_production,
+    read_schedule,
 )
-from .qubo import Qubo, normalize_range, weighted_sum
+from .qubo import Qubo, normalize_range
 from .solvers import Budget, SolveRequest, tabu_search
+
+# Not called here: the tracer in perfbench/spans.py wraps them on this module.
+from .encodings import build_adjacency_qubo, build_onehot_qubo  # noqa: F401
+from .qubo import weighted_sum  # noqa: F401
 
 __all__ = [
     "ExperimentSettings",
     "fmt",
-    "project_feasible",
     "run_penalty_norm",
     "run_score_norm",
     "run_decomposers",
@@ -86,34 +89,14 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(fmt(cell) for cell in row) + "\n")
 
 
-def project_feasible(inst: ProblemInstance, x: np.ndarray) -> np.ndarray:
-    """Nearest one-hot schedule: per block keep the lowest set bit, else state 1.
-
-    Used to score solver outputs that wandered off the one-hot manifold; the
-    report marks such runs as infeasible.
-    """
-    blocks = np.asarray(x).reshape(inst.T * inst.n, inst.k)
-    states = np.where(blocks.sum(axis=1) > 0,
-                      np.argmax(blocks, axis=1) + 1, 1)
-    return states.reshape(inst.T, inst.n)
-
-
-def _hard_terms(inst: ProblemInstance) -> Qubo:
-    return weighted_sum([
-        (1.0, build_onehot_qubo(inst.T, inst.n, inst.k)),
-        (1.0, build_adjacency_qubo(inst.T, inst.n, inst.k)),
-    ])
-
-
-def _guarded_qubo(inst: ProblemInstance, soft: Qubo, soft_span: float) -> Qubo:
-    """Soft objective plus hard constraints scaled to dominate the soft range."""
-    weight = 10.0 * max(1.0, soft_span)
-    return weighted_sum([(1.0, soft), (weight, _hard_terms(inst))])
+def _hard_weight(soft_span: float) -> float:
+    """Hard-constraint weight dominating a soft score range of soft_span."""
+    return 10.0 * max(1.0, soft_span)
 
 
 def _solve_schedule(inst: ProblemInstance, qubo: Qubo, seed: int,
                     iterations: int) -> tuple[np.ndarray, bool]:
-    """Tabu from a seeded random constant schedule; returns (schedule, feasible).
+    """Tabu from a seeded random constant schedule; returns (schedule, one-hot).
 
     A constant schedule keeps the start adjacency-feasible while varying it
     across seeds, which is what spreads the per-seed statistics.
@@ -125,11 +108,7 @@ def _solve_schedule(inst: ProblemInstance, qubo: Qubo, seed: int,
         qubo=qubo, initial=x0, seed=seed,
         budget=Budget(max_iterations=iterations),
     ))
-    try:
-        Z = decode_one_hot(result.best, inst.T, inst.n, inst.k)
-        return Z, True
-    except ValueError:
-        return project_feasible(inst, result.best), False
+    return read_schedule(result.best, inst.T, inst.n, inst.k)
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -158,11 +137,11 @@ def run_penalty_norm(ds: NetworkDataset, settings: ExperimentSettings,
             normalized = variant == "normalized"
             power = build_power_qubo(inst, bounds, normalized=normalized)
             load = build_load_qubo(inst, bounds, normalized=normalized)
-            soft = weighted_sum([(1.0, power), (1.0, load)])
             p_lo, p_hi = extremal_scores(inst, "power", qubo=power)
             l_lo, l_hi = extremal_scores(inst, "load", qubo=load)
             span = abs(p_hi - p_lo) + abs(l_hi - l_lo)
-            qubo = _guarded_qubo(inst, soft, span)
+            qubo = add_hard_terms(inst, [(1.0, power), (1.0, load)],
+                                  _hard_weight(span))
             Z, feasible = _solve_schedule(inst, qubo, seed,
                                           settings.tabu_iterations)
             report = evaluate_schedule(inst, Z)
@@ -240,7 +219,7 @@ def run_score_norm(ds: NetworkDataset, settings: ExperimentSettings,
                                ("normalized",
                                 normalize_range(qubo, lo, hi, ones), 1.0)):
             for seed in settings.seeds:
-                guarded = _guarded_qubo(inst, q, span)
+                guarded = add_hard_terms(inst, [(1.0, q)], _hard_weight(span))
                 Z, feasible = _solve_schedule(inst, guarded, seed,
                                               settings.tabu_iterations)
                 report = evaluate_schedule(inst, Z)
@@ -258,19 +237,14 @@ def run_score_norm(ds: NetworkDataset, settings: ExperimentSettings,
 
 def composed_objective(inst: ProblemInstance) -> Qubo:
     """Score-normalized composite with hard terms boosted above the soft span."""
-    span = sum(inst.weights)
     return build_objective(inst, normalized_penalties=True,
                            score_normalized=True,
-                           extra_hard_weight=10.0 * max(1.0, span))
+                           extra_hard_weight=_hard_weight(sum(inst.weights)))
 
 
 def run_decomposers(ds: NetworkDataset, settings: ExperimentSettings,
                     out_dir) -> dict:
-    """Cycle-move expansion against the clamping baselines on one composite.
-
-    Unsupported decomposer families from the hardware toolchain are listed as
-    unavailable so the report shape stays comparable.
-    """
+    """Cycle-move expansion against the clamping baselines on one composite."""
     rows = []
     scores: dict[str, list[float]] = {"alpha": [], "random": [], "score": []}
     for seed in settings.seeds:
@@ -294,12 +268,7 @@ def run_decomposers(ds: NetworkDataset, settings: ExperimentSettings,
                 seed=seed,
             ))
         for name, result in runs.items():
-            try:
-                Z = decode_one_hot(result.best, inst.T, inst.n, inst.k)
-                feasible = True
-            except ValueError:
-                Z = project_feasible(inst, result.best)
-                feasible = False
+            Z, feasible = read_schedule(result.best, inst.T, inst.n, inst.k)
             report = evaluate_schedule(inst, Z)
             scores[name].append(result.score)
             rows.append([
@@ -307,8 +276,6 @@ def run_decomposers(ds: NetworkDataset, settings: ExperimentSettings,
                 report.overloaded_lines, report.production_cost,
                 report.fulfilled_timepoints, report.switches, int(feasible),
             ])
-    for unavailable in ("component", "roof-dual"):
-        rows.append([unavailable, "-", "-", "-", "-", "-", "-", "-", "-"])
     write_csv(out_dir / "decomposers.csv",
               ["decomposer", "seed", "steps", "objective", "overloaded_lines",
                "production_cost", "fulfilled_timepoints", "switches",

@@ -24,6 +24,7 @@ __all__ = [
     "flat_index",
     "encode_one_hot",
     "decode_one_hot",
+    "read_schedule",
     "validate_schedule",
     "is_adjacent_feasible",
     "first_adjacency_violation",
@@ -179,6 +180,19 @@ def decode_one_hot(x: np.ndarray, T: int, n: int, k: int) -> np.ndarray:
         b = int(bad[0])
         raise NotOneHotError(b // n, b % n, int(counts[b]))
     return (np.argmax(blocks, axis=1) + 1).reshape(T, n)
+
+
+def read_schedule(x: np.ndarray, T: int, n: int, k: int) -> tuple[np.ndarray, bool]:
+    """(schedule, one_hot) of any bit vector of length T*n*k.
+
+    A one-hot vector decodes exactly.  Otherwise each block keeps its lowest
+    set bit, or state 1 when empty, and one_hot is False; reports use this
+    to score solver outputs that wandered off the one-hot manifold.
+    """
+    blocks = np.asarray(x).reshape(T * n, k)
+    counts = blocks.sum(axis=1)
+    states = np.where(counts > 0, np.argmax(blocks, axis=1) + 1, 1)
+    return states.reshape(T, n), bool(np.all(counts == 1))
 
 
 def first_adjacency_violation(Z: np.ndarray) -> tuple[int, int] | None:

@@ -23,8 +23,6 @@ __all__ = [
     "DegenerateRangeError",
     "weighted_sum",
     "normalize_range",
-    "save_triplets",
-    "load_triplets",
 ]
 
 
@@ -87,20 +85,6 @@ class Qubo:
         if i > j:
             i, j = j, i
         return self._coeffs.get((i, j), 0.0)
-
-    @classmethod
-    def from_dense(cls, matrix: np.ndarray, offset: float = 0.0) -> "Qubo":
-        """Build from a dense square matrix, folding (i,j)+(j,i) together."""
-        A = np.asarray(matrix, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {A.shape}")
-        dim = A.shape[0]
-        coeffs: dict[tuple[int, int], float] = {}
-        up = np.triu(A) + np.tril(A, -1).T
-        ii, jj = np.nonzero(up)
-        for i, j, v in zip(ii.tolist(), jj.tolist(), up[ii, jj].tolist()):
-            coeffs[(i, j)] = v
-        return cls(dim, coeffs, offset)
 
     def _triplet_arrays(self):
         """Cached (rows, cols, vals) arrays in deterministic (i, j) order."""
@@ -251,31 +235,3 @@ def normalize_range(
             key = (i, i)
             coeffs[key] = coeffs.get(key, 0.0) - shift / span
     return Qubo(q.dim, coeffs, q.offset / span)
-
-
-def save_triplets(q: Qubo, path) -> None:
-    """Write the Qubo as text: a `dim offset` header then `i j value` lines."""
-    rows, cols, vals = q._triplet_arrays()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{q.dim} {q.offset:.17g}\n")
-        for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-            fh.write(f"{i} {j} {v:.17g}\n")
-
-
-def load_triplets(path) -> Qubo:
-    """Read a Qubo written by save_triplets."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed header {header!r}")
-        dim, offset = int(header[0]), float(header[1])
-        coeffs: dict[tuple[int, int], float] = {}
-        for line_no, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{line_no}: expected `i j value`")
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-            coeffs[(i, j)] = coeffs.get((i, j), 0.0) + v
-    return Qubo(dim, coeffs, offset)

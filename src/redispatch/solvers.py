@@ -1,8 +1,9 @@
 """Classical QUBO samplers: exhaustive search, tabu search, simulated annealing.
 
-All samplers are deterministic for a fixed seed and iteration budget, track
-the best score ever visited, and share the O(degree) single-flip score update
-implemented by incremental_delta.
+All samplers are deterministic for a fixed seed and iteration budget and
+track the best score ever visited.  Tabu search and annealing walk by single
+flips over one shared state (_Walk) that keeps every flip delta current in
+O(degree) per flip; each sampler only adds its move rule.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "Budget",
     "SolveRequest",
     "SolveResult",
-    "incremental_delta",
     "brute_force",
     "tabu_search",
     "simulated_annealing",
@@ -56,17 +56,12 @@ class Budget:
 
 @dataclass
 class SolveRequest:
-    """One sampler invocation: problem, start point, seed and tuning knobs."""
+    """One sampler invocation: problem, start point, seed and budget."""
 
     qubo: Qubo
     initial: np.ndarray | None = None
     seed: int = 0
     budget: Budget = field(default_factory=Budget)
-    tabu_tenure: int | None = None
-    sa_sweeps: int | None = None
-    sa_t_start: float | None = None
-    sa_t_end: float | None = None
-    keep_trace: bool = False
 
 
 @dataclass
@@ -82,23 +77,11 @@ class SolveResult:
     score: float
     iterations: int
     wall_seconds: float
-    trace: list[tuple[int, float]] | None = None
-
-
-def incremental_delta(qubo: Qubo, x: np.ndarray, flip: int) -> float:
-    """Score change from flipping one bit, in O(degree of the variable)."""
-    if not 0 <= flip < qubo.dim:
-        raise IndexError(f"flip index {flip} outside 0..{qubo.dim - 1}")
-    diag, neighbors, weights = qubo.adjacency()
-    x = np.asarray(x)
-    inner = diag[flip]
-    if neighbors[flip].size:
-        inner += float(weights[flip] @ x[neighbors[flip]].astype(float))
-    return float((1 - 2 * int(x[flip])) * inner)
+    trace: list[tuple[int, float]]
 
 
 def _all_deltas(qubo: Qubo, x: np.ndarray) -> np.ndarray:
-    """Vector of incremental_delta for every variable at once."""
+    """Score change from flipping each variable alone, for every variable."""
     diag, neighbors, weights = qubo.adjacency()
     xf = np.asarray(x, dtype=float)
     inner = diag.copy()
@@ -106,19 +89,6 @@ def _all_deltas(qubo: Qubo, x: np.ndarray) -> np.ndarray:
         if neighbors[i].size:
             inner[i] += weights[i] @ xf[neighbors[i]]
     return (1.0 - 2.0 * xf) * inner
-
-
-def _apply_flip(qubo: Qubo, x: np.ndarray, deltas: np.ndarray, flip: int) -> float:
-    """Flip one bit in place, keep the delta vector consistent, return the delta."""
-    _, neighbors, weights = qubo.adjacency()
-    d = float(deltas[flip])
-    sign = 1.0 - 2.0 * x[flip]
-    nb = neighbors[flip]
-    if nb.size:
-        deltas[nb] += (1.0 - 2.0 * x[nb]) * weights[flip] * sign
-    deltas[flip] = -d
-    x[flip] = 1 - x[flip]
-    return d
 
 
 def _initial_vector(req: SolveRequest, rng: np.random.Generator) -> np.ndarray:
@@ -134,12 +104,57 @@ def _initial_vector(req: SolveRequest, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=req.qubo.dim).astype(np.int8)
 
 
+class _Walk:
+    """Single-flip state shared by tabu search and annealing.
+
+    Holds the seeded generator, the current vector, the score change of
+    flipping each bit (kept current by flip), the running score, the
+    incumbent with its improvement trace, and the wall-clock deadline.
+    """
+
+    def __init__(self, req: SolveRequest):
+        self.qubo = req.qubo
+        self.rng = np.random.default_rng(req.seed)
+        self.x = _initial_vector(req, self.rng)
+        self.started = time.monotonic()
+        self.deadline = self.started + req.budget.time_limit
+        _, self.neighbors, self.weights = req.qubo.adjacency()
+        self.deltas = _all_deltas(req.qubo, self.x)
+        self.score = req.qubo.evaluate(self.x)
+        self.best = self.x.copy()
+        self.best_score = self.score
+        self.trace = [(0, self.score)]
+
+    def flip(self, i: int, it: int) -> None:
+        """Flip bit i at iteration it, updating deltas, score and incumbent."""
+        x, deltas = self.x, self.deltas
+        d = float(deltas[i])
+        sign = 1.0 - 2.0 * x[i]
+        nb = self.neighbors[i]
+        if nb.size:
+            deltas[nb] += (1.0 - 2.0 * x[nb]) * self.weights[i] * sign
+        deltas[i] = -d
+        x[i] = 1 - x[i]
+        self.score += d
+        if self.score < self.best_score - 1e-12:
+            self.best_score = self.score
+            self.best = x.copy()
+            self.trace.append((it, self.score))
+
+    def result(self, iterations: int) -> SolveResult:
+        # re-anchor: report the exact score of the returned vector, not summed deltas
+        return SolveResult(best=self.best, score=self.qubo.evaluate(self.best),
+                           iterations=iterations,
+                           wall_seconds=time.monotonic() - self.started,
+                           trace=self.trace)
+
+
 def brute_force(req: SolveRequest) -> SolveResult:
     """Enumerate all bit vectors; ties break toward the smallest encoding.
 
     Bit i of the enumeration counter is variable i, so among equal scorers
     the vector whose integer value sum(x_i * 2^i) is smallest wins.  Capped
-    at dim <= 24.
+    at dim <= 24.  The seed and start vector are ignored.
     """
     q = req.qubo
     if q.dim > BRUTE_FORCE_LIMIT:
@@ -159,68 +174,43 @@ def brute_force(req: SolveRequest) -> SolveResult:
             best_score = float(scores[idx])
             best_v = int(vs[idx])
     best = ((best_v >> bits) & 1).astype(np.int8)
-    wall = time.monotonic() - started
-    trace = [(0, best_score)] if req.keep_trace else None
     return SolveResult(best=best, score=best_score, iterations=total,
-                       wall_seconds=wall, trace=trace)
+                       wall_seconds=time.monotonic() - started,
+                       trace=[(0, best_score)])
 
 
 def tabu_search(req: SolveRequest) -> SolveResult:
     """Single-flip tabu search with aspiration.
 
-    Recently flipped variables are tabu for `tenure` iterations (default
-    max(10, dim // 50)) unless flipping them would beat the incumbent.  The
-    incumbent starts at the initial point, so the result is never worse.
+    Each iteration flips the allowed bit with the lowest score change.  A
+    flipped variable stays tabu for max(10, dim // 50) iterations unless
+    flipping it would beat the incumbent; when every bit is tabu, the ones
+    released soonest are allowed.  The incumbent starts at the initial
+    point, so the result is never worse.
     """
-    q = req.qubo
-    rng = np.random.default_rng(req.seed)
-    x = _initial_vector(req, rng)
-    tenure = req.tabu_tenure if req.tabu_tenure is not None else max(10, q.dim // 50)
-    if tenure < 1:
-        raise ValueError("tabu tenure must be at least 1")
-    started = time.monotonic()
-    deltas = _all_deltas(q, x)
-    score = q.evaluate(x)
-    best = x.copy()
-    best_score = score
-    trace = [(0, best_score)] if req.keep_trace else None
-    tabu_until = np.zeros(q.dim, dtype=np.int64)
-    deadline = started + req.budget.time_limit
+    walk = _Walk(req)
+    deltas = walk.deltas
+    tenure = max(10, req.qubo.dim // 50)
+    tabu_until = np.zeros(req.qubo.dim, dtype=np.int64)
     it = 0
-    while it < req.budget.max_iterations:
+    while it < req.budget.max_iterations and time.monotonic() <= walk.deadline:
         it += 1
-        if time.monotonic() > deadline:
-            it -= 1
-            break
         allowed = tabu_until < it
-        aspiring = score + deltas < best_score - 1e-12
+        aspiring = walk.score + deltas < walk.best_score - 1e-12
         candidates = allowed | aspiring
         if not candidates.any():
             candidates = tabu_until == tabu_until.min()
-        masked = np.where(candidates, deltas, math.inf)
-        flip = int(np.argmin(masked))
-        score += _apply_flip(q, x, deltas, flip)
+        flip = int(np.argmin(np.where(candidates, deltas, math.inf)))
+        walk.flip(flip, it)
         tabu_until[flip] = it + tenure
-        if score < best_score - 1e-12:
-            best_score = score
-            best = x.copy()
-            if trace is not None:
-                trace.append((it, best_score))
-    wall = time.monotonic() - started
-    # re-anchor: report the exact score of the returned vector, not summed deltas
-    return SolveResult(best=best, score=q.evaluate(best), iterations=it,
-                       wall_seconds=wall, trace=trace)
+    return walk.result(it)
 
 
-def _estimate_t_start(q: Qubo, x: np.ndarray, rng: np.random.Generator) -> float:
-    """Temperature giving roughly 0.8 acceptance for random uphill flips."""
-    probe = rng.integers(0, q.dim, size=min(100, 4 * q.dim))
-    ups = []
-    for i in probe.tolist():
-        d = incremental_delta(q, x, i)
-        if d > 0:
-            ups.append(d)
-    if not ups:
+def _start_temperature(deltas: np.ndarray, rng: np.random.Generator) -> float:
+    """Temperature at which about 80 percent of probed uphill flips are accepted."""
+    probe = deltas[rng.integers(0, deltas.size, size=min(100, 4 * deltas.size))]
+    ups = probe[probe > 0]
+    if not ups.size:
         return 1.0
     return float(np.mean(ups) / math.log(1.0 / 0.8))
 
@@ -228,51 +218,33 @@ def _estimate_t_start(q: Qubo, x: np.ndarray, rng: np.random.Generator) -> float
 def simulated_annealing(req: SolveRequest) -> SolveResult:
     """Metropolis single-flip annealing on a geometric temperature ladder.
 
-    The start temperature is tuned so about 80 percent of sampled uphill
-    moves would be accepted at the initial point; the final temperature
-    defaults to start * 1e-3.  Iterations count attempted flips.
+    Runs max(2, min(1000, max_iterations // dim)) sweeps, each visiting the
+    variables in a fresh random order.  The start temperature accepts about
+    80 percent of the uphill flips probed at the initial point (1.0 when the
+    probe finds none); the ladder ends at 1e-3 times the start.  Iterations
+    count attempted flips.
     """
-    q = req.qubo
-    rng = np.random.default_rng(req.seed)
-    x = _initial_vector(req, rng)
-    started = time.monotonic()
-    deltas = _all_deltas(q, x)
-    score = q.evaluate(x)
-    best = x.copy()
-    best_score = score
-    trace = [(0, best_score)] if req.keep_trace else None
-    sweeps = req.sa_sweeps if req.sa_sweeps is not None else max(2, min(
-        1000, req.budget.max_iterations // max(1, q.dim)))
-    t_start = req.sa_t_start if req.sa_t_start is not None else _estimate_t_start(q, x, rng)
-    t_start = max(t_start, 1e-12)
-    t_end = req.sa_t_end if req.sa_t_end is not None else 1e-3 * t_start
-    t_end = min(max(t_end, 1e-15), t_start)
-    deadline = started + req.budget.time_limit
+    walk = _Walk(req)
+    q, rng, deltas = req.qubo, walk.rng, walk.deltas
+    limit = req.budget.max_iterations
+    sweeps = max(2, min(1000, limit // max(1, q.dim)))
+    t_start = max(_start_temperature(deltas, rng), 1e-12)
+    t_end = max(1e-3 * t_start, 1e-15)
     it = 0
-    stop = False
     for sweep in range(sweeps):
-        frac = sweep / (sweeps - 1) if sweeps > 1 else 1.0
-        temp = t_start * (t_end / t_start) ** frac
+        temp = t_start * (t_end / t_start) ** (sweep / (sweeps - 1))
         order = rng.permutation(q.dim)
         accept_draws = rng.random(q.dim)
         for pos, flip in enumerate(order.tolist()):
-            if it >= req.budget.max_iterations:
-                stop = True
+            if it >= limit:
                 break
             it += 1
             d = deltas[flip]
             if d <= 0 or accept_draws[pos] < math.exp(-d / temp):
-                score += _apply_flip(q, x, deltas, flip)
-                if score < best_score - 1e-12:
-                    best_score = score
-                    best = x.copy()
-                    if trace is not None:
-                        trace.append((it, best_score))
-        if stop or time.monotonic() > deadline:
+                walk.flip(flip, it)
+        if it >= limit or time.monotonic() > walk.deadline:
             break
-    wall = time.monotonic() - started
-    return SolveResult(best=best, score=q.evaluate(best), iterations=it,
-                       wall_seconds=wall, trace=trace)
+    return walk.result(it)
 
 
 def write_trace_csv(path, trace: list[tuple[int, float]]) -> None:

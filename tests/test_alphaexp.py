@@ -12,7 +12,6 @@ from redispatch.alphaexp import (
     StateChange,
     alpha_expansion,
     build_alpha_qubo,
-    make_cycle,
     rectify,
     sample_disjoint_changes,
 )
@@ -44,20 +43,6 @@ def random_qubo(rng, dim):
 
 
 # ----------------------------------------------------------------- cycles
-
-
-def test_make_cycle_identity_is_empty():
-    c = make_cycle(0, 0, 2, 2, n=2, k=3)
-    assert c.swaps == () and not c.touched
-
-
-def test_make_cycle_swaps_single_block():
-    T, n, k = 2, 2, 3
-    Z = np.array([[1, 2], [2, 3]])
-    c = make_cycle(1, 0, 2, 3, n=n, k=k)
-    assert c.touched == frozenset([(1, 0)])
-    Z2 = apply_to_schedule(Z, c, T, n, k)
-    assert Z2.tolist() == [[1, 2], [3, 3]]
 
 
 def test_rectify_pulls_both_neighbors():
@@ -269,6 +254,17 @@ def test_alpha_expansion_rejects_infeasible_start():
     x_jump = encode_one_hot(Z_jump, inst.T, inst.n, inst.k)
     with pytest.raises(InfeasibleStartError):
         alpha_expansion(inst, q, x_jump)
+
+
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_alpha_expansion_rejects_empty_batches(batch_size):
+    # a batch of zero moves would never drain the proposal pool
+    rng = np.random.default_rng(7)
+    inst = random_instance(rng, T=2, n=2, k=3, L=1)
+    x0 = encode_one_hot(np.ones((inst.T, inst.n), dtype=int),
+                        inst.T, inst.n, inst.k)
+    with pytest.raises(ValueError, match="batch_size"):
+        alpha_expansion(inst, build_objective(inst), x0, batch_size=batch_size)
 
 
 def test_alpha_expansion_deterministic_and_reports_epochs():

@@ -128,6 +128,32 @@ def test_solve_decomposer_paths(tmp_path, capsys):
         assert (out / "solution.json").exists()
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("solve", ("--time-limit", "0")),
+    ("solve", ("--time-limit", "-1.5")),
+    ("solve", ("--max-iterations", "-1")),
+    ("solve", ("--batch-size", "0")),
+    ("solve", ("--batch-size", "-2")),
+    ("solve", ("--solver", "brute")),
+    ("experiment", ("--time-limit", "0")),
+    ("experiment", ("--max-iterations", "-1")),
+], ids=["time-limit-0", "time-limit-negative", "max-iterations-negative",
+        "batch-size-0", "batch-size-negative", "brute-above-cap",
+        "experiment-time-limit-0", "experiment-max-iterations-negative"])
+def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
+    if command == "solve":
+        # 5 resources x 3 states x 2 timepoints: 30 bits, above the brute cap
+        inst_path = tmp_path / "big.json"
+        assert main(["build-instance", "--synthetic", "5,3,2,2", "--T", "2",
+                     "--k", "3", "--out", str(inst_path)]) == 0
+        args = ["solve", "--instance", str(inst_path)]
+    else:
+        args = ["experiment", "penalty-norm", "--data-dir", str(network_dir),
+                "--seeds", "0"]
+    assert main(args + [*extra, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- config
 
 

@@ -10,11 +10,10 @@ from redispatch.experiments import (
     ExperimentSettings,
     composed_objective,
     fmt,
-    project_feasible,
     run_score_norm,
     write_csv,
 )
-from redispatch.model import encode_one_hot
+from redispatch.model import encode_one_hot, read_schedule
 
 
 def test_fmt_rendering():
@@ -35,18 +34,20 @@ def test_write_csv_layout(tmp_path):
 
 
 def test_project_feasible_rules():
-    inst, _ = synth_instance(n=2, k=3, T=2, L=1, seed=0)
+    T, n, k = 2, 2, 3
     Z = np.array([[2, 3], [1, 2]])
-    x = encode_one_hot(Z, inst.T, inst.n, inst.k)
-    assert np.array_equal(project_feasible(inst, x), Z)
+    x = encode_one_hot(Z, T, n, k)
+    decoded, one_hot = read_schedule(x, T, n, k)
+    assert np.array_equal(decoded, Z) and one_hot
     x_multi = x.copy()
     x_multi[0] = 1  # block (0, 0) now has bits for states 1 and 2
-    projected = project_feasible(inst, x_multi)
-    assert projected[0, 0] == 1  # first set bit wins
+    projected, one_hot = read_schedule(x_multi, T, n, k)
+    assert projected[0, 0] == 1 and not one_hot  # first set bit wins
+    assert np.array_equal(projected[1:], Z[1:])
     x_empty = x.copy()
-    x_empty[encode_one_hot(Z, inst.T, inst.n, inst.k).nonzero()[0][0]] = 0
-    projected = project_feasible(inst, x_empty)
-    assert projected[0, 0] == 1  # empty block falls back to the off state
+    x_empty[x.nonzero()[0][0]] = 0
+    projected, one_hot = read_schedule(x_empty, T, n, k)
+    assert projected[0, 0] == 1 and not one_hot  # empty block: off state
 
 
 def test_composed_objective_keeps_hard_floor_dominant():

@@ -1,4 +1,4 @@
-"""Container-level tests: evaluation, clamping, combination, normalization, IO."""
+"""Container-level tests: evaluation, clamping, combination, normalization."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,7 @@ from redispatch.qubo import (
     DegenerateRangeError,
     DimensionMismatchError,
     Qubo,
-    load_triplets,
     normalize_range,
-    save_triplets,
     weighted_sum,
 )
 
@@ -29,7 +27,8 @@ def random_qubo(rng, dim, density=0.5):
     matrix = rng.normal(size=(dim, dim))
     matrix[rng.random((dim, dim)) > density] = 0.0
     offset = float(rng.normal())
-    return Qubo.from_dense(matrix, offset), matrix, offset
+    coeffs = {(i, j): matrix[i, j] for i, j in zip(*np.nonzero(matrix))}
+    return Qubo(dim, coeffs, offset), matrix, offset
 
 
 def test_evaluate_matches_dense_double_loop():
@@ -188,29 +187,6 @@ def test_normalize_range_rejects_empty_range():
         normalize_range(q, 1.0, 1.0, 1)
     with pytest.raises(DegenerateRangeError):
         normalize_range(q, 2.0, 1.0, 1)
-
-
-def test_triplet_io_round_trip_exact():
-    rng = np.random.default_rng(5)
-    q, _, _ = random_qubo(rng, 12, density=0.4)
-    path = "/tmp/qubo_roundtrip.txt"
-    save_triplets(q, path)
-    back = load_triplets(path)
-    assert back.dim == q.dim
-    assert back.offset == pytest.approx(q.offset, rel=1e-12)
-    assert set(back.coeffs) == set(q.coeffs)
-    for key, v in q.coeffs.items():
-        assert back.coeffs[key] == pytest.approx(v, rel=1e-12)
-
-
-def test_triplet_format_layout(tmp_path):
-    q = Qubo(3, {(0, 1): 1.25, (2, 2): -2.0}, offset=0.5)
-    path = tmp_path / "q.txt"
-    save_triplets(q, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].split() == ["3", "0.5"]
-    assert lines[1].split() == ["0", "1", "1.25"]
-    assert lines[2].split() == ["2", "2", "-2"]
 
 
 def test_adjacency_lists_are_symmetric_and_complete():

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from redispatch.decomposers import DecomposeConfig, decompose_loop
 from redispatch.qubo import Qubo
 from redispatch.solvers import (
     BRUTE_FORCE_LIMIT,
     Budget,
     SolveRequest,
     TooLargeError,
+    _Walk,
+    _all_deltas,
     brute_force,
-    incremental_delta,
     simulated_annealing,
     tabu_search,
     write_trace_csv,
@@ -71,33 +74,35 @@ def test_brute_force_empty_objective():
     assert res.best.tolist() == [0, 0, 0]
 
 
+def assert_deltas_are_flip_differences(q, x, deltas):
+    for j in range(q.dim):
+        y = x.copy()
+        y[j] ^= 1
+        assert deltas[j] == pytest.approx(
+            q.evaluate(y) - q.evaluate(x), rel=1e-10, abs=1e-10)
+
+
 def test_incremental_delta_equals_evaluate_difference():
     rng = np.random.default_rng(1)
     q = random_qubo(rng, 12)
     for _ in range(50):
         x = rng.integers(0, 2, 12)
-        j = int(rng.integers(12))
-        y = x.copy()
-        y[j] ^= 1
-        assert incremental_delta(q, x, j) == pytest.approx(
-            q.evaluate(y) - q.evaluate(x), rel=1e-10, abs=1e-10)
+        assert_deltas_are_flip_differences(q, x, _all_deltas(q, x))
 
 
 def test_flip_chain_stays_consistent():
-    # ten thousand maintained-delta flips never drift from exact evaluation
-    from redispatch.solvers import _all_deltas, _apply_flip
-
+    # ten thousand maintained-delta flips never drift from exact evaluation,
+    # and each maintained delta stays the score change of its flip
     rng = np.random.default_rng(2)
     q = random_qubo(rng, 20)
-    x = rng.integers(0, 2, 20)
-    deltas = _all_deltas(q, x)
-    score = q.evaluate(x)
-    for _ in range(10_000):
-        j = int(rng.integers(20))
-        score += deltas[j]
-        _apply_flip(q, x, deltas, j)
-    assert score == pytest.approx(q.evaluate(x), rel=1e-9, abs=1e-9)
-    assert np.allclose(deltas, _all_deltas(q, x), atol=1e-9)
+    walk = _Walk(SolveRequest(qubo=q, initial=rng.integers(0, 2, 20)))
+    assert_deltas_are_flip_differences(q, walk.x, walk.deltas)
+    for it in range(1, 10_001):
+        walk.flip(int(rng.integers(20)), it)
+        if it % 2500 == 0:
+            assert_deltas_are_flip_differences(q, walk.x, walk.deltas)
+    assert walk.score == pytest.approx(q.evaluate(walk.x), rel=1e-9, abs=1e-9)
+    assert np.allclose(walk.deltas, _all_deltas(q, walk.x), atol=1e-9)
 
 
 def test_tabu_reaches_optimum_on_small_instances():
@@ -175,7 +180,7 @@ def test_trace_monotone_and_csv_layout(tmp_path):
     rng = np.random.default_rng(10)
     q = random_qubo(rng, 20)
     res = tabu_search(SolveRequest(
-        qubo=q, seed=0, budget=Budget(max_iterations=200), keep_trace=True))
+        qubo=q, seed=0, budget=Budget(max_iterations=200)))
     assert len(res.trace) >= 1
     scores = [s for _, s in res.trace]
     assert all(b <= a + 1e-12 for a, b in zip(scores, scores[1:]))
@@ -197,3 +202,45 @@ def test_time_limit_stops_search():
         budget=Budget(max_iterations=10_000_000, time_limit=0.2)))
     assert res.wall_seconds < 5.0
     assert res.iterations < 10_000_000
+
+
+# ------------------------------------------------- properties of the samplers
+
+
+@st.composite
+def small_qubos(draw):
+    dim = draw(st.integers(1, 12))
+    unit = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    coeffs = {(i, i): draw(unit) for i in range(dim)}
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    if pairs:
+        for key in draw(st.lists(st.sampled_from(pairs), unique=True)):
+            coeffs[key] = draw(unit)
+    return Qubo(dim, coeffs, draw(unit))
+
+
+def run_sampler(name, q, seed, x0):
+    budget = Budget(max_iterations=150)
+    if name in ("random", "score"):
+        return decompose_loop(q, x0, DecomposeConfig(
+            subproblem_size=5, strategy=name, max_steps=6, seed=seed))
+    sampler = {"brute": brute_force, "tabu": tabu_search,
+               "sa": simulated_annealing}[name]
+    return sampler(SolveRequest(qubo=q, initial=x0, seed=seed, budget=budget))
+
+
+@pytest.mark.parametrize("name", ["brute", "tabu", "sa", "random", "score"])
+@settings(max_examples=30, deadline=None)
+@given(q=small_qubos(), seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_sampler_reports_exact_score_and_monotone_trace(name, q, seed, data):
+    x0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=q.dim,
+                                     max_size=q.dim)), dtype=np.int8)
+    res = run_sampler(name, q, seed, x0)
+    exact = q.evaluate(res.best)
+    assert abs(res.score - exact) <= 1e-9 * (1.0 + abs(res.score))
+    scores = [s for _, s in res.trace]
+    assert all(b <= a for a, b in zip(scores, scores[1:]))
+    if name in ("tabu", "sa"):
+        again = run_sampler(name, q, seed, x0)
+        assert again.best.tolist() == res.best.tolist()
+        assert again.score == res.score and again.trace == res.trace
