@@ -174,13 +174,19 @@ def build_alpha_qubo(qubo: Qubo, x: np.ndarray, cycles: list[CycleSet]) -> Qubo:
     diag, neighbors, weights = qubo.adjacency()
     diffs = [_signed_difference(c, x) for c in cycles]
     xf = x.astype(float)
+    # symmetric block over the touched bits: sym[at[u]][at[v]] is Q[u, u]
+    # on the diagonal and Q[u, v] / 2 off it
+    touched = np.unique(np.concatenate([np.zeros(0, np.int64), *(d for d, _ in diffs)]))
+    at = np.full(qubo.dim, -1)
+    at[touched] = np.arange(touched.size)
+    block = np.diag(diag[touched])
+    for p_u, u in enumerate(touched.tolist()):
+        p_v = at[neighbors[u]]
+        block[p_u, p_v[p_v >= 0]] = 0.5 * weights[u][p_v >= 0]
+    sym = block.tolist()
+    positions = [at[idx].tolist() for idx, _ in diffs]
 
-    def sym(i: int, j: int) -> float:
-        if i == j:
-            return qubo.coefficient(i, i)
-        return 0.5 * qubo.coefficient(i, j)
-
-    coeffs: dict[tuple[int, int], float] = {}
+    reduced = np.zeros((len(cycles), len(cycles)))
     for a, (idx_a, val_a) in enumerate(diffs):
         if idx_a.size == 0:
             continue
@@ -192,22 +198,19 @@ def build_alpha_qubo(qubo: Qubo, x: np.ndarray, cycles: list[CycleSet]) -> Qubo:
                 row += 0.5 * float(weights[u] @ xf[neighbors[u]])
             lin += 2.0 * val_a[pos] * row
         quad = 0.0
-        for pa, u in enumerate(idx_a.tolist()):
-            for pb, v in enumerate(idx_a.tolist()):
-                quad += val_a[pa] * val_a[pb] * sym(u, v)
-        coeffs[(a, a)] = lin + quad
+        for pa, i in enumerate(positions[a]):
+            for pb, j in enumerate(positions[a]):
+                quad += val_a[pa] * val_a[pb] * sym[i][j]
+        reduced[a, a] = lin + quad
         for b in range(a + 1, len(cycles)):
-            idx_b, val_b = diffs[b]
-            if idx_b.size == 0:
-                continue
+            _, val_b = diffs[b]
             cross = 0.0
-            for pa, u in enumerate(idx_a.tolist()):
-                for pb, v in enumerate(idx_b.tolist()):
-                    cross += val_a[pa] * val_b[pb] * sym(u, v)
-            if cross != 0.0:
-                coeffs[(a, b)] = 2.0 * cross
-    coeffs = {key: v for key, v in coeffs.items() if v != 0.0}
-    return Qubo(len(cycles), coeffs, 0.0)
+            for pa, i in enumerate(positions[a]):
+                for pb, j in enumerate(positions[b]):
+                    cross += val_a[pa] * val_b[pb] * sym[i][j]
+            reduced[a, b] = 2.0 * cross
+    rows, cols = np.triu_indices(len(cycles))
+    return Qubo(len(cycles), rows, cols, reduced[rows, cols])
 
 
 def _enumerate_members(T: int, n: int, k: int) -> list[StateChange]:

@@ -87,8 +87,12 @@ def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
         fh.write("\n")
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Values from --config take precedence over command line flags."""
+def _apply_config_file(args, parser: argparse.ArgumentParser) -> None:
+    """Values from --config take precedence over command line flags.
+
+    Each value goes through its flag's type and choices, as if it had been
+    typed on the command line; null keeps flags whose default is None unset.
+    """
     if not getattr(args, "config", None):
         return
     path = Path(args.config)
@@ -100,11 +104,23 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(overrides, dict):
         raise ConfigError(f"config file {path}: expected a JSON object")
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in commands.choices[args.command]._actions}
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise ConfigError(f"config file {path}: unknown setting {key!r}")
-        setattr(args, attr, value)
+        if not (value is None and action.default is None):
+            text = value if isinstance(value, str) else json.dumps(value)
+            try:
+                value = (action.type or str)(text)
+            except ValueError as exc:
+                raise ConfigError(f"config file {path}: bad {key!r}: {exc}") from exc
+            if action.choices is not None and value not in action.choices:
+                raise ConfigError(f"config file {path}: {key!r} must be one of "
+                                  f"{list(action.choices)}, got {text}")
+        setattr(args, action.dest, value)
 
 
 def _load_dataset(args) -> data_mod.NetworkDataset:
@@ -371,7 +387,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         return args.func(args)
     except (ConfigError, data_mod.ParseError, data_mod.SchemaError,
             data_mod.BadLevelsError, FileNotFoundError,

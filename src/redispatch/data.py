@@ -658,5 +658,9 @@ def save_instance(path, inst: ProblemInstance) -> None:
 
 
 def load_instance(path) -> ProblemInstance:
+    """Read an instance file; SchemaError if it is not a valid instance."""
     with open(path, "r", encoding="ascii") as fh:
-        return instance_from_dict(json.load(fh))
+        try:
+            return instance_from_dict(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:  # JSON errors included
+            raise SchemaError(f"{path}: not a valid instance ({exc!r})") from exc

@@ -90,7 +90,9 @@ def decompose_loop(
     Each step solves the clamped subproblem (exhaustively up to 16 free
     variables, by 2000 tabu flips above) and merges the sub-solution back
     only if the full score does not increase, so best scores are
-    non-increasing.  Deterministic for a fixed config.
+    non-increasing.  Deterministic for a fixed config.  The "score"
+    strategy stops after a step that leaves x unchanged: its selection and
+    sub-solve depend on x alone, so every later step would repeat it.
     """
     x = np.asarray(x0).astype(np.int8).copy()
     if x.shape != (qubo.dim,):
@@ -115,11 +117,15 @@ def decompose_loop(
         )
         result = brute_force(sub_req) if sub.dim <= 16 else tabu_search(sub_req)
         # sub scores already include the clamp offset, i.e. the full score
-        if result.score <= score + 1e-12:
+        merge = result.score <= score + 1e-12
+        moved = merge and bool(np.any(x[remap] != result.best))
+        if merge:
             x[remap] = result.best
             if result.score < score:
                 score = result.score
                 trace.append((steps, score))
+        if config.strategy == "score" and not moved:
+            break
     wall = time.monotonic() - started
     return SolveResult(best=x, score=qubo.evaluate(x), iterations=steps,
                        wall_seconds=wall, trace=trace)

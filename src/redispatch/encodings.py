@@ -150,14 +150,18 @@ def build_onehot_qubo(T: int, n: int, k: int) -> Qubo:
     Each (t, a) block contributes m^2 - 2m for m set bits, minimized only
     at m = 1, so any violation raises the score above -T*n.
     """
-    coeffs: dict[tuple[int, int], float] = {}
-    for b in range(T * n):
-        base = b * k
-        for i in range(k):
-            coeffs[(base + i, base + i)] = -1.0
-            for j in range(i + 1, k):
-                coeffs[(base + i, base + j)] = 2.0
-    return Qubo(T * n * k, coeffs)
+    i, j = np.triu_indices(k)
+    base = (np.arange(T * n) * k)[:, None]
+    vals = np.where(i == j, -1.0, 2.0)
+    return Qubo(T * n * k, base + i, base + j, np.tile(vals, T * n))
+
+
+def _transition_qubo(T: int, n: int, k: int, weight: np.ndarray) -> Qubo:
+    """Couples bit (t, a, i) with (t+1, a, j) by weight[a, i, j] for t < T - 1."""
+    lo = (np.arange((T - 1) * n) * k).reshape(T - 1, n, 1, 1)
+    i, j = np.indices((k, k))
+    rows, cols = np.broadcast_arrays(lo + i, lo + n * k + j)
+    return Qubo(T * n * k, rows, cols, np.broadcast_to(weight, rows.shape))
 
 
 def build_adjacency_qubo(T: int, n: int, k: int) -> Qubo:
@@ -166,26 +170,14 @@ def build_adjacency_qubo(T: int, n: int, k: int) -> Qubo:
     Couples bit (t, a, i) with (t+1, a, i') whenever |i - i'| > 1; on one-hot
     vectors the score is exactly the number of violating transitions.
     """
-    coeffs: dict[tuple[int, int], float] = {}
-    for t in range(T - 1):
-        for a in range(n):
-            lo = (t * n + a) * k
-            hi = ((t + 1) * n + a) * k
-            for i in range(k):
-                for j in range(k):
-                    if abs(i - j) > 1:
-                        coeffs[(lo + i, hi + j)] = 1.0
-    return Qubo(T * n * k, coeffs)
+    i, j = np.indices((k, k))
+    return _transition_qubo(T, n, k, (np.abs(i - j) > 1).astype(float))
 
 
 def build_cost_qubo(inst: ProblemInstance) -> Qubo:
     """Diagonal QUBO scoring the production cost of the set bits."""
-    coeffs = {}
-    flat = inst.c.ravel()
-    for idx in range(flat.size):
-        if flat[idx] != 0.0:
-            coeffs[(idx, idx)] = float(flat[idx])
-    return Qubo(inst.dim, coeffs)
+    idx = np.arange(inst.dim)
+    return Qubo(inst.dim, idx, idx, inst.c.ravel())
 
 
 def build_switch_qubo(inst: ProblemInstance) -> Qubo:
@@ -194,41 +186,28 @@ def build_switch_qubo(inst: ProblemInstance) -> Qubo:
     On one-hot vectors this scores sum_t sum_a |p(state at t+1) - p(state at t)|
     before the gamma weight.
     """
-    coeffs: dict[tuple[int, int], float] = {}
-    nk = inst.n * inst.k
-    for t in range(inst.T - 1):
-        for a in range(inst.n):
-            lo = t * nk + a * inst.k
-            hi = (t + 1) * nk + a * inst.k
-            for i in range(inst.k):
-                for j in range(inst.k):
-                    diff = abs(inst.p[a, i] - inst.p[a, j])
-                    if diff != 0.0:
-                        coeffs[(lo + i, hi + j)] = float(diff)
-    return Qubo(inst.dim, coeffs)
+    diff = np.abs(inst.p[:, :, None] - inst.p[:, None, :])
+    return _transition_qubo(inst.T, inst.n, inst.k, diff)
 
 
-def _rank_one_block(weights: np.ndarray, linear: float, quad: float):
+def _rank_one_block(weights: np.ndarray, linear: float, quad: float) -> np.ndarray:
     """Coefficients of linear*(w.x) + quad*(w.x)^2 for binary x.
 
-    Returns (diag, upper) where diag[j] collects the x_j coefficient and
-    upper[(j, j2)] the j < j2 cross coefficients.
+    Returns one square matrix: the x_j coefficient at [j, j] and the j < j2
+    cross coefficients at [j, j2]; the lower triangle is not used.
     """
-    diag = linear * weights + quad * weights * weights
-    upper = 2.0 * quad * np.outer(weights, weights)
-    return diag, upper
+    block = 2.0 * quad * np.outer(weights, weights)
+    np.fill_diagonal(block, linear * weights + quad * weights * weights)
+    return block
 
 
-def _accumulate_block(coeffs, base, diag, upper):
-    nk = diag.size
-    for j in range(nk):
-        if diag[j] != 0.0:
-            key = (base + j, base + j)
-            coeffs[key] = coeffs.get(key, 0.0) + float(diag[j])
-    jj, kk = np.nonzero(np.triu(upper, 1))
-    for j, j2 in zip(jj.tolist(), kk.tolist()):
-        key = (base + j, base + j2)
-        coeffs[key] = coeffs.get(key, 0.0) + float(upper[j, j2])
+def _block_diagonal_qubo(dim: int, blocks: list, offset: float) -> Qubo:
+    """Qubo holding the upper triangle of blocks[t] at bits t*nk .. (t+1)*nk - 1."""
+    nk = blocks[0].shape[0]
+    iu, ju = np.triu_indices(nk)
+    base = (np.arange(len(blocks)) * nk)[:, None]
+    vals = np.stack([block[iu, ju] for block in blocks])
+    return Qubo(dim, base + iu, base + ju, vals, offset)
 
 
 def build_power_qubo(
@@ -244,17 +223,15 @@ def build_power_qubo(
     if normalized and bounds is None:
         bounds = compute_bounds(inst)
     w = inst.p.ravel()
-    nk = inst.n * inst.k
-    coeffs: dict[tuple[int, int], float] = {}
+    blocks = []
     offset = 0.0
     for t in range(inst.T):
         f = 1.0 / bounds.power[t] if normalized else 1.0
         tau = inst.tau[t]
         # zeta(f*(w.x - tau)) = const + (-f - f^2 tau)(w.x) + (f^2/2)(w.x)^2
         offset += 1.0 + f * tau + 0.5 * (f * tau) ** 2
-        diag, upper = _rank_one_block(w, -f - f * f * tau, 0.5 * f * f)
-        _accumulate_block(coeffs, t * nk, diag, upper)
-    return Qubo(inst.dim, coeffs, offset)
+        blocks.append(_rank_one_block(w, -f - f * f * tau, 0.5 * f * f))
+    return _block_diagonal_qubo(inst.dim, blocks, offset)
 
 
 def build_load_qubo(
@@ -270,22 +247,19 @@ def build_load_qubo(
     if normalized and bounds is None:
         bounds = compute_bounds(inst)
     nk = inst.n * inst.k
-    coeffs: dict[tuple[int, int], float] = {}
+    blocks = []
     offset = 0.0
     for t in range(inst.T):
-        block_diag = np.zeros(nk)
-        block_upper = np.zeros((nk, nk))
+        block = np.zeros((nk, nk))
         for l in range(inst.L):
             f = 1.0 / bounds.load[t, l] if normalized else 1.0
             m = inst.M[t, l]
             v = (inst.p * inst.S[:, l : l + 1]).ravel()
             # zeta(f*(m - v.x)) = const + (f - f^2 m)(v.x) + (f^2/2)(v.x)^2
             offset += 1.0 - f * m + 0.5 * (f * m) ** 2
-            diag, upper = _rank_one_block(v, f - f * f * m, 0.5 * f * f)
-            block_diag += diag
-            block_upper += upper
-        _accumulate_block(coeffs, t * nk, block_diag, block_upper)
-    return Qubo(inst.dim, coeffs, offset)
+            block += _rank_one_block(v, f - f * f * m, 0.5 * f * f)
+        blocks.append(block)
+    return _block_diagonal_qubo(inst.dim, blocks, offset)
 
 
 def extremal_schedules(inst: ProblemInstance, which: str) -> tuple[np.ndarray, np.ndarray]:

@@ -1,18 +1,23 @@
 """Sparse quadratic unconstrained binary optimization (QUBO) container.
 
-A Qubo stores an upper-triangular coefficient map plus an explicit scalar
-offset.  The score of a 0/1 vector x is
+A Qubo stores one canonical set of read-only triplet arrays plus an explicit
+scalar offset.  The score of a 0/1 vector x is
 
-    offset + sum over stored (i, j) of coeffs[i, j] * x[i] * x[j]
+    offset + sum over k of vals[k] * x[rows[k]] * x[cols[k]]
 
-with i <= j.  Symmetric or lower-triangular input is folded into this
-canonical form at construction time and zero coefficients are dropped, so two
-Qubos built from the same quadratic form compare equal entry by entry.
+The arrays (rows, cols: int64; vals: float64) are sorted by (row, col), hold
+row <= col and no zero values, so two Qubos built from the same quadratic
+form compare equal entry by entry.  The constructor is the only place that
+canonicalizes: it folds entries with i > j onto (j, i), rejects indices out of
+range and non-finite values, and sums entries sharing a key sequentially in
+input order starting from 0.0 (np.bincount, not a pairwise reduction), then
+drops exact zeros.  Every combinator (weighted_sum, normalize_range, clamp)
+emits raw triplets in a defined order and lets the constructor do the rest.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
+import math
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -37,66 +42,45 @@ class DegenerateRangeError(ValueError):
 class Qubo:
     """Immutable sparse QUBO with an explicit constant offset."""
 
-    __slots__ = ("dim", "offset", "_coeffs", "_triplets", "_adjacency")
+    __slots__ = ("dim", "offset", "rows", "cols", "vals", "_adjacency")
 
-    def __init__(
-        self,
-        dim: int,
-        coeffs: Mapping[tuple[int, int], float] | None = None,
-        offset: float = 0.0,
-    ):
+    def __init__(self, dim: int, rows=(), cols=(), vals=(), offset: float = 0.0):
         if int(dim) != dim or dim < 0:
             raise ValueError(f"dim must be a non-negative integer, got {dim!r}")
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "offset", float(offset))
-        canon: dict[tuple[int, int], float] = {}
-        if coeffs:
-            for (i, j), v in coeffs.items():
-                i, j = int(i), int(j)
-                if not (0 <= i < dim and 0 <= j < dim):
-                    raise IndexError(
-                        f"coefficient index ({i}, {j}) outside 0..{dim - 1}"
-                    )
-                if i > j:
-                    i, j = j, i
-                v = float(v)
-                key = (i, j)
-                canon[key] = canon.get(key, 0.0) + v
-            for key in [key for key, v in canon.items() if v == 0.0]:
-                del canon[key]
-        object.__setattr__(self, "_coeffs", canon)
-        object.__setattr__(self, "_triplets", None)
+        dim, offset = int(dim), float(offset)
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        cols = np.asarray(cols, dtype=np.int64).ravel()
+        vals = np.asarray(vals, dtype=float).ravel()
+        if not rows.size == cols.size == vals.size:
+            raise ValueError(f"rows, cols and vals differ in length: "
+                             f"{rows.size}, {cols.size}, {vals.size}")
+        if not math.isfinite(offset) or not np.isfinite(vals).all():
+            raise ValueError("QUBO coefficients and offset must be finite")
+        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+        if lo.size and (lo.min() < 0 or hi.max() >= dim):
+            raise IndexError(f"coefficient indices {lo.min()}..{hi.max()} "
+                             f"outside 0..{dim - 1}")
+        keys, inverse = np.unique(lo * dim + hi, return_inverse=True)
+        # bincount adds each key's entries one by one in input order from 0.0
+        sums = np.bincount(inverse.ravel(), weights=vals, minlength=keys.size)
+        keep = sums != 0.0
+        rows, cols = np.divmod(keys[keep], dim)
+        vals = sums[keep].astype(float, copy=False)
+        for a in (rows, cols, vals):
+            a.flags.writeable = False
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "vals", vals)
         object.__setattr__(self, "_adjacency", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Qubo instances are immutable")
 
     @property
-    def coeffs(self) -> Mapping[tuple[int, int], float]:
-        """Read-only view of the canonical upper-triangular coefficients."""
-        return MappingProxyType(self._coeffs)
-
-    @property
     def num_terms(self) -> int:
-        return len(self._coeffs)
-
-    def coefficient(self, i: int, j: int) -> float:
-        """Stored coefficient for the unordered pair (i, j); 0.0 if absent."""
-        if i > j:
-            i, j = j, i
-        return self._coeffs.get((i, j), 0.0)
-
-    def _triplet_arrays(self):
-        """Cached (rows, cols, vals) arrays in deterministic (i, j) order."""
-        cached = self._triplets
-        if cached is None:
-            items = sorted(self._coeffs.items())
-            rows = np.fromiter((i for (i, _), _ in items), dtype=np.int64, count=len(items))
-            cols = np.fromiter((j for (_, j), _ in items), dtype=np.int64, count=len(items))
-            vals = np.fromiter((v for _, v in items), dtype=float, count=len(items))
-            cached = (rows, cols, vals)
-            object.__setattr__(self, "_triplets", cached)
-        return cached
+        return self.vals.size
 
     def adjacency(self):
         """Per-variable coupling lists: (diag, neighbor index arrays, weight arrays).
@@ -107,7 +91,7 @@ class Qubo:
         """
         cached = self._adjacency
         if cached is None:
-            rows, cols, vals = self._triplet_arrays()
+            rows, cols, vals = self.rows, self.cols, self.vals
             on_diag = rows == cols
             diag = np.zeros(self.dim)
             diag[rows[on_diag]] = vals[on_diag]
@@ -130,85 +114,77 @@ class Qubo:
         x = np.asarray(x)
         if x.shape != (self.dim,):
             raise ValueError(f"bit vector has shape {x.shape}, expected ({self.dim},)")
-        rows, cols, vals = self._triplet_arrays()
         xf = x.astype(float, copy=False)
-        return float(self.offset + vals @ (xf[rows] * xf[cols]))
+        return float(self.offset + self.vals @ (xf[self.rows] * xf[self.cols]))
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         """Score a (batch, dim) matrix of bit vectors at once."""
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"expected shape (batch, {self.dim}), got {X.shape}")
-        rows, cols, vals = self._triplet_arrays()
         Xf = X.astype(float, copy=False)
-        return self.offset + (Xf[:, rows] * Xf[:, cols]) @ vals
+        return self.offset + (Xf[:, self.rows] * Xf[:, self.cols]) @ self.vals
 
     def clamp(self, fixed: Mapping[int, int]) -> tuple["Qubo", np.ndarray]:
         """Fix a subset of variables to constants and shrink the problem.
 
         Returns (sub, remap) where remap[f] is the original index of the f-th
         free variable.  Scores are preserved: evaluating sub on the free bits
-        equals evaluating self on the merged vector.
+        equals evaluating self on the merged vector.  The constant and the
+        folded linear terms are summed in (row, col) order.
         """
+        free = np.ones(self.dim, dtype=bool)
+        one = np.zeros(self.dim, dtype=bool)
         for idx, bit in fixed.items():
             if not 0 <= idx < self.dim:
                 raise IndexError(f"clamped index {idx} outside 0..{self.dim - 1}")
             if bit not in (0, 1):
                 raise ValueError(f"clamped value for {idx} must be 0 or 1, got {bit!r}")
-        remap = np.array(
-            [i for i in range(self.dim) if i not in fixed], dtype=np.int64
-        )
-        new_pos = {int(orig): f for f, orig in enumerate(remap)}
-        coeffs: dict[tuple[int, int], float] = {}
-        offset = self.offset
-        for (i, j), v in self._coeffs.items():
-            i_fixed, j_fixed = i in fixed, j in fixed
-            if i_fixed and j_fixed:
-                offset += v * fixed[i] * (fixed[j] if i != j else 1)
-            elif i_fixed:
-                if fixed[i] == 1:
-                    key = (new_pos[j], new_pos[j])
-                    coeffs[key] = coeffs.get(key, 0.0) + v
-            elif j_fixed:
-                if fixed[j] == 1:
-                    key = (new_pos[i], new_pos[i])
-                    coeffs[key] = coeffs.get(key, 0.0) + v
-            else:
-                key = (new_pos[i], new_pos[j])
-                coeffs[key] = coeffs.get(key, 0.0) + v
-        return Qubo(len(remap), coeffs, offset), remap
+            free[idx], one[idx] = False, bit == 1
+        remap = np.flatnonzero(free)
+        new_pos = np.cumsum(free) - 1
+        rows, cols, vals = self.rows, self.cols, self.vals
+        # a fixed 0 drops the entry; a fixed 1 folds it onto the other index
+        live = (free | one)[rows] & (free | one)[cols]
+        kept = live & (free[rows] | free[cols])
+        new_rows = np.where(free[rows], new_pos[rows], new_pos[cols])
+        new_cols = np.where(free[cols], new_pos[cols], new_pos[rows])
+        offset = np.cumsum(np.append(self.offset, vals[live & ~kept]))[-1]
+        return Qubo(remap.size, new_rows[kept], new_cols[kept], vals[kept],
+                    offset), remap
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Qubo):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.offset == other.offset
-            and self._coeffs == other._coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.offset, frozenset(self._coeffs.items())))
+        return (self.dim, self.offset) == (other.dim, other.offset) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("rows", "cols", "vals"))
 
     def __repr__(self):
-        return f"Qubo(dim={self.dim}, terms={len(self._coeffs)}, offset={self.offset!r})"
+        return f"Qubo(dim={self.dim}, terms={self.num_terms}, offset={self.offset!r})"
 
 
 def weighted_sum(terms: Iterable[tuple[float, Qubo]]) -> Qubo:
-    """Linear combination sum(w * Q) of equally sized Qubos."""
+    """Linear combination sum(w * Q) of equally sized Qubos.
+
+    Shared keys are summed in term order.
+    """
     terms = list(terms)
     if not terms:
         raise ValueError("weighted_sum needs at least one term")
     dim = terms[0][1].dim
-    coeffs: dict[tuple[int, int], float] = {}
     offset = 0.0
     for w, q in terms:
         if q.dim != dim:
             raise DimensionMismatchError(f"mixing dims {dim} and {q.dim}")
         offset += w * q.offset
-        for key, v in q._coeffs.items():
-            coeffs[key] = coeffs.get(key, 0.0) + w * v
-    return Qubo(dim, coeffs, offset)
+    return Qubo(
+        dim,
+        np.concatenate([q.rows for _, q in terms]),
+        np.concatenate([q.cols for _, q in terms]),
+        np.concatenate([w * q.vals for w, q in terms]),
+        offset,
+    )
 
 
 def normalize_range(
@@ -229,9 +205,11 @@ def normalize_range(
         raise ValueError("ones_count must be at least 1")
     span = score_max - score_min
     shift = score_min / ones_count
-    coeffs = {key: v / span for key, v in q._coeffs.items()}
-    if shift != 0.0:
-        for i in range(q.dim):
-            key = (i, i)
-            coeffs[key] = coeffs.get(key, 0.0) - shift / span
-    return Qubo(q.dim, coeffs, q.offset / span)
+    diag = np.arange(q.dim)
+    return Qubo(
+        q.dim,
+        np.concatenate([q.rows, diag]),
+        np.concatenate([q.cols, diag]),
+        np.concatenate([q.vals / span, np.full(q.dim, -(shift / span))]),
+        q.offset / span,
+    )

@@ -34,12 +34,15 @@ def apply_to_schedule(Z, cycle, T, n, k):
 
 
 def random_qubo(rng, dim):
-    coeffs = {(i, i): rng.normal() for i in range(dim)}
+    rows, cols = list(range(dim)), list(range(dim))
+    vals = [rng.normal() for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
             if rng.random() < 0.6:
-                coeffs[(i, j)] = rng.normal()
-    return Qubo(dim=dim, coeffs=coeffs, offset=rng.normal())
+                rows.append(i)
+                cols.append(j)
+                vals.append(rng.normal())
+    return Qubo(dim, rows, cols, vals, offset=rng.normal())
 
 
 # ----------------------------------------------------------------- cycles

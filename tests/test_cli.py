@@ -137,16 +137,33 @@ def test_solve_decomposer_paths(tmp_path, capsys):
     ("solve", ("--solver", "brute")),
     ("experiment", ("--time-limit", "0")),
     ("experiment", ("--max-iterations", "-1")),
+    ("instance-missing-key", ()),
+    ("instance-not-json", ()),
+    ("config", ({"seed": "abc"},)),
+    ("config", ({"func": "x"},)),
 ], ids=["time-limit-0", "time-limit-negative", "max-iterations-negative",
         "batch-size-0", "batch-size-negative", "brute-above-cap",
-        "experiment-time-limit-0", "experiment-max-iterations-negative"])
+        "experiment-time-limit-0", "experiment-max-iterations-negative",
+        "instance-missing-key", "instance-not-json", "config-bad-type",
+        "config-not-a-flag"])
 def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
-    if command == "solve":
+    if command != "experiment":
         # 5 resources x 3 states x 2 timepoints: 30 bits, above the brute cap
         inst_path = tmp_path / "big.json"
         assert main(["build-instance", "--synthetic", "5,3,2,2", "--T", "2",
                      "--k", "3", "--out", str(inst_path)]) == 0
         args = ["solve", "--instance", str(inst_path)]
+        if command == "instance-missing-key":
+            doc = json.loads(inst_path.read_text())
+            del doc["n"]
+            inst_path.write_text(json.dumps(doc))
+        elif command == "instance-not-json":
+            inst_path.write_text("{not json")
+        elif command == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(extra[0]))
+            args += ["--config", str(cfg)]
+            extra = ()
     else:
         args = ["experiment", "penalty-norm", "--data-dir", str(network_dir),
                 "--seeds", "0"]

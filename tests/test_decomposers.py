@@ -49,7 +49,7 @@ def test_score_subproblem_picks_largest_deltas():
 
 def test_score_subproblem_tie_breaks_toward_low_index():
     # identical diagonal, no couplings: every flip delta ties
-    q = Qubo(dim=6, coeffs={(i, i): 1.0 for i in range(6)})
+    q = Qubo(6, range(6), range(6), np.ones(6))
     _, remap = score_subproblem(q, np.zeros(6, dtype=int), 3)
     assert sorted(remap.tolist()) == [0, 1, 2]
 
@@ -69,7 +69,7 @@ def test_separable_problem_random_strategy_converges():
     # purely diagonal objective: the optimum flips exactly the negative terms
     rng = np.random.default_rng(4)
     diag = rng.normal(size=30)
-    q = Qubo(dim=30, coeffs={(i, i): float(diag[i]) for i in range(30)})
+    q = Qubo(30, range(30), range(30), diag)
     x0 = np.zeros(30, dtype=int)
     res = decompose_loop(q, x0, DecomposeConfig(
         subproblem_size=6, strategy="random", max_steps=40, seed=5))
@@ -82,7 +82,7 @@ def test_separable_problem_score_strategy_optimizes_top_block():
     # is optimality over that block, not global convergence
     rng = np.random.default_rng(4)
     diag = rng.normal(size=30)
-    q = Qubo(dim=30, coeffs={(i, i): float(diag[i]) for i in range(30)})
+    q = Qubo(30, range(30), range(30), diag)
     x0 = np.zeros(30, dtype=int)
     res = decompose_loop(q, x0, DecomposeConfig(
         subproblem_size=6, strategy="score", max_steps=40))
@@ -126,3 +126,29 @@ def test_zero_steps_returns_start():
     res = decompose_loop(q, x0, DecomposeConfig(max_steps=0))
     assert res.best.tolist() == x0.tolist()
     assert res.iterations == 0
+
+
+# (best bits, score) of the score strategy at max_steps=30, recorded before
+# it stopped early; random_qubo(default_rng(seed), 40), x0 drawn next.
+SCORE_STRATEGY_REFERENCE = {
+    0: ("1101000101101100011111111110110000001011", -44.0093286027266),
+    2: ("1000011111100001100001010000100010001011", -26.123915776277975),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SCORE_STRATEGY_REFERENCE))
+def test_score_strategy_stops_once_it_stalls(seed):
+    rng = np.random.default_rng(seed)
+    q = random_qubo(rng, 40)
+    x0 = rng.integers(0, 2, 40)
+    res = decompose_loop(q, x0, DecomposeConfig(
+        subproblem_size=12, strategy="score", max_steps=30))
+    bits, score = SCORE_STRATEGY_REFERENCE[seed]
+    assert "".join(map(str, res.best.tolist())) == bits
+    assert res.score == score
+    assert res.iterations < 30
+    # the last step is a fixed point: selecting and solving again keeps x
+    again = decompose_loop(q, res.best, DecomposeConfig(
+        subproblem_size=12, strategy="score", max_steps=30))
+    assert again.iterations == 1
+    assert again.best.tolist() == res.best.tolist()

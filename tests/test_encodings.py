@@ -1,5 +1,6 @@
 """Encoding tests: every matrix builder against an independent scalar oracle."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -364,6 +365,27 @@ def test_objective_matches_manual_weighted_sum():
     q = build_objective(inst)
     assert q.dim == manual.dim
     assert q.offset == pytest.approx(manual.offset, rel=1e-12)
-    assert set(q.coeffs) == set(manual.coeffs)
-    for key, v in manual.coeffs.items():
-        assert q.coeffs[key] == pytest.approx(v, rel=1e-12)
+    assert q.rows.tolist() == manual.rows.tolist()
+    assert q.cols.tolist() == manual.cols.tolist()
+    assert q.vals == pytest.approx(manual.vals, rel=1e-12)
+
+
+# SHA-256 over rows, cols, vals (little-endian int64/int64/float64 bytes) and
+# repr(offset) of build_objective(inst, score_normalized=False); recorded
+# before the coefficient storage moved from a dict to triplet arrays.
+OBJECTIVE_DIGESTS = {
+    0: "8ea4e68887c68b114e7c5dfc34a1f068478d46b6e75ba7d857dd4b2ea116aa49",
+    1: "8679f81bcb6042caf01ddc242c258ba1c7c0ab982bd4cf8a55290240af82bad2",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(OBJECTIVE_DIGESTS))
+def test_objective_bits_are_pinned(seed):
+    inst = random_instance(np.random.default_rng(seed))
+    q = build_objective(inst, score_normalized=False)
+    digest = hashlib.sha256()
+    digest.update(q.rows.astype("<i8").tobytes())
+    digest.update(q.cols.astype("<i8").tobytes())
+    digest.update(q.vals.astype("<f8").tobytes())
+    digest.update(repr(q.offset).encode())
+    assert digest.hexdigest() == OBJECTIVE_DIGESTS[seed]

@@ -27,8 +27,13 @@ def random_qubo(rng, dim, density=0.5):
     matrix = rng.normal(size=(dim, dim))
     matrix[rng.random((dim, dim)) > density] = 0.0
     offset = float(rng.normal())
-    coeffs = {(i, j): matrix[i, j] for i, j in zip(*np.nonzero(matrix))}
-    return Qubo(dim, coeffs, offset), matrix, offset
+    i, j = np.nonzero(matrix)
+    return Qubo(dim, i, j, matrix[i, j], offset), matrix, offset
+
+
+def entries(q: Qubo) -> dict:
+    """The stored terms as {(row, col): value}."""
+    return dict(zip(zip(q.rows.tolist(), q.cols.tolist()), q.vals.tolist()))
 
 
 def test_evaluate_matches_dense_double_loop():
@@ -52,39 +57,51 @@ def test_evaluate_many_agrees_with_evaluate():
 
 
 def test_canonicalization_merges_mirror_entries():
-    a = Qubo(3, {(0, 1): 2.0, (1, 0): 3.0, (2, 2): 1.0})
-    b = Qubo(3, {(0, 1): 5.0, (2, 2): 1.0})
+    a = Qubo(3, [0, 1, 2], [1, 0, 2], [2.0, 3.0, 1.0])
+    b = Qubo(3, [0, 2], [1, 2], [5.0, 1.0])
     assert a == b
-    assert a.coefficient(1, 0) == 5.0
+    assert entries(a) == {(0, 1): 5.0, (2, 2): 1.0}
 
 
 def test_zero_coefficients_are_dropped():
-    q = Qubo(2, {(0, 1): 1.5, (0, 0): 0.0, (1, 1): -1.5})
-    assert (0, 0) not in q.coeffs
+    q = Qubo(2, [0, 0, 1], [1, 0, 1], [1.5, 0.0, -1.5])
+    assert (0, 0) not in entries(q)
     assert q.num_terms == 2
-    cancel = Qubo(2, {(0, 1): 1.0, (1, 0): -1.0})
+    cancel = Qubo(2, [0, 1], [1, 0], [1.0, -1.0])
     assert cancel.num_terms == 0
 
 
 def test_out_of_range_coefficient_rejected():
     with pytest.raises(IndexError):
-        Qubo(2, {(0, 2): 1.0})
+        Qubo(2, [0], [2], [1.0])
     with pytest.raises(IndexError):
-        Qubo(2, {(-1, 0): 1.0})
+        Qubo(2, [-1], [0], [1.0])
+    with pytest.raises(ValueError):
+        Qubo(2, [0, 1], [1], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("vals, offset", [
+    ([np.nan], 0.0), ([np.inf], 0.0), ([-np.inf], 0.0),
+    ([1.0], np.nan), ([1.0], np.inf), ([1.0], -np.inf),
+], ids=["nan", "inf", "-inf", "offset-nan", "offset-inf", "offset--inf"])
+def test_non_finite_data_rejected(vals, offset):
+    with pytest.raises(ValueError, match="finite"):
+        Qubo(2, [0], [0], vals, offset)
 
 
 def test_empty_qubo_scores_offset():
-    q = Qubo(4, {}, offset=2.5)
+    q = Qubo(4, offset=2.5)
     assert q.evaluate(np.ones(4, dtype=int)) == 2.5
     assert q.evaluate(np.zeros(4, dtype=int)) == 2.5
 
 
 def test_immutable_after_construction():
-    q = Qubo(2, {(0, 1): 1.0})
+    q = Qubo(2, [0], [1], [1.0])
     with pytest.raises(AttributeError):
         q.offset = 3.0
-    with pytest.raises(TypeError):
-        q.coeffs[(0, 1)] = 2.0
+    for arr in (q.rows, q.cols, q.vals):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_clamp_exhaustive_score_equality():
@@ -111,7 +128,7 @@ def test_clamp_exhaustive_score_equality():
 
 
 def test_clamp_validates_indices_and_bits():
-    q = Qubo(3, {(0, 1): 1.0})
+    q = Qubo(3, [0], [1], [1.0])
     with pytest.raises(IndexError):
         q.clamp({5: 1})
     with pytest.raises(ValueError):
@@ -119,7 +136,7 @@ def test_clamp_validates_indices_and_bits():
 
 
 def test_clamp_everything_leaves_constant():
-    q = Qubo(2, {(0, 0): 1.0, (0, 1): 2.0, (1, 1): 3.0}, offset=0.5)
+    q = Qubo(2, [0, 0, 1], [0, 1, 1], [1.0, 2.0, 3.0], offset=0.5)
     sub, remap = q.clamp({0: 1, 1: 1})
     assert sub.dim == 0
     assert remap.size == 0
@@ -152,15 +169,13 @@ def test_clamp_in_two_stages_matches_single_stage(seed):
 
 
 def test_weighted_sum_values_and_dim_check():
-    a = Qubo(3, {(0, 0): 1.0, (0, 1): 2.0}, offset=1.0)
-    b = Qubo(3, {(0, 1): -1.0, (2, 2): 4.0}, offset=0.5)
+    a = Qubo(3, [0, 0], [0, 1], [1.0, 2.0], offset=1.0)
+    b = Qubo(3, [0, 2], [1, 2], [-1.0, 4.0], offset=0.5)
     s = weighted_sum([(2.0, a), (3.0, b)])
-    assert s.coefficient(0, 0) == 2.0
-    assert s.coefficient(0, 1) == 1.0
-    assert s.coefficient(2, 2) == 12.0
+    assert entries(s) == {(0, 0): 2.0, (0, 1): 1.0, (2, 2): 12.0}
     assert s.offset == pytest.approx(2 * 1.0 + 3 * 0.5)
     with pytest.raises(DimensionMismatchError):
-        weighted_sum([(1.0, a), (1.0, Qubo(2, {}))])
+        weighted_sum([(1.0, a), (1.0, Qubo(2))])
     with pytest.raises(ValueError):
         weighted_sum([])
 
@@ -182,7 +197,7 @@ def test_normalize_range_affine_identity_at_fixed_bit_count():
 
 
 def test_normalize_range_rejects_empty_range():
-    q = Qubo(2, {(0, 0): 1.0})
+    q = Qubo(2, [0], [0], [1.0])
     with pytest.raises(DegenerateRangeError):
         normalize_range(q, 1.0, 1.0, 1)
     with pytest.raises(DegenerateRangeError):
@@ -193,7 +208,7 @@ def test_adjacency_lists_are_symmetric_and_complete():
     rng = np.random.default_rng(9)
     q, _, _ = random_qubo(rng, 10, density=0.5)
     diag, neighbors, weights = q.adjacency()
-    for (i, j), v in q.coeffs.items():
+    for i, j, v in zip(q.rows.tolist(), q.cols.tolist(), q.vals.tolist()):
         if i == j:
             assert diag[i] == v
         else:
@@ -201,3 +216,75 @@ def test_adjacency_lists_are_symmetric_and_complete():
             assert weights[i][pos] == v
             pos = np.flatnonzero(neighbors[j] == i)[0]
             assert weights[j][pos] == v
+
+
+# ------------------------------------------- canonical form and summation order
+
+
+def reference_terms(pairs) -> list:
+    """Sequential dict accumulation of ((i, j), v) pairs in input order."""
+    canon: dict[tuple[int, int], float] = {}
+    for (i, j), v in pairs:
+        key = (min(i, j), max(i, j))
+        canon[key] = canon.get(key, 0.0) + v
+    return sorted((key, v) for key, v in canon.items() if v != 0.0)
+
+
+def assert_canonical(q: Qubo):
+    keys = q.rows * max(q.dim, 1) + q.cols
+    assert q.rows.dtype == np.int64 and q.cols.dtype == np.int64
+    assert q.vals.dtype == np.float64
+    assert np.all(np.diff(keys) > 0)
+    assert np.all(q.rows <= q.cols)
+    assert np.all(q.vals != 0.0)
+    assert not (q.rows.flags.writeable or q.cols.flags.writeable
+                or q.vals.flags.writeable)
+
+
+# magnitudes far apart make the order of addition visible in the last bits
+term_values = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.1, -0.1, 0.2, 0.3, 1e-9, -1.0, 1.0, 0.0]),
+)
+
+
+@st.composite
+def triplet_lists(draw, dim):
+    index = st.integers(0, dim - 1)
+    return draw(st.lists(st.tuples(st.tuples(index, index), term_values),
+                         max_size=40))
+
+
+def from_pairs(dim, pairs, offset=0.0) -> Qubo:
+    rows = [i for (i, _), _ in pairs]
+    cols = [j for (_, j), _ in pairs]
+    return Qubo(dim, rows, cols, [v for _, v in pairs], offset)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda dim: st.tuples(st.just(dim), triplet_lists(dim))))
+def test_constructor_sums_in_input_order(case):
+    dim, pairs = case
+    q = from_pairs(dim, pairs)
+    assert_canonical(q)
+    assert list(entries(q).items()) == reference_terms(pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda dim: st.tuples(
+    st.just(dim),
+    st.lists(st.tuples(term_values, triplet_lists(dim), term_values),
+             min_size=2, max_size=6))))
+def test_weighted_sum_sums_in_term_order(case):
+    dim, spec = case
+    terms = [(w, from_pairs(dim, pairs, offset)) for w, pairs, offset in spec]
+    total = weighted_sum(terms)
+    assert_canonical(total)
+    expected = reference_terms(
+        (key, w * v) for w, q in terms for key, v in entries(q).items())
+    assert list(entries(total).items()) == expected
+    offset = 0.0
+    for w, q in terms:
+        offset += w * q.offset
+    assert total.offset == offset

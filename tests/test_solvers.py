@@ -21,13 +21,17 @@ from redispatch.solvers import (
 
 
 def random_qubo(rng, dim, density=0.5):
-    coeffs = {}
+    rows, cols, vals = [], [], []
     for i in range(dim):
-        coeffs[(i, i)] = rng.normal()
+        rows.append(i)
+        cols.append(i)
+        vals.append(rng.normal())
         for j in range(i + 1, dim):
             if rng.random() < density:
-                coeffs[(i, j)] = rng.normal()
-    return Qubo(dim=dim, coeffs=coeffs, offset=rng.normal())
+                rows.append(i)
+                cols.append(j)
+                vals.append(rng.normal())
+    return Qubo(dim, rows, cols, vals, offset=rng.normal())
 
 
 def enumerate_minimum(q):
@@ -56,19 +60,19 @@ def test_brute_force_matches_enumeration():
 
 def test_brute_force_tie_break_prefers_smallest_integer():
     # two-variable landscape where 00 and 11 tie at 0 below 10/01 at 1
-    q = Qubo(dim=2, coeffs={(0, 0): 1.0, (1, 1): 1.0, (0, 1): -2.0})
+    q = Qubo(2, [0, 1, 0], [0, 1, 1], [1.0, 1.0, -2.0])
     res = brute_force(SolveRequest(qubo=q))
     assert res.best.tolist() == [0, 0]
 
 
 def test_brute_force_rejects_large_problems():
-    q = Qubo(dim=BRUTE_FORCE_LIMIT + 1, coeffs={(0, 0): 1.0})
+    q = Qubo(BRUTE_FORCE_LIMIT + 1, [0], [0], [1.0])
     with pytest.raises(TooLargeError):
         brute_force(SolveRequest(qubo=q))
 
 
 def test_brute_force_empty_objective():
-    q = Qubo(dim=3, coeffs={}, offset=2.5)
+    q = Qubo(3, offset=2.5)
     res = brute_force(SolveRequest(qubo=q))
     assert res.score == 2.5
     assert res.best.tolist() == [0, 0, 0]
@@ -211,12 +215,15 @@ def test_time_limit_stops_search():
 def small_qubos(draw):
     dim = draw(st.integers(1, 12))
     unit = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
-    coeffs = {(i, i): draw(unit) for i in range(dim)}
+    rows, cols = list(range(dim)), list(range(dim))
+    vals = [draw(unit) for _ in range(dim)]
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     if pairs:
-        for key in draw(st.lists(st.sampled_from(pairs), unique=True)):
-            coeffs[key] = draw(unit)
-    return Qubo(dim, coeffs, draw(unit))
+        for i, j in draw(st.lists(st.sampled_from(pairs), unique=True)):
+            rows.append(i)
+            cols.append(j)
+            vals.append(draw(unit))
+    return Qubo(dim, rows, cols, vals, draw(unit))
 
 
 def run_sampler(name, q, seed, x0):
