@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -87,9 +87,14 @@ class Line:
     max_current_ka: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkDataset:
-    """Raw network time series, before any aggregation."""
+    """Raw network time series, before any aggregation.
+
+    Frozen, and its arrays are made read-only, because build_instance
+    memoizes the sensitivity fit of a dataset in `_fits`: a write into the
+    series would leave that fit stale.
+    """
 
     controllables: list[Controllable]
     controllable_profiles: np.ndarray  # (raw_T, n)
@@ -98,6 +103,14 @@ class NetworkDataset:
     lines: list[Line]
     flows: np.ndarray  # (raw_T, L)
     raw_timepoints: int
+    # (promote_statics, SensitivityFitConfig) -> fitted S, read-only
+    _fits: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def __post_init__(self):
+        for arr in (self.controllable_profiles, self.fixed_profiles,
+                    self.flows):
+            arr.setflags(write=False)
 
 
 # euro-per-MWh ranges by resource type, sampled uniformly per resource
@@ -365,7 +378,8 @@ def estimate_sensitivity(
         step = 1.0 / (2.0 * lipschitz) if lipschitz > 0 else 1.0
     else:
         step = config.step
-    residual = phi @ S - psi
+    predicted = phi @ S
+    residual = predicted - psi
     loss = float((residual * residual).sum())
     trace = [loss]
     best_loss, best_S = loss, S.copy()
@@ -375,13 +389,13 @@ def estimate_sensitivity(
     for iterations in range(1, config.max_iterations + 1):
         grad = 2.0 * phi.T @ residual
         S_next = S - step * grad
-        predicted = phi @ S
         flat = int(np.argmin(predicted))
         t_star, l_star = divmod(flat, n_lines)
         if predicted[t_star, l_star] < 0:
             S_next[:, l_star] += step * config.penalty_weight * phi[t_star, :]
         S = np.clip(S_next, lo, hi)
-        residual = phi @ S - psi
+        predicted = phi @ S
+        residual = predicted - psi
         new_loss = float((residual * residual).sum())
         trace.append(new_loss)
         if new_loss > loss:
@@ -474,7 +488,12 @@ def build_instance(
     mapping is time-invariant and more samples sharpen the fit; targets and
     line limits come from the T-window aggregate.  The only randomness is the
     per-resource cost rate, so equal seeds give identical instances.
+
+    S does not depend on the seed: it is fitted once per dataset object and
+    per (promote_statics, fit_config), kept read-only on `ds` and shared by
+    every later instance built from that dataset.
     """
+    fits = ds._fits
     if promote_statics:
         ds = _promote_statics(ds)
     n = len(ds.controllables)
@@ -493,10 +512,15 @@ def build_instance(
     agg = aggregate_time(ds, T)
     tau = compute_targets(agg)
 
-    phi = np.hstack([ds.controllable_profiles, ds.fixed_profiles])
-    fit = estimate_sensitivity(phi, ds.flows, fit_config)
-    S_ctrl = fit.S[:n, :]
-    S_fixed = fit.S[n:, :]
+    key = (promote_statics, fit_config or SensitivityFitConfig())
+    S = fits.get(key)
+    if S is None:
+        phi = np.hstack([ds.controllable_profiles, ds.fixed_profiles])
+        S = estimate_sensitivity(phi, ds.flows, fit_config).S
+        S.setflags(write=False)
+        fits[key] = S
+    S_ctrl = S[:n, :]
+    S_fixed = S[n:, :]
     M = compute_line_limits(agg, S_fixed)
 
     c = np.broadcast_to((rates[:, None] * levels)[None, :, :],

@@ -116,8 +116,10 @@ def decompose_loop(
             budget=Budget(max_iterations=2000),
         )
         result = brute_force(sub_req) if sub.dim <= 16 else tabu_search(sub_req)
-        # sub scores already include the clamp offset, i.e. the full score
-        merge = result.score <= score + 1e-12
+        # sub scores already include the clamp offset, i.e. the full score;
+        # the tolerance scales with it, so a zero-gain move merges whichever
+        # way its last bit rounds
+        merge = result.score <= score + 1e-12 * (1.0 + abs(score))
         moved = merge and bool(np.any(x[remap] != result.best))
         if merge:
             x[remap] = result.best

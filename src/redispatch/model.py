@@ -70,7 +70,8 @@ class ProblemInstance:
         gamma: weight of the switching cost.
         weights: multipliers (power, load, cost, switch) used when composing
             the soft objective terms.
-        s_box: closed interval the sensitivity entries must lie in.
+        s_box: closed interval the sensitivity entries must lie in; its
+            lower end must be non-negative.
     """
 
     T: int
@@ -124,6 +125,10 @@ class ProblemInstance:
         lo, hi = self.s_box
         if not lo <= hi:
             raise ValueError(f"invalid sensitivity box {self.s_box}")
+        if lo < 0:
+            # extremal_schedules assumes line load rises with every state
+            raise ValueError(
+                f"sensitivity box {self.s_box} allows negative sensitivities")
         if np.any(self.S < lo) or np.any(self.S > hi):
             raise ValueError(f"sensitivities fall outside the box [{lo}, {hi}]")
         if len(self.weights) != 4:

@@ -139,13 +139,14 @@ def test_solve_decomposer_paths(tmp_path, capsys):
     ("experiment", ("--max-iterations", "-1")),
     ("instance-missing-key", ()),
     ("instance-not-json", ()),
+    ("instance-negative-s-box", ()),
     ("config", ({"seed": "abc"},)),
     ("config", ({"func": "x"},)),
 ], ids=["time-limit-0", "time-limit-negative", "max-iterations-negative",
         "batch-size-0", "batch-size-negative", "brute-above-cap",
         "experiment-time-limit-0", "experiment-max-iterations-negative",
-        "instance-missing-key", "instance-not-json", "config-bad-type",
-        "config-not-a-flag"])
+        "instance-missing-key", "instance-not-json",
+        "instance-negative-s-box", "config-bad-type", "config-not-a-flag"])
 def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
     if command != "experiment":
         # 5 resources x 3 states x 2 timepoints: 30 bits, above the brute cap
@@ -159,6 +160,10 @@ def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
             inst_path.write_text(json.dumps(doc))
         elif command == "instance-not-json":
             inst_path.write_text("{not json")
+        elif command == "instance-negative-s-box":
+            doc = json.loads(inst_path.read_text())
+            doc["s_box"] = [-1.0, 1.0]
+            inst_path.write_text(json.dumps(doc))
         elif command == "config":
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(extra[0]))

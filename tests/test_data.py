@@ -1,10 +1,12 @@
 """Dataset ingestion, aggregation, fitting and instance-building tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from redispatch import data as data_mod
 from redispatch.data import (
     BadLevelsError,
     DivergedError,
@@ -247,6 +249,59 @@ def test_sensitivity_shape_mismatch():
         estimate_sensitivity(np.zeros((4, 2)), np.zeros((5, 2)))
 
 
+def _three_matmul_fit(phi, psi, config):
+    """estimate_sensitivity before it reused phi @ S between iterations."""
+    lo, hi = config.box
+    n_src, n_lines = phi.shape[1], psi.shape[1]
+    S = np.clip(np.eye(n_src, n_lines), lo, hi)
+    lipschitz = 2.0 * float(np.linalg.norm(phi, 2) ** 2)
+    step = 1.0 / (2.0 * lipschitz) if lipschitz > 0 else 1.0
+    residual = phi @ S - psi
+    loss = float((residual * residual).sum())
+    trace = [loss]
+    best_loss, best_S = loss, S.copy()
+    increases = 0
+    converged = False
+    iterations = 0
+    for iterations in range(1, config.max_iterations + 1):
+        grad = 2.0 * phi.T @ residual
+        S_next = S - step * grad
+        predicted = phi @ S
+        flat = int(np.argmin(predicted))
+        t_star, l_star = divmod(flat, n_lines)
+        if predicted[t_star, l_star] < 0:
+            S_next[:, l_star] += step * config.penalty_weight * phi[t_star, :]
+        S = np.clip(S_next, lo, hi)
+        residual = phi @ S - psi
+        new_loss = float((residual * residual).sum())
+        trace.append(new_loss)
+        increases = increases + 1 if new_loss > loss else 0
+        if increases >= 10:
+            raise DivergedError("reference fit diverged")
+        if new_loss < best_loss:
+            best_loss, best_S = new_loss, S.copy()
+        if abs(loss - new_loss) <= config.tolerance * (1.0 + loss):
+            converged = True
+            break
+        loss = new_loss
+    return best_S, trace, iterations, converged
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sensitivity_fit_equals_three_matmul_loop(seed):
+    # desk-shaped and under-determined; negative injections (loads) make
+    # predicted flows negative, so the push on the most negative one fires
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(-40.0, 60.0, size=(16, 18))
+    psi = phi @ rng.uniform(0.0, 0.6, size=(18, 20))
+    config = SensitivityFitConfig(max_iterations=500)
+    fit = estimate_sensitivity(phi, psi, config)
+    S, trace, iterations, converged = _three_matmul_fit(phi, psi, config)
+    assert np.array_equal(fit.S, S)
+    assert fit.loss_trace == trace
+    assert (fit.iterations, fit.converged) == (iterations, converged)
+
+
 def test_sensitivity_returns_best_iterate():
     rng = np.random.default_rng(5)
     phi = rng.uniform(0.0, 10.0, size=(30, 4))
@@ -306,6 +361,54 @@ def test_build_instance_with_promotion(tmp_path):
         assert inst.p[a, 0] == 0.0
         assert inst.p[a, 1] == inst.p[a, 2] > 0
         assert np.all(inst.c[:, a, :] == 0.0)
+
+
+def test_build_instance_fits_once_per_dataset(tmp_path, monkeypatch):
+    root = write_synthetic_network(tmp_path / "net", 3, 2, 6, n_fixed=4, seed=2)
+    fits = []
+
+    def counting_fit(*args, **kwargs):
+        fit = estimate_sensitivity(*args, **kwargs)
+        fits.append(fit)
+        return fit
+
+    monkeypatch.setattr(data_mod, "estimate_sensitivity", counting_fit)
+    ds = load_network(root)
+    short = SensitivityFitConfig(max_iterations=500)
+    built = [((seed, False, None), build_instance(ds, T=2, k=3, seed=seed))
+             for seed in range(10)]
+    assert len(fits) == 1
+    built.append(((0, True, None),
+                  build_instance(ds, T=2, k=3, promote_statics=True)))
+    assert len(fits) == 2
+    built.append(((0, False, short),
+                  build_instance(ds, T=2, k=3, fit_config=short)))
+    assert len(fits) == 3
+    assert not any(fit.S.flags.writeable for fit in fits)
+
+    # one fresh dataset per fit key, built in reverse seed order, so a
+    # fresh fit is computed at another seed than the memoized one
+    fresh = {}
+    for (seed, promote, config), inst in reversed(built):
+        if (promote, config) not in fresh:
+            fresh[promote, config] = load_network(root)
+        again = build_instance(fresh[promote, config], T=2, k=3, seed=seed,
+                               promote_statics=promote, fit_config=config)
+        assert instance_to_dict(again) == instance_to_dict(inst), seed
+    assert len(fits) == 6
+
+
+def test_dataset_is_frozen_and_read_only(network_dir):
+    ds = load_network(network_dir)
+    for agg in (ds, aggregate_time(ds, 2)):
+        with pytest.raises(ValueError):
+            agg.flows[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            agg.controllable_profiles[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            agg.fixed_profiles[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.flows = np.zeros_like(ds.flows)
 
 
 def test_cost_rates_follow_type_table(network_dir):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from redispatch import decomposers
 from redispatch.decomposers import (
     DecomposeConfig,
     decompose_loop,
@@ -10,7 +11,7 @@ from redispatch.decomposers import (
     score_subproblem,
 )
 from redispatch.qubo import Qubo
-from redispatch.solvers import _all_deltas
+from redispatch.solvers import SolveResult, _all_deltas
 
 from test_solvers import enumerate_minimum, random_qubo
 
@@ -126,6 +127,27 @@ def test_zero_steps_returns_start():
     res = decompose_loop(q, x0, DecomposeConfig(max_steps=0))
     assert res.best.tolist() == x0.tolist()
     assert res.iterations == 0
+
+
+def test_zero_gain_move_merges_a_few_ulps_above(monkeypatch):
+    # at |score| ~ 1.7e5 one ulp is ~3e-11, far above an absolute 1e-12
+    q = Qubo(2, [0, 1], [0, 1], [1.0, 1.0], offset=-1.7e5)
+    x0, other = np.array([1, 0]), np.array([0, 1])
+    assert q.evaluate(x0) == q.evaluate(other)
+    rounded_up = q.evaluate(x0)
+    for _ in range(3):
+        rounded_up = float(np.nextafter(rounded_up, np.inf))
+
+    def sub_solver(req):
+        return SolveResult(best=other.astype(np.int8), score=rounded_up,
+                           iterations=1, wall_seconds=0.0,
+                           trace=[(0, rounded_up)])
+
+    monkeypatch.setattr(decomposers, "brute_force", sub_solver)
+    res = decompose_loop(q, x0, DecomposeConfig(subproblem_size=2,
+                                                max_steps=1))
+    assert res.best.tolist() == other.tolist()
+    assert res.score == q.evaluate(x0)
 
 
 # (best bits, score) of the score strategy at max_steps=30, recorded before

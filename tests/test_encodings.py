@@ -5,7 +5,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from redispatch.data import synth_instance
 from redispatch.encodings import (
     InfeasibleBoundError,
     build_adjacency_qubo,
@@ -29,7 +31,7 @@ from redispatch.model import (
     production_cost,
     switching_cost,
 )
-from redispatch.qubo import normalize_range, weighted_sum
+from redispatch.qubo import DegenerateRangeError, normalize_range, weighted_sum
 
 
 def random_instance(rng, T=None, n=None, k=None, L=None, monotone_cost=False):
@@ -286,6 +288,28 @@ def test_extremal_cost_scores_exact_for_nonmonotone_costs():
         assert lo == pytest.approx(min(scores), rel=1e-9, abs=1e-12)
         assert hi == pytest.approx(max(scores), rel=1e-9, abs=1e-12)
         assert lo <= hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), k=st.integers(2, 4), T=st.integers(1, 3),
+       L=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_normalized_terms_lie_in_unit_interval(n, k, T, L, seed):
+    inst, _ = synth_instance(n, k, T, L, seed=seed)
+    rng = np.random.default_rng(seed)
+    sample = np.stack([
+        encode_one_hot(rng.integers(1, k + 1, size=(T, n)), T, n, k)
+        for _ in range(20)
+    ])
+    terms = {"power": build_power_qubo(inst), "load": build_load_qubo(inst),
+             "cost": build_cost_qubo(inst), "switch": build_switch_qubo(inst)}
+    for name, term in terms.items():
+        try:
+            normalized = normalize_range(
+                term, *extremal_scores(inst, name, qubo=term), T * n)
+        except DegenerateRangeError:  # e.g. switch at T=1
+            continue
+        scores = normalized.evaluate_many(sample)
+        assert scores.min() >= -1e-9 and scores.max() <= 1.0 + 1e-9, name
 
 
 def test_extremal_schedules_shapes():

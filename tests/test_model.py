@@ -165,6 +165,9 @@ def test_instance_validation_errors():
     with pytest.raises(ValueError):
         ProblemInstance(T=0, n=2, k=3, L=1, p=good.p, c=good.c, S=good.S,
                         M=good.M, tau=good.tau)
+    with pytest.raises(ValueError, match="negative sensitivities"):
+        ProblemInstance(T=2, n=2, k=3, L=1, p=good.p, c=good.c, S=good.S,
+                        M=good.M, tau=good.tau, s_box=(-1.0, 1.0))
 
 
 def test_instance_arrays_are_read_only():
