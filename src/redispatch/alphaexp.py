@@ -143,17 +143,6 @@ def sample_disjoint_changes(
     return accepted, skipped
 
 
-def _signed_difference(cycle: CycleSet, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse vector d with x + d = cycle.apply(x): (indices, signed values)."""
-    idx: list[int] = []
-    val: list[float] = []
-    for on, off in cycle.swaps:
-        if x[on] != x[off]:
-            idx.extend((on, off))
-            val.extend((float(x[off]) - float(x[on]), float(x[on]) - float(x[off])))
-    return np.asarray(idx, dtype=np.int64), np.asarray(val)
-
-
 def build_alpha_qubo(qubo: Qubo, x: np.ndarray, cycles: list[CycleSet]) -> Qubo:
     """Reduced QUBO over move-selection bits.
 
@@ -171,46 +160,58 @@ def build_alpha_qubo(qubo: Qubo, x: np.ndarray, cycles: list[CycleSet]) -> Qubo:
                     f"{sorted(cycles[a].touched & cycles[b].touched)}"
                 )
     x = np.asarray(x)
+    m = len(cycles)
+    # sparse differences d_a with x + d_a = cycles[a].apply(x): the swaps
+    # whose two bits differ, each giving (on, off) with values
+    # (x[off] - x[on], x[on] - x[off]); owner[i] is the cycle of entry i
+    swaps = np.array([s for c in cycles for s in c.swaps],
+                     dtype=np.int64).reshape(-1, 2)
+    owner = np.repeat(np.arange(m), [len(c.swaps) for c in cycles])
+    ends = x[swaps].astype(float)
+    moved = ends[:, 0] != ends[:, 1]
+    bits = swaps[moved].ravel()
+    vals = (ends[moved][:, ::-1] - ends[moved]).ravel()
+    owner = np.repeat(owner[moved], 2)
+    touched, pos = np.unique(bits, return_inverse=True)
     diag, neighbors, weights = qubo.adjacency()
-    diffs = [_signed_difference(c, x) for c in cycles]
+    indptr, indices, data = qubo.csr()
     xf = x.astype(float)
-    # symmetric block over the touched bits: sym[at[u]][at[v]] is Q[u, u]
-    # on the diagonal and Q[u, v] / 2 off it
-    touched = np.unique(np.concatenate([np.zeros(0, np.int64), *(d for d, _ in diffs)]))
+
+    # symmetric block over the touched bits, from one gather of their CSR
+    # rows: block[p, p] is Q[u, u] and block[p, q] is Q[u, v] / 2
     at = np.full(qubo.dim, -1)
     at[touched] = np.arange(touched.size)
+    starts = indptr[touched]
+    counts = indptr[touched + 1] - starts
+    offsets = np.cumsum(counts) - counts  # where each row lands in the gather
+    gather = np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+    p_u = np.repeat(np.arange(touched.size), counts)
+    p_v = at[indices[gather]]
+    inside = p_v >= 0
     block = np.diag(diag[touched])
-    for p_u, u in enumerate(touched.tolist()):
-        p_v = at[neighbors[u]]
-        block[p_u, p_v[p_v >= 0]] = 0.5 * weights[u][p_v >= 0]
-    sym = block.tolist()
-    positions = [at[idx].tolist() for idx, _ in diffs]
+    block[p_u[inside], p_v[inside]] = 0.5 * data[gather[inside]]
 
-    reduced = np.zeros((len(cycles), len(cycles)))
-    for a, (idx_a, val_a) in enumerate(diffs):
-        if idx_a.size == 0:
-            continue
-        # 2 x' Q d + d' Q d, the exact score change of applying cycle a alone
-        lin = 0.0
-        for pos, u in enumerate(idx_a.tolist()):
-            row = diag[u] * xf[u]
-            if neighbors[u].size:
-                row += 0.5 * float(weights[u] @ xf[neighbors[u]])
-            lin += 2.0 * val_a[pos] * row
-        quad = 0.0
-        for pa, i in enumerate(positions[a]):
-            for pb, j in enumerate(positions[a]):
-                quad += val_a[pa] * val_a[pb] * sym[i][j]
-        reduced[a, a] = lin + quad
-        for b in range(a + 1, len(cycles)):
-            _, val_b = diffs[b]
-            cross = 0.0
-            for pa, i in enumerate(positions[a]):
-                for pb, j in enumerate(positions[b]):
-                    cross += val_a[pa] * val_b[pb] * sym[i][j]
-            reduced[a, b] = 2.0 * cross
-    rows, cols = np.triu_indices(len(cycles))
-    return Qubo(len(cycles), rows, cols, reduced[rows, cols])
+    # (Q_sym x)[u] for each touched bit: one dot per bit keeps the order in
+    # which the reference (the scalar loops in tests/test_alphaexp.py) sums
+    row = (diag[touched] * xf[touched]).tolist()
+    for p, u in enumerate(touched.tolist()):
+        if neighbors[u].size:
+            row[p] += 0.5 * float(weights[u] @ xf[neighbors[u]])
+    row = np.array(row)
+
+    # lin[a] = 2 x' Q_sym d_a and pair[a, b] = d_a' Q_sym d_b.  bincount adds
+    # each cycle's (pair's) terms one by one from 0.0 in input order, the
+    # (pa, pb) order of the reference loops, so the reduced QUBO equals
+    # theirs bit for bit.  A D B D' matmul rounds differently, and that
+    # moves brute force's tie-break between equal-scoring selections.
+    lin = np.bincount(owner, weights=2.0 * vals * row[pos], minlength=m)
+    terms = vals[:, None] * vals[None, :] * block[pos[:, None], pos[None, :]]
+    pair = np.bincount((owner[:, None] * m + owner[None, :]).ravel(),
+                       weights=terms.ravel(), minlength=m * m).reshape(m, m)
+    rows, cols = np.triu_indices(m)
+    upper = pair[rows, cols]
+    return Qubo(m, rows, cols,
+                np.where(rows == cols, lin[rows] + upper, 2.0 * upper))
 
 
 def _enumerate_members(T: int, n: int, k: int) -> list[StateChange]:

@@ -54,6 +54,8 @@ class DecomposeConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.max_steps < 0:
             raise ValueError("max_steps must be non-negative")
+        if not self.time_limit > 0:  # also rejects NaN
+            raise ValueError("time_limit must be positive")
 
 
 def random_subproblem(

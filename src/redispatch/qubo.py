@@ -87,8 +87,20 @@ class Qubo:
 
         diag[i] is the coefficient of the diagonal term (i, i).  neighbors[i]
         and weights[i] list every j != i coupled to i with the stored
-        off-diagonal coefficient.
+        off-diagonal coefficient.  They are read-only slices of csr().
         """
+        return self._couplings()[:3]
+
+    def csr(self):
+        """Off-diagonal couplings in compressed sparse row form: (indptr, indices, data).
+
+        Row i holds indices[indptr[i]:indptr[i + 1]] with weights
+        data[indptr[i]:indptr[i + 1]], in the order of adjacency().
+        """
+        return self._couplings()[3:]
+
+    def _couplings(self):
+        # one cached structure: the CSR arrays and the per-variable views of them
         cached = self._adjacency
         if cached is None:
             rows, cols, vals = self.rows, self.cols, self.vals
@@ -100,12 +112,14 @@ class Qubo:
             dst = np.concatenate([c, r])
             w = np.concatenate([v, v])
             order = np.argsort(src, kind="stable")
-            src, dst, w = src[order], dst[order], w[order]
+            dst, w = dst[order], w[order]
             counts = np.bincount(src, minlength=self.dim)
             bounds = np.concatenate([[0], np.cumsum(counts)])
+            for a in (diag, dst, w, bounds):
+                a.flags.writeable = False
             neighbors = [dst[bounds[i] : bounds[i + 1]] for i in range(self.dim)]
             weights = [w[bounds[i] : bounds[i + 1]] for i in range(self.dim)]
-            cached = (diag, neighbors, weights)
+            cached = (diag, neighbors, weights, bounds, dst, w)
             object.__setattr__(self, "_adjacency", cached)
         return cached
 

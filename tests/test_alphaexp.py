@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redispatch.alphaexp import (
     CycleSet,
@@ -12,9 +13,11 @@ from redispatch.alphaexp import (
     StateChange,
     alpha_expansion,
     build_alpha_qubo,
+    _enumerate_members,
     rectify,
     sample_disjoint_changes,
 )
+from redispatch.data import synth_instance
 from redispatch.encodings import build_objective
 from redispatch.model import (
     ProblemInstance,
@@ -195,6 +198,107 @@ def test_alpha_qubo_empty_cycle_contributes_nothing():
     assert reduced.evaluate(np.array([1])) == 0.0
 
 
+def loop_alpha_qubo(qubo, x, cycles):
+    """Reference: the scalar nested-loop move QUBO the array form replaced."""
+    diag, neighbors, weights = qubo.adjacency()
+    diffs = []
+    for cycle in cycles:
+        idx, val = [], []
+        for on, off in cycle.swaps:
+            if x[on] != x[off]:
+                idx.extend((on, off))
+                val.extend((float(x[off]) - float(x[on]),
+                            float(x[on]) - float(x[off])))
+        diffs.append((np.asarray(idx, dtype=np.int64), np.asarray(val)))
+    xf = x.astype(float)
+    touched = np.unique(np.concatenate([np.zeros(0, np.int64),
+                                        *(d for d, _ in diffs)]))
+    at = np.full(qubo.dim, -1)
+    at[touched] = np.arange(touched.size)
+    block = np.diag(diag[touched])
+    for p_u, u in enumerate(touched.tolist()):
+        p_v = at[neighbors[u]]
+        block[p_u, p_v[p_v >= 0]] = 0.5 * weights[u][p_v >= 0]
+    sym = block.tolist()
+    positions = [at[idx].tolist() for idx, _ in diffs]
+    reduced = np.zeros((len(cycles), len(cycles)))
+    for a, (idx_a, val_a) in enumerate(diffs):
+        if idx_a.size == 0:
+            continue
+        lin = 0.0
+        for pos, u in enumerate(idx_a.tolist()):
+            row = diag[u] * xf[u]
+            if neighbors[u].size:
+                row += 0.5 * float(weights[u] @ xf[neighbors[u]])
+            lin += 2.0 * val_a[pos] * row
+        quad = 0.0
+        for pa, i in enumerate(positions[a]):
+            for pb, j in enumerate(positions[a]):
+                quad += val_a[pa] * val_a[pb] * sym[i][j]
+        reduced[a, a] = lin + quad
+        for b in range(a + 1, len(cycles)):
+            _, val_b = diffs[b]
+            cross = 0.0
+            for pa, i in enumerate(positions[a]):
+                for pb, j in enumerate(positions[b]):
+                    cross += val_a[pa] * val_b[pb] * sym[i][j]
+            reduced[a, b] = 2.0 * cross
+    rows, cols = np.triu_indices(len(cycles))
+    return Qubo(len(cycles), rows, cols, reduced[rows, cols])
+
+
+def random_feasible_schedule(rng, T, n, k):
+    Z = np.empty((T, n), dtype=int)
+    Z[0] = rng.integers(1, k + 1, n)
+    for t in range(1, T):
+        Z[t] = np.clip(Z[t - 1] + rng.integers(-1, 2, n), 1, k)
+    return Z
+
+
+def test_alpha_qubo_equals_scalar_loops_on_instances():
+    # batches drawn as alpha_expansion draws them, keeping the changes that
+    # are already in place, so some cycles have no swaps at all
+    rng = np.random.default_rng(11)
+    empty = 0
+    for trial in range(30):
+        inst = random_instance(rng, T=int(rng.integers(1, 6)),
+                               n=int(rng.integers(1, 5)),
+                               k=int(rng.integers(2, 6)))
+        q = build_objective(inst)
+        Z = random_feasible_schedule(rng, inst.T, inst.n, inst.k)
+        x = encode_one_hot(Z, inst.T, inst.n, inst.k)
+        members = _enumerate_members(inst.T, inst.n, inst.k)
+        pool = [members[i] for i in rng.permutation(len(members))]
+        while pool:
+            batch, pool = sample_disjoint_changes(
+                pool, int(rng.integers(1, 9)), inst.k)
+            cycles = []
+            for ch in batch:
+                cand = rectify(Z, ch, inst.k)
+                if all(cand.disjoint_from(c) for c in cycles):
+                    cycles.append(cand)
+            empty += sum(not c.swaps for c in cycles)
+            assert build_alpha_qubo(q, x, cycles) == loop_alpha_qubo(q, x, cycles)
+    assert empty > 0
+
+
+def test_alpha_qubo_equals_scalar_loops_on_arbitrary_bits():
+    # swaps between equal bits leave a cycle with an empty difference
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        dim = int(rng.integers(2, 25))
+        q = random_qubo(rng, dim)
+        x = rng.integers(0, 2, dim).astype(np.int8)
+        order = rng.permutation(dim).tolist()
+        cycles = []
+        while len(order) >= 2:
+            size = int(rng.integers(0, min(3, len(order) // 2) + 1))
+            swaps = tuple((order.pop(), order.pop()) for _ in range(size))
+            cycles.append(CycleSet(swaps=swaps,
+                                   touched=frozenset([(0, len(cycles))])))
+        assert build_alpha_qubo(q, x, cycles) == loop_alpha_qubo(q, x, cycles)
+
+
 # ------------------------------------------------------------- full search
 
 
@@ -308,3 +412,24 @@ def test_alpha_expansion_matches_brute_force_on_feasible_set():
         # local search from two corners should land on the global optimum
         # for these tiny landscapes
         assert reached == pytest.approx(best, rel=1e-6, abs=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), k=st.integers(2, 4), T=st.integers(1, 4),
+       L=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       batch_size=st.integers(1, 6))
+def test_alpha_output_feasible_and_trace_never_rises(n, k, T, L, seed,
+                                                     batch_size):
+    inst, _ = synth_instance(n, k, T, L, seed=seed)
+    q = build_objective(inst)
+    Z0 = random_feasible_schedule(np.random.default_rng(seed), T, n, k)
+    res = alpha_expansion(inst, q, encode_one_hot(Z0, T, n, k),
+                          batch_size=batch_size, seed=seed,
+                          budget=Budget(max_iterations=5))
+    Z = decode_one_hot(res.best, T, n, k)  # raises unless one-hot
+    assert first_adjacency_violation(Z) is None
+    scores = [s for _, s in res.trace]
+    # zero-delta moves (|delta| <= 1e-9) may be taken in the first epoch
+    assert all(b <= a + 1e-9 for a, b in zip(scores, scores[1:]))
+    # the summed move-QUBO deltas land on the exact score of the result
+    assert abs(scores[-1] - res.score) <= 1e-9 * (1.0 + abs(res.score))

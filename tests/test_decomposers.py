@@ -23,6 +23,10 @@ def test_config_validation():
         DecomposeConfig(strategy="greedy")
     with pytest.raises(ValueError):
         DecomposeConfig(max_steps=-1)
+    # a non-positive or NaN limit used to end the loop before its first step
+    for limit in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            DecomposeConfig(time_limit=limit)
 
 
 def test_random_subproblem_clamp_consistency():

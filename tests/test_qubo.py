@@ -288,3 +288,27 @@ def test_weighted_sum_sums_in_term_order(case):
     for w, q in terms:
         offset += w * q.offset
     assert total.offset == offset
+
+
+unit_values = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda dim: st.tuples(
+    st.just(dim),
+    st.lists(st.tuples(st.tuples(st.integers(0, dim - 1),
+                                 st.integers(0, dim - 1)), unit_values),
+             max_size=40),
+    unit_values,
+    st.dictionaries(st.integers(0, dim - 1), st.integers(0, 1)),
+    st.lists(st.integers(0, 1), min_size=dim, max_size=dim))))
+def test_clamp_preserves_scores(case):
+    dim, pairs, offset, fixed, bits = case
+    q = from_pairs(dim, pairs, offset)
+    x = np.array(bits, dtype=np.int8)
+    for i, bit in fixed.items():
+        x[i] = bit
+    sub, remap = q.clamp(fixed)
+    assert remap.tolist() == sorted(set(range(dim)) - set(fixed))
+    score = q.evaluate(x)
+    assert abs(sub.evaluate(x[remap]) - score) <= 1e-9 * (1.0 + abs(score))

@@ -11,8 +11,11 @@ from redispatch.solvers import (
     Budget,
     SolveRequest,
     TooLargeError,
+    _SMALL_DIM,
     _Walk,
     _all_deltas,
+    _tabu_on_arrays,
+    _tabu_on_lists,
     brute_force,
     simulated_annealing,
     tabu_search,
@@ -198,6 +201,17 @@ def test_trace_monotone_and_csv_layout(tmp_path):
     assert float(first_score) == pytest.approx(res.trace[0][1])
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"time_limit": float("nan")}, {"time_limit": 0.0}, {"time_limit": -1.0},
+    {"max_iterations": -1},
+])
+def test_budget_rejects_bad_limits(kwargs):
+    # a NaN limit used to be accepted and stop every search before its
+    # first iteration
+    with pytest.raises(ValueError):
+        Budget(**kwargs)
+
+
 def test_time_limit_stops_search():
     rng = np.random.default_rng(11)
     q = random_qubo(rng, 40)
@@ -251,3 +265,57 @@ def test_sampler_reports_exact_score_and_monotone_trace(name, q, seed, data):
         again = run_sampler(name, q, seed, x0)
         assert again.best.tolist() == res.best.tolist()
         assert again.score == res.score and again.trace == res.trace
+
+
+# --------------------------------------- tabu: list kernel against numpy path
+
+
+def run_tabu_path(path, req):
+    """Result of one tabu path plus the walk's final vector and deltas."""
+    walk = _Walk(req)
+    it = path(walk, req.budget.max_iterations, max(10, req.qubo.dim // 50))
+    return walk.result(it), (walk.x.tolist(), walk.deltas.tolist())
+
+
+def assert_same_result(a, b):
+    assert a.best.dtype == b.best.dtype == np.int8
+    assert a.best.tolist() == b.best.tolist()
+    assert a.score == b.score
+    assert a.trace == b.trace
+    assert a.iterations == b.iterations
+
+
+def assert_paths_agree(req):
+    """List kernel, numpy path and tabu_search give the same bits.
+
+    The final walk state is compared too: best, score and trace stop moving
+    after the last improvement, the walk does not.
+    """
+    reference, walk_state = run_tabu_path(_tabu_on_arrays, req)
+    result, list_state = run_tabu_path(_tabu_on_lists, req)
+    assert_same_result(result, reference)
+    assert list_state == walk_state
+    assert_same_result(tabu_search(req), reference)
+    return reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=small_qubos(), seed=st.integers(0, 2**31 - 1),
+       flips=st.integers(0, 300), data=st.data())
+def test_tabu_list_kernel_matches_array_path(q, seed, flips, data):
+    # dims up to 12 sit at or below the tenure, so runs where every bit is
+    # tabu and none aspires take the "released soonest" branch
+    x0 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=q.dim,
+                                     max_size=q.dim)), dtype=np.int8)
+    assert_paths_agree(SolveRequest(qubo=q, initial=x0, seed=seed,
+                                    budget=Budget(max_iterations=flips)))
+
+
+@pytest.mark.parametrize("dim", [8, 40, _SMALL_DIM, _SMALL_DIM + 1])
+def test_tabu_list_kernel_matches_array_path_around_cutoff(dim):
+    # at dim 8 (below the tenure of 10) most iterations find every bit tabu
+    rng = np.random.default_rng(dim)
+    q = random_qubo(rng, dim, density=8.0 / dim)
+    reference = assert_paths_agree(SolveRequest(
+        qubo=q, seed=dim, budget=Budget(max_iterations=400)))
+    assert len(reference.trace) > 1  # the runs improved, so traces were compared
