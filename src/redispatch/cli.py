@@ -295,12 +295,12 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_estimate_sensitivity(args) -> int:
+    if args.max_iterations < 0:
+        raise ConfigError("--max-iterations must be non-negative")
     ds = _load_dataset(args)
     out = _out_dir(args)
     phi = np.hstack([ds.controllable_profiles, ds.fixed_profiles])
-    cfg = data_mod.SensitivityFitConfig(
-        step=args.step, max_iterations=args.max_iterations)
-    fit = data_mod.estimate_sensitivity(phi, ds.flows, cfg)
+    fit = data_mod.estimate_sensitivity(phi, ds.flows, args.max_iterations)
     source_ids = [c.id for c in ds.controllables] + list(ds.fixed_ids)
     rows = []
     for i, ident in enumerate(source_ids):
@@ -313,8 +313,7 @@ def cmd_estimate_sensitivity(args) -> int:
     write_csv(out / "fit_loss.csv", ["iteration", "loss"],
               [[i, v] for i, v in enumerate(fit.loss_trace)])
     config = {
-        "data_dir": str(args.data_dir), "step": args.step,
-        "max_iterations": args.max_iterations,
+        "data_dir": str(args.data_dir), "max_iterations": args.max_iterations,
     }
     _write_manifest(out, "estimate-sensitivity", config)
     print(f"fit loss {fmt(fit.loss_trace[-1])} after {fit.iterations} "
@@ -376,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate-sensitivity", help="fit line sensitivities")
     common(p)
     p.add_argument("--data-dir", required=True)
-    p.add_argument("--step", type=float, default=None)
     p.add_argument("--max-iterations", type=int, default=20000)
     p.add_argument("--out-dir", default="sensitivity-out")
     p.set_defaults(func=cmd_estimate_sensitivity)

@@ -42,7 +42,6 @@ __all__ = [
     "discretize_levels",
     "sample_cost_rate",
     "compute_targets",
-    "SensitivityFitConfig",
     "SensitivityFit",
     "estimate_sensitivity",
     "compute_line_limits",
@@ -69,7 +68,7 @@ class BadLevelsError(ValueError):
 
 
 class DivergedError(RuntimeError):
-    """The sensitivity fit kept increasing its loss (step size too large)."""
+    """The sensitivity fit's loss kept rising: the negative-flow push won."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ class NetworkDataset:
     lines: list[Line]
     flows: np.ndarray  # (raw_T, L)
     raw_timepoints: int
-    # (promote_statics, SensitivityFitConfig) -> fitted S, read-only
+    # promote_statics -> fitted S, read-only
     _fits: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -311,36 +310,18 @@ def discretize_levels(min_mw: float, max_mw: float, k: int) -> np.ndarray:
     return np.concatenate([[0.0], np.linspace(min_mw, max_mw, k - 1)])
 
 
-def sample_cost_rate(rng: np.random.Generator, type_tag: str,
-                     table: dict[str, tuple[float, float]] | None = None) -> float:
+def sample_cost_rate(rng: np.random.Generator, type_tag: str) -> float:
     """Draw a per-MWh rate uniformly from the type's range."""
-    table = DEFAULT_COST_TABLE if table is None else table
     tag = type_tag.strip().lower()
-    if tag not in table:
+    if tag not in DEFAULT_COST_TABLE:
         raise SchemaError(f"no cost range for resource type {tag!r}")
-    lo, hi = table[tag]
+    lo, hi = DEFAULT_COST_TABLE[tag]
     return float(rng.uniform(lo, hi))
 
 
 def compute_targets(ds: NetworkDataset) -> np.ndarray:
     """Historical total controllable production per timepoint, floored at 0."""
     return np.maximum(ds.controllable_profiles.sum(axis=1), 0.0)
-
-
-@dataclass(frozen=True)
-class SensitivityFitConfig:
-    """Projected-gradient settings for estimate_sensitivity.
-
-    step None picks 1 / (2 * Lipschitz constant) of the gradient, which keeps
-    the loss non-increasing.  penalty_weight scales the push applied to the
-    most negative predicted flow, if any.
-    """
-
-    step: float | None = None
-    penalty_weight: float = 1.0
-    max_iterations: int = 20000
-    tolerance: float = 1e-14
-    box: tuple[float, float] = (0.0, 1.0)
 
 
 @dataclass
@@ -354,30 +335,29 @@ class SensitivityFit:
 def estimate_sensitivity(
     injections: np.ndarray,
     flows: np.ndarray,
-    config: SensitivityFitConfig | None = None,
+    max_iterations: int = 20000,
 ) -> SensitivityFit:
-    """Fit S minimizing ||injections @ S - flows||_F^2 inside a box.
+    """Fit S minimizing ||injections @ S - flows||_F^2 inside [0, 1].
 
-    Starts from an identity-patterned S, iterates projected gradient steps
-    and additionally pushes the most negative predicted flow entry upward.
-    Raises DivergedError after 10 consecutive loss increases.  The returned S
-    is the best iterate seen, so its loss never exceeds the starting loss.
+    Starts from an identity-patterned S, iterates projected gradient steps of
+    1 / (2 * Lipschitz constant) and additionally pushes the most negative
+    predicted flow entry upward; stops once the loss moves by at most 1e-14
+    relative.  Raises DivergedError after 10 consecutive loss increases, which
+    only the push can cause.  The returned S is the best iterate seen, so its
+    loss never exceeds the starting loss.
     """
-    config = config or SensitivityFitConfig()
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
     phi = np.asarray(injections, dtype=float)
     psi = np.asarray(flows, dtype=float)
     if phi.ndim != 2 or psi.ndim != 2 or phi.shape[0] != psi.shape[0]:
         raise ValueError(
             f"incompatible shapes {phi.shape} and {psi.shape}: need matching rows"
         )
-    lo, hi = config.box
     n_src, n_lines = phi.shape[1], psi.shape[1]
-    S = np.clip(np.eye(n_src, n_lines), lo, hi)
-    if config.step is None:
-        lipschitz = 2.0 * float(np.linalg.norm(phi, 2) ** 2)
-        step = 1.0 / (2.0 * lipschitz) if lipschitz > 0 else 1.0
-    else:
-        step = config.step
+    S = np.eye(n_src, n_lines)
+    lipschitz = 2.0 * float(np.linalg.norm(phi, 2) ** 2)
+    step = 1.0 / (2.0 * lipschitz) if lipschitz > 0 else 1.0
     predicted = phi @ S
     residual = predicted - psi
     loss = float((residual * residual).sum())
@@ -386,14 +366,14 @@ def estimate_sensitivity(
     increases = 0
     converged = False
     iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         grad = 2.0 * phi.T @ residual
         S_next = S - step * grad
         flat = int(np.argmin(predicted))
         t_star, l_star = divmod(flat, n_lines)
         if predicted[t_star, l_star] < 0:
-            S_next[:, l_star] += step * config.penalty_weight * phi[t_star, :]
-        S = np.clip(S_next, lo, hi)
+            S_next[:, l_star] += step * phi[t_star, :]
+        S = np.clip(S_next, 0.0, 1.0)
         predicted = phi @ S
         residual = predicted - psi
         new_loss = float((residual * residual).sum())
@@ -402,14 +382,14 @@ def estimate_sensitivity(
             increases += 1
             if increases >= 10:
                 raise DivergedError(
-                    f"loss rose for {increases} consecutive steps "
-                    f"(step size {step:g} is too large)"
+                    f"loss rose for {increases} consecutive steps: the push "
+                    f"on the most negative predicted flow outweighs descent"
                 )
         else:
             increases = 0
         if new_loss < best_loss:
             best_loss, best_S = new_loss, S.copy()
-        if abs(loss - new_loss) <= config.tolerance * (1.0 + loss):
+        if abs(loss - new_loss) <= 1e-14 * (1.0 + loss):
             loss = new_loss
             converged = True
             break
@@ -476,11 +456,7 @@ def build_instance(
     T: int,
     k: int,
     seed: int = 0,
-    weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS,
-    gamma: float = 1.0,
     promote_statics: bool = False,
-    fit_config: SensitivityFitConfig | None = None,
-    cost_table: dict[str, tuple[float, float]] | None = None,
 ) -> ProblemInstance:
     """Derive a ProblemInstance from a raw dataset.
 
@@ -490,8 +466,8 @@ def build_instance(
     per-resource cost rate, so equal seeds give identical instances.
 
     S does not depend on the seed: it is fitted once per dataset object and
-    per (promote_statics, fit_config), kept read-only on `ds` and shared by
-    every later instance built from that dataset.
+    per promote_statics, kept read-only on `ds` and shared by every later
+    instance built from that dataset.
     """
     fits = ds._fits
     if promote_statics:
@@ -507,18 +483,17 @@ def build_instance(
             rates[a] = 0.0
         else:
             levels[a] = discretize_levels(res.min_mw, res.max_mw, k)
-            rates[a] = sample_cost_rate(rng, res.type_tag, cost_table)
+            rates[a] = sample_cost_rate(rng, res.type_tag)
 
     agg = aggregate_time(ds, T)
     tau = compute_targets(agg)
 
-    key = (promote_statics, fit_config or SensitivityFitConfig())
-    S = fits.get(key)
+    S = fits.get(promote_statics)
     if S is None:
         phi = np.hstack([ds.controllable_profiles, ds.fixed_profiles])
-        S = estimate_sensitivity(phi, ds.flows, fit_config).S
+        S = estimate_sensitivity(phi, ds.flows).S
         S.setflags(write=False)
-        fits[key] = S
+        fits[promote_statics] = S
     S_ctrl = S[:n, :]
     S_fixed = S[n:, :]
     M = compute_line_limits(agg, S_fixed)
@@ -528,7 +503,6 @@ def build_instance(
     return ProblemInstance(
         T=T, n=n, k=k, L=len(ds.lines),
         p=levels, c=c, S=S_ctrl, M=M, tau=tau,
-        gamma=gamma, weights=weights,
     )
 
 
@@ -584,14 +558,13 @@ def write_synthetic_network(
     raw_timepoints: int,
     n_fixed: int = 6,
     seed: int = 0,
-    capacity_fraction: float = 0.45,
 ) -> Path:
     """Generate a dataset directory with self-consistent series.
 
     Flows are produced from a planted sensitivity matrix applied to the
     generated injection profiles, and line ratings are set so the remaining
-    capacity sits at capacity_fraction of the span between the fleet's
-    minimum and maximum controllable flow.  Returns the directory path.
+    capacity sits at 45% of the span between the fleet's minimum and maximum
+    controllable flow.  Returns the directory path.
     """
     rng = np.random.default_rng(seed)
     root = Path(path)
@@ -636,12 +609,12 @@ def write_synthetic_network(
                 fh.write(f"line{l},{t},{flows[t, l]:.4f}\n")
 
     # pick thermal ratings so the controllable headroom is neither trivial
-    # nor impossible: capacity_fraction of the way from min to max fleet flow
+    # nor impossible: 45% of the way from min to max fleet flow
     S_ctrl = S_true[:n_controllables]
     lo_flow = (mins[:, None] * S_ctrl).sum(axis=0)
     hi_flow = (maxs[:, None] * S_ctrl).sum(axis=0)
     fixed_worst = (fixed @ S_true[n_controllables:]).max(axis=0)
-    margin = lo_flow + capacity_fraction * (hi_flow - lo_flow)
+    margin = lo_flow + 0.45 * (hi_flow - lo_flow)
     rating = fixed_worst + margin
     with open(root / "lines.csv", "w", encoding="ascii") as fh:
         fh.write("id,voltage_kv,max_current_ka\n")

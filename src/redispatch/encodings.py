@@ -288,25 +288,9 @@ def extremal_schedules(inst: ProblemInstance, which: str) -> tuple[np.ndarray, n
     raise ValueError(f"unknown term {which!r}")
 
 
-def extremal_scores(
-    inst: ProblemInstance,
-    which: str,
-    qubo: Qubo | None = None,
-    bounds: PenaltyBounds | None = None,
-    normalized: bool = True,
-) -> tuple[float, float]:
-    """Score range (lo, hi) of one term over its prescribed extreme schedules."""
-    if qubo is None:
-        if which == "cost":
-            qubo = build_cost_qubo(inst)
-        elif which == "switch":
-            qubo = build_switch_qubo(inst)
-        elif which == "power":
-            qubo = build_power_qubo(inst, bounds, normalized)
-        elif which == "load":
-            qubo = build_load_qubo(inst, bounds, normalized)
-        else:
-            raise ValueError(f"unknown term {which!r}")
+def extremal_scores(inst: ProblemInstance, which: str,
+                    qubo: Qubo) -> tuple[float, float]:
+    """Score range (lo, hi) of the term qubo over its extreme schedules."""
     z_lo, z_hi = extremal_schedules(inst, which)
     lo = qubo.evaluate(encode_one_hot(z_lo, inst.T, inst.n, inst.k))
     hi = qubo.evaluate(encode_one_hot(z_hi, inst.T, inst.n, inst.k))
@@ -331,7 +315,6 @@ def add_hard_terms(
 
 def build_objective(
     inst: ProblemInstance,
-    normalized_penalties: bool = True,
     score_normalized: bool = False,
     extra_hard_weight: float = 1.0,
 ) -> Qubo:
@@ -345,8 +328,7 @@ def build_objective(
     extreme schedules score 0 and 1.
     """
     w_power, w_load, w_cost, w_switch = inst.weights
-    needs_bounds = normalized_penalties and (w_power > 0 or w_load > 0)
-    bounds = compute_bounds(inst) if needs_bounds else None
+    bounds = compute_bounds(inst) if w_power > 0 or w_load > 0 else None
     ones = inst.T * inst.n
     terms: list[tuple[float, Qubo]] = []
 
@@ -357,9 +339,9 @@ def build_objective(
         terms.append((weight, q))
 
     if w_power > 0:
-        add(w_power, "power", build_power_qubo(inst, bounds, normalized_penalties))
+        add(w_power, "power", build_power_qubo(inst, bounds))
     if w_load > 0:
-        add(w_load, "load", build_load_qubo(inst, bounds, normalized_penalties))
+        add(w_load, "load", build_load_qubo(inst, bounds))
     if w_cost > 0:
         add(w_cost, "cost", build_cost_qubo(inst))
     if w_switch > 0:

@@ -237,8 +237,7 @@ def run_score_norm(ds: NetworkDataset, settings: ExperimentSettings,
 
 def composed_objective(inst: ProblemInstance) -> Qubo:
     """Score-normalized composite with hard terms boosted above the soft span."""
-    return build_objective(inst, normalized_penalties=True,
-                           score_normalized=True,
+    return build_objective(inst, score_normalized=True,
                            extra_hard_weight=_hard_weight(sum(inst.weights)))
 
 

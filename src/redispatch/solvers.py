@@ -199,10 +199,11 @@ def tabu_search(req: SolveRequest) -> SolveResult:
     """
     walk = _Walk(req)
     tenure = max(10, req.qubo.dim // 50)
+    limit = req.budget.max_iterations if req.qubo.dim else 0  # nothing to flip
     if req.qubo.dim <= _SMALL_DIM:
-        it = _tabu_on_lists(walk, req.budget.max_iterations, tenure)
+        it = _tabu_on_lists(walk, limit, tenure)
     else:
-        it = _tabu_on_arrays(walk, req.budget.max_iterations, tenure)
+        it = _tabu_on_arrays(walk, limit, tenure)
     return walk.result(it)
 
 

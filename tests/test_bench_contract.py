@@ -3,11 +3,13 @@
 perfbench/spans.py swaps module attributes for timing wrappers, and
 perfbench/workloads.py captures calls made through `experiments`.  A name
 removed from a module would silently drop its spans or captured calls, so
-every name they use must resolve.
+every name they use must resolve, and every keyword the workloads pass must
+still be a parameter of the callable that receives it.
 """
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 from redispatch import experiments
@@ -52,3 +54,62 @@ def test_workload_captured_names_resolve_on_experiments():
                      "tabu_search"}
     for name in names:
         assert callable(getattr(experiments, name, None)), name
+
+
+def keyword_calls() -> list[tuple[str, object, list[str]]]:
+    """(call text, package callable, keyword names) for each call in workloads.py.
+
+    Covers calls of `<package module>.<name>(...)`, `_settings(...)`, whose
+    keywords land in ExperimentSettings through `**extra`, and the `**shape`
+    expansion into write_synthetic_network, whose keys are the tuple that
+    make_network picks from DESK or LADDER.
+    """
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules = {alias.name: importlib.import_module(f"redispatch.{alias.name}")
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "redispatch"
+               for alias in node.names}
+    shape_keys = [
+        [elt.value for elt in node.value.generators[0].iter.elts]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.DictComp)
+        and getattr(node.targets[0], "id", None) == "shape"
+    ]
+    assert len(shape_keys) == 1
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if getattr(func, "id", None) == "_settings":
+            target = experiments.ExperimentSettings
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in modules):
+            target = getattr(modules[func.value.id], func.attr)
+        else:
+            continue
+        names = []
+        for kw in node.keywords:
+            if kw.arg is not None:
+                names.append(kw.arg)
+            elif getattr(kw.value, "id", None) == "shape":
+                names += shape_keys[0]
+            else:  # **extra inside _settings: checked at the _settings calls
+                assert getattr(kw.value, "id", None) == "extra", ast.unparse(node)
+        calls.append((ast.unparse(node), target, names))
+    return calls
+
+
+def test_workload_keywords_bind_to_signatures():
+    calls = keyword_calls()
+    assert any(target is experiments.ExperimentSettings and "max_steps" in names
+               for _, target, names in calls)
+    assert any("n_controllables" in names for _, _, names in calls)
+    unbound = []
+    for text, target, names in calls:
+        try:
+            inspect.signature(target).bind_partial(**dict.fromkeys(names))
+        except TypeError as exc:
+            unbound.append(f"{text}: {exc}")
+    assert not unbound
+

@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redispatch.cli import main
 from redispatch.data import load_instance, write_synthetic_network
@@ -142,13 +143,25 @@ def test_solve_decomposer_paths(tmp_path, capsys):
     ("instance-negative-s-box", ()),
     ("config", ({"seed": "abc"},)),
     ("config", ({"func": "x"},)),
+    ("estimate-sensitivity", ("--max-iterations", "-3")),
+    ("estimate-sensitivity", ({"step": 0.1},)),
 ], ids=["time-limit-0", "time-limit-negative", "max-iterations-negative",
         "batch-size-0", "batch-size-negative", "brute-above-cap",
         "experiment-time-limit-0", "experiment-max-iterations-negative",
         "instance-missing-key", "instance-not-json",
-        "instance-negative-s-box", "config-bad-type", "config-not-a-flag"])
+        "instance-negative-s-box", "config-bad-type", "config-not-a-flag",
+        "sensitivity-max-iterations-negative", "sensitivity-config-step"])
 def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
-    if command != "experiment":
+    if extra and isinstance(extra[0], dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(extra[0]))
+        extra = ("--config", str(cfg))
+    if command == "experiment":
+        args = ["experiment", "penalty-norm", "--data-dir", str(network_dir),
+                "--seeds", "0"]
+    elif command == "estimate-sensitivity":
+        args = ["estimate-sensitivity", "--data-dir", str(network_dir)]
+    else:
         # 5 resources x 3 states x 2 timepoints: 30 bits, above the brute cap
         inst_path = tmp_path / "big.json"
         assert main(["build-instance", "--synthetic", "5,3,2,2", "--T", "2",
@@ -164,14 +177,6 @@ def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
             doc = json.loads(inst_path.read_text())
             doc["s_box"] = [-1.0, 1.0]
             inst_path.write_text(json.dumps(doc))
-        elif command == "config":
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(extra[0]))
-            args += ["--config", str(cfg)]
-            extra = ()
-    else:
-        args = ["experiment", "penalty-norm", "--data-dir", str(network_dir),
-                "--seeds", "0"]
     assert main(args + [*extra, "--out-dir", str(tmp_path / "out")]) == 2
     assert "configuration error" in capsys.readouterr().err
 
@@ -255,3 +260,111 @@ def test_estimate_sensitivity_outputs(tmp_path, network_dir, capsys):
     assert loss_rows[0] == "iteration,loss"
     losses = [float(r.split(",")[1]) for r in loss_rows[1:]]
     assert losses[-1] <= losses[0]
+
+
+# ------------------------------------------------------- exit-code property
+
+# (valid, bad) values per flag.  Valid budgets stay small (--max-iterations
+# <= 50, --max-steps <= 5, one seed), so a drawn command that runs to the end
+# takes under half a second, most of it the sensitivity fit.  Bad values
+# cover NaN, -1, 0 and non-numbers.
+BUDGETS = {
+    "--max-iterations": (["0", "1", "50"], ["-1", "nan", "x"]),
+    "--max-steps": (["1", "5"], ["0", "-1", "x"]),
+    "--seeds": (["0", "1"], ["-1", "x", "0,x"]),
+}
+OPTIONS = {
+    "--seed": (["0", "1"], ["-1", "nan", "x"]),
+    "--size": (["S"], ["L", "X"]),  # L needs 8 raw timepoints, the net has 6
+    "--T": (["1", "2"], ["0", "-1", "x"]),
+    "--k": (["2", "3"], ["0", "-1", "x"]),
+    "--promote-statics": (["0", "1"], ["2"]),
+    "--synthetic": (["2,3,2,2", "1,2,1,1"], ["0,2,1,1", "2,3", "a,b,c,d"]),
+    "--solver": (["alpha", "tabu", "sa", "brute", "random-decomp",
+                  "score-decomp"], ["bogus"]),
+    "--time-limit": (["0.5"], ["0", "-1", "nan", "x"]),
+    "--batch-size": (["1", "3"], ["0", "-1", "x"]),
+    "--subproblem-size": (["1", "4"], ["0", "-1", "x"]),
+}
+COMMAND_FLAGS = {
+    "build-instance": ["--seed", "--size", "--T", "--k", "--promote-statics",
+                       "--synthetic"],
+    "solve": ["--seed", "--solver", "--time-limit", "--batch-size",
+              "--subproblem-size"],
+    "experiment": ["--seed", "--size", "--T", "--k", "--promote-statics",
+                   "--time-limit"],
+    "estimate-sensitivity": ["--seed"],
+}
+COMMAND_BUDGETS = {
+    "build-instance": [],
+    "solve": ["--max-iterations"],
+    "experiment": ["--max-iterations", "--max-steps", "--seeds"],
+    "estimate-sensitivity": ["--max-iterations"],
+}
+# --config values, valid or not for whichever key they land on; the
+# integers are small enough for any budget
+CONFIG_VALUES = st.sampled_from(
+    [0, 1, 5, -1, 1.5, "nan", "x", "S", "tabu", None, True, [1], {}])
+
+
+@pytest.fixture(scope="module")
+def exit_code_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("exit-codes")
+    net = write_synthetic_network(root / "net", n_controllables=3, n_lines=2,
+                                  raw_timepoints=6, n_fixed=2, seed=0)
+    inst = root / "inst.json"
+    assert main(["build-instance", "--synthetic", "2,3,2,2", "--T", "2",
+                 "--k", "3", "--out", str(inst)]) == 0
+    (root / "bad.json").write_text("{not json")
+    return root, net, inst
+
+
+@st.composite
+def cli_argv(draw, root, net, inst):
+    """argv of one command; each flag value is bad with probability 1/4."""
+    def value(pools):
+        valid, bad = pools
+        return draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 0
+                                    else valid))
+
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    if command == "experiment":
+        argv.append(value((["penalty-norm", "score-norm", "decomposers",
+                            "timeseries"], ["bogus"])))
+    if command == "solve":
+        argv += ["--instance",
+                 str(value(([inst], [root / "bad.json", root / "absent"])))]
+    elif command != "build-instance" or draw(st.booleans()):
+        argv += ["--data-dir", str(value(([net], [root / "absent"])))]
+    for flag in COMMAND_BUDGETS[command]:
+        argv += [flag, value(BUDGETS[flag])]
+    for flag in COMMAND_FLAGS[command]:
+        if draw(st.booleans()):
+            argv += [flag, value(OPTIONS[flag])]
+    if draw(st.integers(0, 3)) == 0:
+        flags = COMMAND_FLAGS[command] + COMMAND_BUDGETS[command]
+        keys = [f[2:].replace("-", "_") for f in flags] + ["no_such_flag"]
+        config = draw(st.dictionaries(st.sampled_from(keys), CONFIG_VALUES,
+                                      max_size=2))
+        path = root / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    out = root / "out"
+    return argv + (["--out", str(out / "inst.json")]
+                   if command == "build-instance" else ["--out-dir", str(out)])
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_cli_exits_only_with_0_2_or_3(exit_code_inputs, data):
+    """Whatever the flags and config file, main ends with 0, 2 or 3.
+
+    Runs in-process; argparse's SystemExit code counts as the exit code.
+    """
+    argv = data.draw(cli_argv(*exit_code_inputs))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3), argv

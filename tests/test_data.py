@@ -12,7 +12,6 @@ from redispatch.data import (
     DivergedError,
     ParseError,
     SchemaError,
-    SensitivityFitConfig,
     aggregate_time,
     build_instance,
     compute_line_limits,
@@ -233,15 +232,21 @@ def test_sensitivity_clips_to_box():
     assert np.allclose(fit.S, 1.0, atol=1e-6)
 
 
-def test_sensitivity_diverges_with_huge_step():
-    rng = np.random.default_rng(4)
-    phi = rng.uniform(1.0, 10.0, size=(30, 4))
-    psi = phi @ rng.uniform(0.0, 0.5, size=(4, 2))
-    # with no box to stop it, an oversized step amplifies the loss every
-    # iteration until the guard trips
-    with pytest.raises(DivergedError):
-        estimate_sensitivity(phi, psi, SensitivityFitConfig(
-            step=1.0, box=(-math.inf, math.inf)))
+def test_sensitivity_push_diverges_on_noisy_negative_flows():
+    # noisy flows around zero: the least-squares fit predicts negative
+    # flows, and pushing the most negative one up raises the loss every
+    # step until the guard trips (without the push this fit converges in
+    # 88 iterations)
+    rng = np.random.default_rng(0)
+    phi = rng.uniform(-60.0, 60.0, (25, 3))
+    psi = phi @ rng.uniform(0.0, 0.6, (3, 1)) + rng.normal(0.0, 5.0, (25, 1))
+    with pytest.raises(DivergedError, match="push"):
+        estimate_sensitivity(phi, psi)
+
+
+def test_sensitivity_rejects_negative_iteration_cap():
+    with pytest.raises(ValueError, match="max_iterations"):
+        estimate_sensitivity(np.ones((4, 2)), np.ones((4, 1)), max_iterations=-3)
 
 
 def test_sensitivity_shape_mismatch():
@@ -249,11 +254,10 @@ def test_sensitivity_shape_mismatch():
         estimate_sensitivity(np.zeros((4, 2)), np.zeros((5, 2)))
 
 
-def _three_matmul_fit(phi, psi, config):
+def _three_matmul_fit(phi, psi, max_iterations):
     """estimate_sensitivity before it reused phi @ S between iterations."""
-    lo, hi = config.box
     n_src, n_lines = phi.shape[1], psi.shape[1]
-    S = np.clip(np.eye(n_src, n_lines), lo, hi)
+    S = np.eye(n_src, n_lines)
     lipschitz = 2.0 * float(np.linalg.norm(phi, 2) ** 2)
     step = 1.0 / (2.0 * lipschitz) if lipschitz > 0 else 1.0
     residual = phi @ S - psi
@@ -263,15 +267,15 @@ def _three_matmul_fit(phi, psi, config):
     increases = 0
     converged = False
     iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         grad = 2.0 * phi.T @ residual
         S_next = S - step * grad
         predicted = phi @ S
         flat = int(np.argmin(predicted))
         t_star, l_star = divmod(flat, n_lines)
         if predicted[t_star, l_star] < 0:
-            S_next[:, l_star] += step * config.penalty_weight * phi[t_star, :]
-        S = np.clip(S_next, lo, hi)
+            S_next[:, l_star] += step * phi[t_star, :]
+        S = np.clip(S_next, 0.0, 1.0)
         residual = phi @ S - psi
         new_loss = float((residual * residual).sum())
         trace.append(new_loss)
@@ -280,7 +284,7 @@ def _three_matmul_fit(phi, psi, config):
             raise DivergedError("reference fit diverged")
         if new_loss < best_loss:
             best_loss, best_S = new_loss, S.copy()
-        if abs(loss - new_loss) <= config.tolerance * (1.0 + loss):
+        if abs(loss - new_loss) <= 1e-14 * (1.0 + loss):
             converged = True
             break
         loss = new_loss
@@ -294,9 +298,8 @@ def test_sensitivity_fit_equals_three_matmul_loop(seed):
     rng = np.random.default_rng(seed)
     phi = rng.uniform(-40.0, 60.0, size=(16, 18))
     psi = phi @ rng.uniform(0.0, 0.6, size=(18, 20))
-    config = SensitivityFitConfig(max_iterations=500)
-    fit = estimate_sensitivity(phi, psi, config)
-    S, trace, iterations, converged = _three_matmul_fit(phi, psi, config)
+    fit = estimate_sensitivity(phi, psi, max_iterations=500)
+    S, trace, iterations, converged = _three_matmul_fit(phi, psi, 500)
     assert np.array_equal(fit.S, S)
     assert fit.loss_trace == trace
     assert (fit.iterations, fit.converged) == (iterations, converged)
@@ -306,7 +309,7 @@ def test_sensitivity_returns_best_iterate():
     rng = np.random.default_rng(5)
     phi = rng.uniform(0.0, 10.0, size=(30, 4))
     psi = phi @ rng.uniform(0.0, 0.5, size=(4, 2))
-    fit = estimate_sensitivity(phi, psi, SensitivityFitConfig(max_iterations=50))
+    fit = estimate_sensitivity(phi, psi, max_iterations=50)
     final = float(((phi @ fit.S - psi) ** 2).sum())
     assert final <= fit.loss_trace[0] + 1e-12
     assert final == pytest.approx(min(fit.loss_trace), rel=1e-9, abs=1e-12)
@@ -374,28 +377,24 @@ def test_build_instance_fits_once_per_dataset(tmp_path, monkeypatch):
 
     monkeypatch.setattr(data_mod, "estimate_sensitivity", counting_fit)
     ds = load_network(root)
-    short = SensitivityFitConfig(max_iterations=500)
-    built = [((seed, False, None), build_instance(ds, T=2, k=3, seed=seed))
+    built = [((seed, False), build_instance(ds, T=2, k=3, seed=seed))
              for seed in range(10)]
     assert len(fits) == 1
-    built.append(((0, True, None),
+    built.append(((0, True),
                   build_instance(ds, T=2, k=3, promote_statics=True)))
     assert len(fits) == 2
-    built.append(((0, False, short),
-                  build_instance(ds, T=2, k=3, fit_config=short)))
-    assert len(fits) == 3
     assert not any(fit.S.flags.writeable for fit in fits)
 
     # one fresh dataset per fit key, built in reverse seed order, so a
     # fresh fit is computed at another seed than the memoized one
     fresh = {}
-    for (seed, promote, config), inst in reversed(built):
-        if (promote, config) not in fresh:
-            fresh[promote, config] = load_network(root)
-        again = build_instance(fresh[promote, config], T=2, k=3, seed=seed,
-                               promote_statics=promote, fit_config=config)
+    for (seed, promote), inst in reversed(built):
+        if promote not in fresh:
+            fresh[promote] = load_network(root)
+        again = build_instance(fresh[promote], T=2, k=3, seed=seed,
+                               promote_statics=promote)
         assert instance_to_dict(again) == instance_to_dict(inst), seed
-    assert len(fits) == 6
+    assert len(fits) == 4
 
 
 def test_dataset_is_frozen_and_read_only(network_dir):

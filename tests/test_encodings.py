@@ -326,14 +326,11 @@ def test_normalized_terms_hit_zero_and_one_on_extremes():
     rng = np.random.default_rng(8)
     inst = random_instance(rng, T=2, n=3, k=3, L=2, monotone_cost=True)
     ones = inst.T * inst.n
-    for which in ("cost", "switch", "power", "load"):
-        lo, hi = extremal_scores(inst, which)
-        q = normalize_range(
-            {"cost": build_cost_qubo, "switch": build_switch_qubo}.get(
-                which, lambda i: None)(inst)
-            if which in ("cost", "switch") else
-            (build_power_qubo(inst) if which == "power" else build_load_qubo(inst)),
-            lo, hi, ones)
+    builders = {"cost": build_cost_qubo, "switch": build_switch_qubo,
+                "power": build_power_qubo, "load": build_load_qubo}
+    for which, build in builders.items():
+        term = build(inst)
+        q = normalize_range(term, *extremal_scores(inst, which, term), ones)
         z_lo, z_hi = extremal_schedules(inst, which)
         x_lo = encode_one_hot(z_lo, inst.T, inst.n, inst.k)
         x_hi = encode_one_hot(z_hi, inst.T, inst.n, inst.k)

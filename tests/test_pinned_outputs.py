@@ -103,7 +103,7 @@ PINNED = {
     },
     "estimate-sensitivity": {
         "MANIFEST.json":
-            "82336bfad787ecb56d997d1b7b65c3cebbf06ae00d6d4fa850523415cd145b3b",
+            "bba0a254b5934e5b6785d334c1c456eff0d2ca13f31d32a9828ba227833970d0",
         "fit_loss.csv":
             "e381e66c86563a55716738d8131c69937ee88f38ad807eea5d6ff6e9ae86f762",
         "sensitivity.csv":

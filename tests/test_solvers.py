@@ -212,6 +212,16 @@ def test_budget_rejects_bad_limits(kwargs):
         Budget(**kwargs)
 
 
+@pytest.mark.parametrize("solver", [tabu_search, simulated_annealing])
+def test_empty_qubo_returns_its_offset(solver):
+    # tabu search used to raise on the empty scan of a dim-0 QUBO
+    res = solver(SolveRequest(Qubo(0, offset=1.0),
+                              budget=Budget(max_iterations=5)))
+    assert res.score == 1.0
+    assert res.iterations == 0
+    assert res.best.shape == (0,)
+
+
 def test_time_limit_stops_search():
     rng = np.random.default_rng(11)
     q = random_qubo(rng, 40)
