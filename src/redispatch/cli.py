@@ -75,16 +75,17 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "config_hash": _config_hash(config),
-        "version": _package_version(),
-    }
-    with open(out_dir / "MANIFEST.json", "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
+    _write_json(out_dir / "MANIFEST.json", {
+        "command": command, "config": config,
+        "config_hash": _config_hash(config), "version": _package_version(),
+    })
 
 
 def _apply_config_file(args, parser: argparse.ArgumentParser) -> None:
@@ -129,6 +130,11 @@ def _load_dataset(args) -> data_mod.NetworkDataset:
     raise ConfigError("a dataset directory is required (--data-dir)")
 
 
+def _check_T(T: int, ds: data_mod.NetworkDataset) -> None:
+    if not 1 <= T <= ds.raw_timepoints:
+        raise ConfigError(f"T must be in 1..{ds.raw_timepoints}, got {T}")
+
+
 def _time_limit(args, default: float) -> float:
     """Validate the shared budget flags; return the time limit in seconds."""
     if args.max_iterations < 0:
@@ -161,9 +167,12 @@ def cmd_build_instance(args) -> int:
             n, k_s, t_s, L = (int(v) for v in args.synthetic.split(","))
         except ValueError as exc:
             raise ConfigError(f"--synthetic wants n,k,T,L integers: {exc}") from exc
+        if min(n, k_s, t_s, L) < 1:
+            raise ConfigError(f"--synthetic wants positive n,k,T,L, got {args.synthetic}")
         inst, _ = data_mod.synth_instance(n, k_s, t_s, L, seed=args.seed)
     else:
         ds = data_mod.load_network(args.data_dir)
+        _check_T(T, ds)
         inst = data_mod.build_instance(ds, T, k, seed=args.seed,
                                        promote_statics=promote)
     out = Path(args.out)
@@ -181,8 +190,8 @@ def cmd_build_instance(args) -> int:
 
 def cmd_solve(args) -> int:
     time_limit = _time_limit(args, math.inf)
-    if args.batch_size < 1:
-        raise ConfigError("--batch-size must be at least 1")
+    if args.batch_size < 1 or args.subproblem_size < 1:
+        raise ConfigError("--batch-size and --subproblem-size must be at least 1")
     inst = data_mod.load_instance(args.instance)
     qubo = composed_objective(inst)
     x0 = encode_one_hot(np.ones((inst.T, inst.n), dtype=int),
@@ -228,12 +237,8 @@ def cmd_solve(args) -> int:
         "fulfilled_timepoints": report.fulfilled_timepoints,
         "switches": report.switches,
     }
-    with open(out / "solution.json", "w", encoding="ascii") as fh:
-        json.dump(solution, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(out / "timing.json", "w", encoding="ascii") as fh:
-        json.dump({"wall_seconds": result.wall_seconds}, fh)
-        fh.write("\n")
+    _write_json(out / "solution.json", solution)
+    _write_json(out / "timing.json", {"wall_seconds": result.wall_seconds})
     write_trace_csv(out / "trace.csv", result.trace)
     report_rows = [[
         args.solver, args.seed, result.iterations, result.score,
@@ -260,7 +265,12 @@ def cmd_experiment(args) -> int:
     time_limit = _time_limit(args, 60.0)
     ds = _load_dataset(args)
     out = _out_dir(args)
-    seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else tuple(range(10))
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else tuple(range(10))
+    except ValueError as exc:
+        raise ConfigError(f"--seeds wants comma separated integers: {exc}") from exc
+    if min(seeds) < 0:
+        raise ConfigError("--seeds must be non-negative")
     preset = SIZE_PRESETS.get(args.size, SIZE_PRESETS["S"])
     settings = ExperimentSettings(
         T=args.T if args.T is not None else preset["T"],
@@ -273,6 +283,7 @@ def cmd_experiment(args) -> int:
                          if args.promote_statics is not None
                          else preset["promote_statics"]),
     )
+    _check_T(settings.T, ds)
     runner = {
         "penalty-norm": run_penalty_norm,
         "score-norm": run_score_norm,
@@ -312,12 +323,16 @@ def cmd_estimate_sensitivity(args) -> int:
             fh.write(f"{ident},{line_id},{fmt(v)}\n")
     write_csv(out / "fit_loss.csv", ["iteration", "loss"],
               [[i, v] for i, v in enumerate(fit.loss_trace)])
+    _write_json(out / "fit.json", {
+        "iterations": fit.iterations, "final_loss": fit.loss_trace[-1],
+        "kkt_residual": fit.kkt_residual, "converged": fit.converged})
     config = {
         "data_dir": str(args.data_dir), "max_iterations": args.max_iterations,
     }
     _write_manifest(out, "estimate-sensitivity", config)
     print(f"fit loss {fmt(fit.loss_trace[-1])} after {fit.iterations} "
-          f"iterations (converged={fit.converged}) -> {out}")
+          f"iterations, KKT residual {fit.kkt_residual:.3g} "
+          f"(converged={fit.converged}) -> {out}")
     return 0
 
 
@@ -375,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate-sensitivity", help="fit line sensitivities")
     common(p)
     p.add_argument("--data-dir", required=True)
-    p.add_argument("--max-iterations", type=int, default=20000)
+    p.add_argument("--max-iterations", type=int, default=500)
     p.add_argument("--out-dir", default="sensitivity-out")
     p.set_defaults(func=cmd_estimate_sensitivity)
     return parser
@@ -386,6 +401,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args, parser)
+        if args.seed < 0:
+            raise ConfigError("--seed must be non-negative")
         return args.func(args)
     except (ConfigError, data_mod.ParseError, data_mod.SchemaError,
             data_mod.BadLevelsError, FileNotFoundError,

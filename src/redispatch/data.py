@@ -13,7 +13,7 @@ From such a dataset build_instance derives everything a ProblemInstance
 needs: time aggregation to T windows, k discrete production levels per
 resource, per-MWh cost rates drawn by resource type, power targets from the
 historical controllable totals, line sensitivities fitted by projected
-gradient descent, and remaining line capacities.
+Newton, and remaining line capacities.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "ParseError",
     "SchemaError",
     "BadLevelsError",
-    "DivergedError",
     "Controllable",
     "Line",
     "NetworkDataset",
@@ -65,10 +64,6 @@ class SchemaError(ValueError):
 
 class BadLevelsError(ValueError):
     """Too few states to discretize a production range."""
-
-
-class DivergedError(RuntimeError):
-    """The sensitivity fit's loss kept rising: the negative-flow push won."""
 
 
 @dataclass(frozen=True)
@@ -238,12 +233,7 @@ def load_network(path) -> NetworkDataset:
 
     fp_path = root / "fixed_profiles.csv"
     fp_rows = _read_rows(fp_path, ["id", "t", "mw"])
-    fixed_ids = []
-    seen = set()
-    for row in fp_rows:
-        if row["id"] not in seen:
-            seen.add(row["id"])
-            fixed_ids.append(row["id"])
+    fixed_ids = list(dict.fromkeys(row["id"] for row in fp_rows))
     fixed_profiles, fixed_t = _series_matrix(fp_rows, fixed_ids, fp_path, "id")
 
     fl_path = root / "flows.csv"
@@ -330,72 +320,83 @@ class SensitivityFit:
     loss_trace: list[float]
     iterations: int
     converged: bool
+    kkt_residual: float
 
 
 def estimate_sensitivity(
     injections: np.ndarray,
     flows: np.ndarray,
-    max_iterations: int = 20000,
+    max_iterations: int = 500,
 ) -> SensitivityFit:
-    """Fit S minimizing ||injections @ S - flows||_F^2 inside [0, 1].
+    """Fit S minimizing ||injections @ S - flows||_F^2 inside the box [0, 1].
 
-    Starts from an identity-patterned S, iterates projected gradient steps of
-    1 / (2 * Lipschitz constant) and additionally pushes the most negative
-    predicted flow entry upward; stops once the loss moves by at most 1e-14
-    relative.  Raises DivergedError after 10 consecutive loss increases, which
-    only the push can cause.  The returned S is the best iterate seen, so its
-    loss never exceeds the starting loss.
+    Projected Newton for bound-constrained least squares (Bertsekas 1982), on
+    all columns (lines) at once, since the loss splits by column.  Entries at
+    a bound whose gradient or Newton step points out of the box are active
+    and take a diagonally scaled gradient step; the free ones take the
+    minimum-norm Newton step.  Each column backtracks along the projection
+    arc until the Armijo condition holds, so loss_trace (the loss of the
+    start and of every iterate) never rises.  The fit stops once the KKT
+    residual ||S - clip(S - grad / lip, 0, 1)||_inf, lip being the gradient's
+    Lipschitz constant, is at most 1e-10 (converged, with kkt_residual as the
+    certificate), or after max_iterations Newton steps.  Of equally good fits
+    it returns the one the minimum-norm Newton path from S0 = eye reaches.
     """
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
     phi = np.asarray(injections, dtype=float)
     psi = np.asarray(flows, dtype=float)
     if phi.ndim != 2 or psi.ndim != 2 or phi.shape[0] != psi.shape[0]:
-        raise ValueError(
-            f"incompatible shapes {phi.shape} and {psi.shape}: need matching rows"
-        )
-    n_src, n_lines = phi.shape[1], psi.shape[1]
-    S = np.eye(n_src, n_lines)
-    lipschitz = 2.0 * float(np.linalg.norm(phi, 2) ** 2)
-    step = 1.0 / (2.0 * lipschitz) if lipschitz > 0 else 1.0
-    predicted = phi @ S
-    residual = predicted - psi
-    loss = float((residual * residual).sum())
-    trace = [loss]
-    best_loss, best_S = loss, S.copy()
-    increases = 0
-    converged = False
+        raise ValueError(f"incompatible shapes {phi.shape} and {psi.shape}: "
+                         "need matching rows")
+    tol = 1e-10
+    S = np.eye(phi.shape[1], psi.shape[1])
+    lip = 2.0 * float(np.linalg.norm(phi, 2)) ** 2 or 1.0
+    curvature = 2.0 * (phi * phi).sum(axis=0)[:, None]  # Hessian diagonal
+    residual = phi @ S - psi
+    col_loss = (residual * residual).sum(axis=0)
+    trace = [float(col_loss.sum())]
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    while True:
         grad = 2.0 * phi.T @ residual
-        S_next = S - step * grad
-        flat = int(np.argmin(predicted))
-        t_star, l_star = divmod(flat, n_lines)
-        if predicted[t_star, l_star] < 0:
-            S_next[:, l_star] += step * phi[t_star, :]
-        S = np.clip(S_next, 0.0, 1.0)
-        predicted = phi @ S
-        residual = predicted - psi
-        new_loss = float((residual * residual).sum())
-        trace.append(new_loss)
-        if new_loss > loss:
-            increases += 1
-            if increases >= 10:
-                raise DivergedError(
-                    f"loss rose for {increases} consecutive steps: the push "
-                    f"on the most negative predicted flow outweighs descent"
-                )
-        else:
-            increases = 0
-        if new_loss < best_loss:
-            best_loss, best_S = new_loss, S.copy()
-        if abs(loss - new_loss) <= 1e-14 * (1.0 + loss):
-            loss = new_loss
-            converged = True
+        kkt = np.abs(S - np.clip(S - grad / lip, 0.0, 1.0)).max(axis=0, initial=0.0)
+        live = kkt > tol  # certified columns take no step
+        if not live.any() or iterations == max_iterations:
             break
-        loss = new_loss
-    return SensitivityFit(S=best_S, loss_trace=trace, iterations=iterations,
-                          converged=converged)
+        eps = min(1e-2, float(kkt.max()))
+        low, high = S <= eps, S >= 1.0 - eps
+        free = ~((low & (grad > 0)) | (high & (grad < 0)))
+        step, todo = np.zeros_like(S), live
+        while todo.any():  # every round frees fewer entries, so this ends
+            cols = np.flatnonzero(todo)
+            pinv = np.linalg.pinv(phi * free[:, cols].T[:, None, :], rcond=1e-10)
+            step[:, cols] = free[:, cols] * np.einsum("lst,tl->sl", pinv,
+                                                      -residual[:, cols])
+            leaving = free & live & ((low & (step < 0)) | (high & (step > 0)))
+            free &= ~leaving
+            todo = leaving.any(axis=0)
+        scaled = np.divide(-grad, curvature, out=np.zeros_like(S),
+                           where=curvature > 0)
+        step = np.where(free, step, scaled) * live
+        pending, moved = live.copy(), False
+        for alpha in 0.5 ** np.arange(30):
+            trial = np.clip(S + alpha * step, 0.0, 1.0)
+            trial_residual = phi @ trial - psi
+            trial_loss = (trial_residual * trial_residual).sum(axis=0)
+            decrease = (grad * np.where(free, -alpha * step, S - trial)).sum(axis=0)
+            ok = pending & (trial_loss <= col_loss - 1e-4 * np.maximum(decrease, 0.0))
+            moved = moved or bool((trial[:, ok] != S[:, ok]).any())
+            S[:, ok], residual[:, ok] = trial[:, ok], trial_residual[:, ok]
+            col_loss[ok] = trial_loss[ok]
+            pending &= ~ok
+            if not pending.any():
+                break
+        if not moved:  # stalled short of the tolerance
+            break
+        iterations += 1
+        trace.append(float(col_loss.sum()))
+    kkt_residual = float(kkt.max(initial=0.0))
+    return SensitivityFit(S, trace, iterations, kkt_residual <= tol, kkt_residual)
 
 
 def compute_line_limits(ds: NetworkDataset, S_fixed: np.ndarray) -> np.ndarray:
@@ -575,6 +576,13 @@ def write_synthetic_network(
     spans = np.round(rng.uniform(20.0, 120.0, n_controllables), 3)
     maxs = mins + spans
 
+    def write_series(name: str, header: str, prefix: str, series: np.ndarray):
+        with open(root / name, "w", encoding="ascii") as fh:
+            fh.write(header)
+            for j in range(series.shape[1]):
+                fh.writelines(f"{prefix}{j},{t},{v:.4f}\n"
+                              for t, v in enumerate(series[:, j]))
+
     with open(root / "controllables.csv", "w", encoding="ascii") as fh:
         fh.write("id,type,min_mw,max_mw\n")
         for a in range(n_controllables):
@@ -583,30 +591,18 @@ def write_synthetic_network(
 
     frac = rng.uniform(0.3, 0.9, size=(raw_timepoints, n_controllables))
     ctrl = mins[None, :] + frac * (maxs - mins)[None, :]
-    with open(root / "controllable_profiles.csv", "w", encoding="ascii") as fh:
-        fh.write("id,t,mw\n")
-        for a in range(n_controllables):
-            for t in range(raw_timepoints):
-                fh.write(f"gen{a},{t},{ctrl[t, a]:.4f}\n")
+    write_series("controllable_profiles.csv", "id,t,mw\n", "gen", ctrl)
 
     base = rng.uniform(5.0, 60.0, n_fixed)
     sign = np.where(rng.random(n_fixed) < 0.5, 1.0, -1.0)
     wobble = rng.uniform(0.8, 1.2, size=(raw_timepoints, n_fixed))
     fixed = sign[None, :] * base[None, :] * wobble
-    with open(root / "fixed_profiles.csv", "w", encoding="ascii") as fh:
-        fh.write("id,t,mw\n")
-        for e in range(n_fixed):
-            for t in range(raw_timepoints):
-                fh.write(f"fix{e},{t},{fixed[t, e]:.4f}\n")
+    write_series("fixed_profiles.csv", "id,t,mw\n", "fix", fixed)
 
     S_true = rng.uniform(0.0, 0.6, size=(n_controllables + n_fixed, n_lines))
     phi = np.hstack([ctrl, fixed])
     flows = phi @ S_true
-    with open(root / "flows.csv", "w", encoding="ascii") as fh:
-        fh.write("line_id,t,mw\n")
-        for l in range(n_lines):
-            for t in range(raw_timepoints):
-                fh.write(f"line{l},{t},{flows[t, l]:.4f}\n")
+    write_series("flows.csv", "line_id,t,mw\n", "line", flows)
 
     # pick thermal ratings so the controllable headroom is neither trivial
     # nor impossible: 45% of the way from min to max fleet flow

@@ -70,9 +70,7 @@ def fmt(value) -> str:
     """Deterministic CSV cell rendering; non-finite values spelled out."""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     v = float(value)
     if math.isnan(v):

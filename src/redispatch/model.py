@@ -91,25 +91,12 @@ class ProblemInstance:
         for name, val in (("T", self.T), ("n", self.n), ("k", self.k), ("L", self.L)):
             if int(val) != val or val < 1:
                 raise ValueError(f"{name} must be a positive integer, got {val!r}")
-        conv = {
-            "p": np.asarray(self.p, dtype=float),
-            "c": np.asarray(self.c, dtype=float),
-            "S": np.asarray(self.S, dtype=float),
-            "M": np.asarray(self.M, dtype=float),
-            "tau": np.asarray(self.tau, dtype=float),
-        }
-        shapes = {
-            "p": (self.n, self.k),
-            "c": (self.T, self.n, self.k),
-            "S": (self.n, self.L),
-            "M": (self.T, self.L),
-            "tau": (self.T,),
-        }
-        for name, arr in conv.items():
-            if arr.shape != shapes[name]:
-                raise ValueError(
-                    f"{name} has shape {arr.shape}, expected {shapes[name]}"
-                )
+        shapes = {"p": (self.n, self.k), "c": (self.T, self.n, self.k),
+                  "S": (self.n, self.L), "M": (self.T, self.L), "tau": (self.T,)}
+        for name, shape in shapes.items():
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
             arr.setflags(write=False)

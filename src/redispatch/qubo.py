@@ -124,12 +124,13 @@ class Qubo:
         return cached
 
     def evaluate(self, x: np.ndarray) -> float:
-        """Score one bit vector of length dim."""
+        """Score one bit vector of length dim (a numpy sum, not a BLAS dot,
+        so the score does not depend on the BLAS thread count)."""
         x = np.asarray(x)
         if x.shape != (self.dim,):
             raise ValueError(f"bit vector has shape {x.shape}, expected ({self.dim},)")
         xf = x.astype(float, copy=False)
-        return float(self.offset + self.vals @ (xf[self.rows] * xf[self.cols]))
+        return float(self.offset + (self.vals * xf[self.rows] * xf[self.cols]).sum())
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         """Score a (batch, dim) matrix of bit vectors at once."""
@@ -137,7 +138,7 @@ class Qubo:
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"expected shape (batch, {self.dim}), got {X.shape}")
         Xf = X.astype(float, copy=False)
-        return self.offset + (Xf[:, self.rows] * Xf[:, self.cols]) @ self.vals
+        return self.offset + (Xf[:, self.rows] * Xf[:, self.cols] * self.vals).sum(axis=1)
 
     def clamp(self, fixed: Mapping[int, int]) -> tuple["Qubo", np.ndarray]:
         """Fix a subset of variables to constants and shrink the problem.

@@ -49,6 +49,13 @@ def test_build_instance_from_dataset_with_preset(tmp_path, network_dir):
     assert inst.T == 2 and inst.k == 3 and inst.n == 3
 
 
+def test_build_instance_on_generated_tiny_network(tmp_path, capsys):
+    # the negative-flow push of the old fit diverged on this network (exit 3)
+    net = write_synthetic_network(tmp_path / "net", 2, 1, 8, n_fixed=1, seed=1)
+    assert main(["build-instance", "--data-dir", str(net), "--T", "2",
+                 "--k", "3", "--out", str(tmp_path / "i.json")]) == 0
+
+
 def test_build_instance_requires_one_source(tmp_path, network_dir, capsys):
     assert main(["build-instance", "--out", str(tmp_path / "i.json")]) == 2
     assert main(["build-instance", "--data-dir", str(network_dir),
@@ -145,20 +152,33 @@ def test_solve_decomposer_paths(tmp_path, capsys):
     ("config", ({"func": "x"},)),
     ("estimate-sensitivity", ("--max-iterations", "-3")),
     ("estimate-sensitivity", ({"step": 0.1},)),
+    ("experiment", ("--seeds", "x")),
+    ("experiment", ("--T", "0")),
+    ("experiment-decomposers", ("--size", "L")),
+    ("solve", ("--seed", "-1")),
+    ("build-instance", ("--synthetic", "0,2,1,1", "--T", "1", "--k", "2")),
+    ("solve", ("--solver", "random-decomp", "--subproblem-size", "0")),
 ], ids=["time-limit-0", "time-limit-negative", "max-iterations-negative",
         "batch-size-0", "batch-size-negative", "brute-above-cap",
         "experiment-time-limit-0", "experiment-max-iterations-negative",
         "instance-missing-key", "instance-not-json",
         "instance-negative-s-box", "config-bad-type", "config-not-a-flag",
-        "sensitivity-max-iterations-negative", "sensitivity-config-step"])
+        "sensitivity-max-iterations-negative", "sensitivity-config-step",
+        "experiment-seeds-not-integers", "experiment-T-0",
+        "experiment-L-on-6-timepoints", "seed-negative",
+        "synthetic-zero-resources", "subproblem-size-0"])
 def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
     if extra and isinstance(extra[0], dict):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(extra[0]))
         extra = ("--config", str(cfg))
-    if command == "experiment":
-        args = ["experiment", "penalty-norm", "--data-dir", str(network_dir),
+    out = ["--out-dir", str(tmp_path / "out")]
+    if command.startswith("experiment"):
+        which = "decomposers" if command.endswith("decomposers") else "penalty-norm"
+        args = ["experiment", which, "--data-dir", str(network_dir),
                 "--seeds", "0"]
+    elif command == "build-instance":
+        args, out = ["build-instance"], ["--out", str(tmp_path / "i.json")]
     elif command == "estimate-sensitivity":
         args = ["estimate-sensitivity", "--data-dir", str(network_dir)]
     else:
@@ -177,7 +197,7 @@ def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
             doc = json.loads(inst_path.read_text())
             doc["s_box"] = [-1.0, 1.0]
             inst_path.write_text(json.dumps(doc))
-    assert main(args + [*extra, "--out-dir", str(tmp_path / "out")]) == 2
+    assert main(args + [*extra, *out]) == 2
     assert "configuration error" in capsys.readouterr().err
 
 
@@ -260,6 +280,13 @@ def test_estimate_sensitivity_outputs(tmp_path, network_dir, capsys):
     assert loss_rows[0] == "iteration,loss"
     losses = [float(r.split(",")[1]) for r in loss_rows[1:]]
     assert losses[-1] <= losses[0]
+    fit = json.loads((out / "fit.json").read_text())
+    assert sorted(fit) == ["converged", "final_loss", "iterations",
+                           "kkt_residual"]
+    assert fit["iterations"] == len(losses) - 1 and fit["converged"] is True
+    assert fit["final_loss"] == pytest.approx(losses[-1], rel=1e-9)
+    assert fit["kkt_residual"] <= 1e-10
+    assert "KKT residual" in capsys.readouterr().out
 
 
 # ------------------------------------------------------- exit-code property

@@ -7,11 +7,12 @@ except `timing.json` (wall time).  A MANIFEST.json is hashed as canonical
 JSON without its path fields, `config_hash` and `version`, which depend on
 where and from what the command ran.
 
-The commands run in one child process with BLAS pinned to one thread: a
-multi-threaded matrix-vector product splits its sums by thread count, which
-moves the last bits of some objectives (`solve --solver random-decomp` here).
-`python tests/test_pinned_outputs.py DIR` is that child: it runs every
-command under DIR and writes DIR/digests.json.
+The commands run in one child process with BLAS pinned to one thread, so
+that a BLAS product whose sums split by thread count cannot move a pinned
+digest.  QUBO scores do not use one: `test_scores_ignore_blas_threads`
+checks that `solve --solver random-decomp` writes the same bytes with one
+and two BLAS threads.  `python tests/test_pinned_outputs.py DIR` is the
+pinned child: it runs every command under DIR and writes DIR/digests.json.
 
 The hashes were recorded with Python 3.11.7 and numpy 2.4.6 (OpenBLAS
 0.3.31) on x86-64; other toolchains may round differently.  A change that
@@ -32,8 +33,7 @@ from redispatch.cli import main
 from redispatch.data import write_synthetic_network
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-              "MKL_NUM_THREADS": "1"}
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PATH_KEYS = ("data_dir", "instance", "out")
 
 # label -> argv without the network, instance and output arguments
@@ -63,71 +63,73 @@ PINNED = {
         "MANIFEST.json":
             "50058a5c00bcdf3cd521804e72e08bdce6876fa7dd8b948a3b01277319630067",
         "instance.json":
-            "7870cf24daf584ff2b706b7d6d4fd8f079aa667c8d8c5832be204dde4b94b9bc",
+            "eedcfe32c7863bd964c9c940dd7f82dd3074424ba499f3b20accf6cd49e32c95",
     },
     "build-instance-L": {
         "MANIFEST.json":
             "7a898c0808cc58c8f4541da5f2ac7dd4be9673ef9b171210f00cf2e967d8d37f",
         "instance.json":
-            "d001cc97c4c50b3f71eb56e303142cb86bbe099a9b4c089d196e9cae0ec69612",
+            "b0708ee6d75eec326187476c11b4a621114a4bda16d4685bda6ad3bad6ea3db8",
     },
     "penalty-norm": {
         "MANIFEST.json":
             "6a761bcb5720fd3c39233c299a282fd149569392ab3afaa99bbd42226afcb237",
         "penalty_norm.csv":
-            "dd3e959ff7d5f4cf308d1a5cc72b42e23e70a834303c991bbf19af2e6d6df64b",
+            "96b36331d3e476a295b121731cd32f84aec50109c2d3f152ecfa9ba349142e0a",
         "penalty_norm_summary.csv":
-            "b723cd45b32a7d689e916d5beff977c0892e61f70d1ebfec9c7b5a42a803cc6b",
+            "c54c7583354ae2f2e46c8c526ab6fed7f789fe4f1b005663b691c83304ad07eb",
     },
     "score-norm": {
         "MANIFEST.json":
             "cd686bcff50a45829015c3901daa8a08fa92ea24232c066040ef04a1f327d9ee",
         "score_norm_solutions.csv":
-            "786ef3bac3f1540455b86a135ba3e537ef2f095983d9787201729ae44fe233ad",
+            "d5e446a53ae2cce28d9e380f5d1b1159a7672a2836169f26b814e1de20ac30ae",
         "score_norm_spread.csv":
-            "cbf4dfbc801c83112ce6e5b47a40abe4e36a2474f92d784093c14d2487d5bf4f",
+            "1634acc7f7ddf40849758b940f67ce01cc92916dc5827c5dace4ed747531276e",
     },
     "decomposers-L": {
         "MANIFEST.json":
             "9a1ae71c5c97c21e943e455338dca783e01694d8fda0ef1aa60b0f9127d26e54",
         "decomposers.csv":
-            "69c5806085058448d1b4d772f7d44bac06e62912ca5388d6d39a28635627afc7",
+            "a61dd39f48b33a9299f2b19de380eecbc6d250114448e7d5fef998942569755d",
         "decomposers_summary.csv":
-            "61e4b6bb6172bada8acac9f1ed538c18c1dbbc1ef98e3a810d9e91eb2c88b164",
+            "7eacdfb1b70445bf88f7a4fb85df9718bbbe7f4d44e97898931f3fa5975e5486",
     },
     "timeseries": {
         "MANIFEST.json":
             "6d3635297e8fce4235f766dc7fd018f68547c4ce99b0765e41ec90991c52b79d",
         "timeseries.csv":
-            "10c57bbf654ea9fd003a749c4d4c6551c5d84e12ffdcb47fa1d0ec665234c9be",
+            "6937fa1de547e042a52496b99fb59f5d0f0abd6e7dfdc58267517fc74778fb31",
     },
     "estimate-sensitivity": {
         "MANIFEST.json":
             "bba0a254b5934e5b6785d334c1c456eff0d2ca13f31d32a9828ba227833970d0",
+        "fit.json":
+            "74012b6ee9b35047e3158b77968e7121b78c77d950c4bc4e5ff165f9ff70f166",
         "fit_loss.csv":
-            "e381e66c86563a55716738d8131c69937ee88f38ad807eea5d6ff6e9ae86f762",
+            "a1113ad87b7e952346353b49732211959a15a8c29755890d6bf3f14ddc8958de",
         "sensitivity.csv":
-            "17cebf99b5e41f8417a680ac439a8cefeca9496b1881d60c345a51e9a96fcf4f",
+            "c658576c9cedf57b75e9d673dad9cef9565c8841b0f09262ec9e99623fb5ab4e",
     },
     "solve-alpha": {
         "MANIFEST.json":
             "12073a0063893a43c0223a68e1deb439fc2c1e0ffa56bcae16a5892976ed73f3",
         "report.csv":
-            "82752bcc77b4345a5150d5fd27403af18beb65e92e3cc62ef5e079662d9c44b1",
+            "4c12cec328ac2e690e89de00d85da59fb75638892c7e28e341f47d1a563f448c",
         "solution.json":
-            "a101939dff6f9ac6f38b88b0fb90fd9bf349703aa2edf8ca50736bc276e282dd",
+            "f3dc484b82026e6fe710c32801159c55df7c32417b601b38657eb1fe78c30eb4",
         "trace.csv":
-            "bbdcf32e5bdbc2679f3773beeafae42dc882a28cdddeb9e94891f5572f822c87",
+            "681e5cb4fec03da320115f10813356fab301d0d01a9f4720e70628fd47d5489b",
     },
     "solve-tabu": {
         "MANIFEST.json":
             "7120bd96f89a528b53ad11e8b270357a7bee78b07dc3768011dc6cdceed20c00",
         "report.csv":
-            "adf5d2b2367ad1e42357acb1e4419fdd7e29c0c873aff1065f10331023dab7e2",
+            "6d9e7b72438c0b12995b639ff92b6dc141822760a3a8f22436996dc99c4dc94c",
         "solution.json":
-            "228aaa52c288bbdb0de1c0a313a8aa0e002edd36021129a5abed6e0d757f3757",
+            "4c74418dba7c6d9609a4ed12f19f031149ea90ef01988cc8114838ba5f26c2ff",
         "trace.csv":
-            "a8021462a56b20dbdad44da750f900ae1b83bccbda758db3f4325a3f031ae263",
+            "9440f1a68bb953408f46a556994ecdff25f1ac8783f1604ee82736a62d18b4c1",
     },
     "solve-sa": {
         "MANIFEST.json":
@@ -135,7 +137,7 @@ PINNED = {
         "report.csv":
             "a42f92ff7dfd8f4d0d3a556992bcfc22fcc95134e0ff199857b1deba6d8fd479",
         "solution.json":
-            "e139ecb942b8674b26e078d06f55a638e50fb9dab79b0d7512fb48f2a70fcab3",
+            "ed30268a8a16db39377bdde2d1c65d7284632fccc8ec21cf84f18b4bb772be76",
         "trace.csv":
             "e65e968b953588826b4ee27d67e7e19952c0340e7c737f315acbec4a42146898",
     },
@@ -143,11 +145,11 @@ PINNED = {
         "MANIFEST.json":
             "16df43c0e43d0c1d63480ebb4d8a00a55233f4870ef239d3acf057c9ff37e51b",
         "report.csv":
-            "51edb5875c422df115c8291b5f7818c13fb56b6aa036e840a1ea7f29824bfa2a",
+            "566f9082c3627a11e027b83bcb073294b1adfca476c74b17f72b3662816f698e",
         "solution.json":
-            "af20ddffd7810e0b1df096043c9a7313a1b7ba5ed9debebb5d4947bb988041d3",
+            "56bb082b6b1b79112c24b37aa5444bf90059d7f1c278b844f442417a96f917e0",
         "trace.csv":
-            "974501619f03f546c407ee3e5e855b41d70b0942747615215b59552dfbf2d80e",
+            "0bda8e9b0075a26cae803a25358282c95cc20ac04d2ee9615bf4eaf5b38ec478",
     },
     "solve-score-decomp": {
         "MANIFEST.json":
@@ -155,7 +157,7 @@ PINNED = {
         "report.csv":
             "d45f808aab322a9bf53d847b4880e627ce3afd1b87122823052fbc2101b30b08",
         "solution.json":
-            "6acb4dff41c7a513710f4482ee295af774ca9e6e50cd7bccdf2f8aede3469b81",
+            "4d4826969023725be5d2efbf2ff0b11af17b617ad2c8b4b8439af4edd5eab215",
         "trace.csv":
             "b92d37168bddd6c025a5f1f75945ae50eb691153cd238d8e8af01952c32f048b",
     },
@@ -218,15 +220,43 @@ def run_all(root: Path) -> dict:
     return digests
 
 
+def _child_env(threads: int) -> dict:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path,
+            **{key: str(threads) for key in BLAS_THREADS}}
+
+
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
     root = tmp_path_factory.mktemp("pinned")
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": path}
-    child = subprocess.run([sys.executable, __file__, str(root)], env=env,
-                           capture_output=True, text=True, timeout=600)
+    child = subprocess.run([sys.executable, __file__, str(root)],
+                           env=_child_env(1), capture_output=True, text=True,
+                           timeout=600)
     assert child.returncode == 0, child.stderr
     return json.loads((root / "digests.json").read_text())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_scores_ignore_blas_threads(tmp_path, seed):
+    # the desk L objective has 15,204 terms; a BLAS dot over them splits its
+    # sum by thread count, which moves the objective at seed 1
+    net = write_synthetic_network(tmp_path / "net", 12, 20, 16, n_fixed=6,
+                                  seed=0)
+    instance = tmp_path / "desk-L.json"
+    assert main(["build-instance", "--data-dir", str(net), "--size", "L",
+                 "--out", str(instance)]) == 0
+    solutions = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads-{threads}"
+        child = subprocess.run(
+            [sys.executable, "-m", "redispatch.cli", "solve", "--instance",
+             str(instance), "--solver", "random-decomp", "--max-iterations",
+             "20", "--seed", str(seed), "--out-dir", str(out)],
+            env=_child_env(threads), capture_output=True, text=True,
+            timeout=600)
+        assert child.returncode == 0, child.stderr
+        solutions.append((out / "solution.json").read_bytes())
+    assert solutions[0] == solutions[1]
 
 
 @pytest.mark.parametrize("label", list(COMMANDS))
