@@ -290,6 +290,37 @@ def test_sensitivity_fit_properties(shape, seed, negative, flows, cap):
         assert _kkt_residual(phi, psi, fit.S) <= 1e-10
 
 
+def _three_matmul_loop(phi, psi, max_iterations):
+    """Plain projected gradient from S0 = eye with step 1 / lip: the loop
+    estimate_sensitivity used before projected Newton, without the push.
+    Returns the last iterate and the loss trace."""
+    S = np.eye(phi.shape[1], psi.shape[1])
+    lip = 2.0 * np.linalg.norm(phi, 2) ** 2
+    trace = [float(((phi @ S - psi) ** 2).sum())]
+    for _ in range(max_iterations):
+        S = np.clip(S - 2.0 * phi.T @ (phi @ S - psi) / lip, 0.0, 1.0)
+        trace.append(float(((phi @ S - psi) ** 2).sum()))
+    return S, trace
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sensitivity_fit_equals_three_matmul_loop(seed):
+    # desk-shaped and under-determined, with negative injections (loads);
+    # the flows are exact, so the optimum loss is 0 and both methods head
+    # for the same predicted flows, the Newton fit in a few steps
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(-40.0, 60.0, size=(16, 18))
+    psi = phi @ rng.uniform(0.0, 0.6, size=(18, 20))
+    fit = estimate_sensitivity(phi, psi, max_iterations=500)
+    S, trace = _three_matmul_loop(phi, psi, 500)
+    assert fit.converged and fit.iterations <= 20
+    assert _kkt_residual(phi, psi, fit.S) <= 1e-10
+    assert fit.loss_trace[0] == pytest.approx(trace[0], rel=1e-12)  # same start
+    assert fit.loss_trace[-1] <= min(trace)
+    assert np.allclose(phi @ fit.S, psi, rtol=0.0, atol=1e-9)
+    assert all(b <= a + 1e-9 * a for a, b in zip(trace, trace[1:]))
+
+
 def test_sensitivity_returns_best_iterate():
     rng = np.random.default_rng(5)
     phi = rng.uniform(0.0, 10.0, size=(30, 4))
