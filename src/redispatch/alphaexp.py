@@ -16,6 +16,7 @@ increase the objective and never leave the feasible set.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -128,17 +129,15 @@ def sample_disjoint_changes(
     """
     accepted: list[StateChange] = []
     skipped: list[StateChange] = []
-    for change in pool:
+    taken: dict[int, list[int]] = {}  # resource -> timepoints accepted on it
+    for pos, change in enumerate(pool):
         if len(accepted) >= count:
-            skipped.append(change)
-            continue
-        clash = any(
-            other.j == change.j and abs(other.t - change.t) < k
-            for other in accepted
-        )
-        if clash:
+            return accepted, skipped + pool[pos:]
+        times = taken.setdefault(change.j, [])
+        if any(abs(t - change.t) < k for t in times):
             skipped.append(change)
         else:
+            times.append(change.t)
             accepted.append(change)
     return accepted, skipped
 
@@ -149,66 +148,77 @@ def build_alpha_qubo(qubo: Qubo, x: np.ndarray, cycles: list[CycleSet]) -> Qubo:
     Bit i of the reduced problem means "apply cycles[i]".  For any selection
     alpha, reduced.evaluate(alpha) equals
     qubo.evaluate(x with the selected cycles applied) - qubo.evaluate(x),
-    provided the cycles touch pairwise disjoint blocks (else
-    NonDisjointCyclesError).
+    provided the cycles touch pairwise disjoint blocks and no bit is moved
+    twice (else NonDisjointCyclesError).
     """
-    for a in range(len(cycles)):
-        for b in range(a + 1, len(cycles)):
+    touched_sets = [c.touched for c in cycles]
+    if sum(map(len, touched_sets)) != len(frozenset().union(*touched_sets)):
+        for a, b in itertools.combinations(range(len(cycles)), 2):
             if not cycles[a].disjoint_from(cycles[b]):
                 raise NonDisjointCyclesError(
                     f"cycles {a} and {b} share blocks "
                     f"{sorted(cycles[a].touched & cycles[b].touched)}"
                 )
-    x = np.asarray(x)
+    xf = np.asarray(x, dtype=float)
     m = len(cycles)
     # sparse differences d_a with x + d_a = cycles[a].apply(x): the swaps
-    # whose two bits differ, each giving (on, off) with values
+    # whose two bits differ, each giving entries (on, off) with values
     # (x[off] - x[on], x[on] - x[off]); owner[i] is the cycle of entry i
-    swaps = np.array([s for c in cycles for s in c.swaps],
-                     dtype=np.int64).reshape(-1, 2)
-    owner = np.repeat(np.arange(m), [len(c.swaps) for c in cycles])
-    ends = x[swaps].astype(float)
-    moved = ends[:, 0] != ends[:, 1]
-    bits = swaps[moved].ravel()
-    vals = (ends[moved][:, ::-1] - ends[moved]).ravel()
-    owner = np.repeat(owner[moved], 2)
-    touched, pos = np.unique(bits, return_inverse=True)
-    diag, neighbors, weights = qubo.adjacency()
+    bits, vals, owner = [], [], []
+    for a, cycle in enumerate(cycles):
+        for on, off in cycle.swaps:
+            x_on, x_off = float(xf[on]), float(xf[off])
+            if x_on != x_off:
+                bits += (on, off)
+                vals += (x_off - x_on, x_on - x_off)
+                owner += (a, a)
+    if len(set(bits)) < len(bits):
+        raise NonDisjointCyclesError("the cycles move one bit twice")
+    bits, owner = np.array(bits, dtype=np.int64), np.array(owner, dtype=np.int64)
+    vals = np.array(vals)
+    diag = qubo.adjacency()[0]
     indptr, indices, data = qubo.csr()
-    xf = x.astype(float)
 
-    # symmetric block over the touched bits, from one gather of their CSR
-    # rows: block[p, p] is Q[u, u] and block[p, q] is Q[u, v] / 2
+    # one gather of the moved bits' CSR rows, shortest first, gives the
+    # symmetric block over the entries (block[i, i] is Q[u, u] and
+    # block[i, j] is Q[u, v] / 2) and row[i] = (Q_sym x)[u]
+    starts = indptr[bits]
+    counts = indptr[bits + 1] - starts
+    by_len = np.argsort(counts, kind="stable")
+    lens = counts[by_len]
+    stops = np.cumsum(lens)  # where each row ends in the gather
+    gather = (np.repeat(starts[by_len] + lens - stops, lens)
+              + np.arange(lens.sum()))
+    nbr, w_rows = indices[gather], data[gather]
     at = np.full(qubo.dim, -1)
-    at[touched] = np.arange(touched.size)
-    starts = indptr[touched]
-    counts = indptr[touched + 1] - starts
-    offsets = np.cumsum(counts) - counts  # where each row lands in the gather
-    gather = np.repeat(starts - offsets, counts) + np.arange(counts.sum())
-    p_u = np.repeat(np.arange(touched.size), counts)
-    p_v = at[indices[gather]]
-    inside = p_v >= 0
-    block = np.diag(diag[touched])
-    block[p_u[inside], p_v[inside]] = 0.5 * data[gather[inside]]
+    at[bits] = np.arange(bits.size)
+    inside = np.flatnonzero(at[nbr] >= 0)
+    block = np.diag(diag[bits])
+    block[by_len[np.searchsorted(stops, inside, side="right")],
+          at[nbr[inside]]] = 0.5 * w_rows[inside]
 
-    # (Q_sym x)[u] for each touched bit: one dot per bit keeps the order in
-    # which the reference (the scalar loops in tests/test_alphaexp.py) sums
-    row = (diag[touched] * xf[touched]).tolist()
-    for p, u in enumerate(touched.tolist()):
-        if neighbors[u].size:
-            row[p] += 0.5 * float(weights[u] @ xf[neighbors[u]])
-    row = np.array(row)
+    # one dot per row (a matmul over equally long rows is one dot per row)
+    # sums in the order of the reference loops; a bincount would not
+    row = diag[bits] * xf[bits]
+    lengths, firsts = np.unique(lens, return_index=True)
+    for c, a, b in zip(lengths.tolist(), firsts.tolist(),
+                       [*firsts[1:].tolist(), lens.size]):
+        if c:
+            run = slice(stops[a] - c, stops[b - 1])
+            row[by_len[a:b]] += 0.5 * np.matmul(
+                w_rows[run].reshape(-1, 1, c), xf[nbr[run]].reshape(-1, c, 1)
+            ).ravel()
 
     # lin[a] = 2 x' Q_sym d_a and pair[a, b] = d_a' Q_sym d_b.  bincount adds
     # each cycle's (pair's) terms one by one from 0.0 in input order, the
     # (pa, pb) order of the reference loops, so the reduced QUBO equals
     # theirs bit for bit.  A D B D' matmul rounds differently, and that
     # moves brute force's tie-break between equal-scoring selections.
-    lin = np.bincount(owner, weights=2.0 * vals * row[pos], minlength=m)
-    terms = vals[:, None] * vals[None, :] * block[pos[:, None], pos[None, :]]
+    lin = np.bincount(owner, weights=2.0 * vals * row, minlength=m)
+    terms = vals[:, None] * vals[None, :] * block
     pair = np.bincount((owner[:, None] * m + owner[None, :]).ravel(),
                        weights=terms.ravel(), minlength=m * m).reshape(m, m)
-    rows, cols = np.triu_indices(m)
+    rows, cols = np.nonzero(~np.tri(m, k=-1, dtype=bool))  # upper triangle
     upper = pair[rows, cols]
     return Qubo(m, rows, cols,
                 np.where(rows == cols, lin[rows] + upper, 2.0 * upper))
@@ -289,10 +299,12 @@ def alpha_expansion(
             batch = [ch for ch in batch if Z[ch.t, ch.j] != ch.i_new]
             cycles: list[CycleSet] = []
             requeue: list[StateChange] = []
+            used: set[tuple[int, int]] = set()  # blocks the cycles touch
             for ch in batch:
                 cand = rectify(Z, ch, inst.k)
-                if all(cand.disjoint_from(c) for c in cycles):
+                if used.isdisjoint(cand.touched):
                     cycles.append(cand)
+                    used |= cand.touched
                 else:
                     # rare: rectified walks collided although the sampled
                     # changes were k timepoints apart; retry later this epoch
@@ -313,10 +325,12 @@ def alpha_expansion(
             delta = reduced.evaluate(alpha)
             if not alpha.any():
                 continue
+            # the cycles touch disjoint bits, so their swaps apply in place
             x_new = x.copy()
             for sel, cyc in zip(alpha.tolist(), cycles):
                 if sel:
-                    x_new = cyc.apply(x_new)
+                    for on, off in cyc.swaps:
+                        x_new[on], x_new[off] = x[off], x[on]
             Z_new = decode_one_hot(x_new, inst.T, inst.n, inst.k)
             take = delta < -tol or (
                 epoch == 1 and abs(delta) <= tol and switches(Z_new) < switches(Z)

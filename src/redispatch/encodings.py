@@ -325,7 +325,8 @@ def build_objective(
     one-hot and adjacency constraints always enter, scaled by
     extra_hard_weight (1 reproduces the plain formulation).  With
     score_normalized each soft term is affinely rescaled so its prescribed
-    extreme schedules score 0 and 1.
+    extreme schedules score 0 and 1; a term whose extremes score the same
+    is constant on one-hot schedules and is left out.
     """
     w_power, w_load, w_cost, w_switch = inst.weights
     bounds = compute_bounds(inst) if w_power > 0 or w_load > 0 else None
@@ -335,6 +336,8 @@ def build_objective(
     def add(weight: float, which: str, q: Qubo):
         if score_normalized:
             lo, hi = extremal_scores(inst, which, qubo=q)
+            if hi == lo:  # constant on every one-hot schedule (switch at T=1)
+                return
             q = normalize_range(q, lo, hi, ones)
         terms.append((weight, q))
 

@@ -60,12 +60,18 @@ class Qubo:
         if lo.size and (lo.min() < 0 or hi.max() >= dim):
             raise IndexError(f"coefficient indices {lo.min()}..{hi.max()} "
                              f"outside 0..{dim - 1}")
-        keys, inverse = np.unique(lo * dim + hi, return_inverse=True)
-        # bincount adds each key's entries one by one in input order from 0.0
-        sums = np.bincount(inverse.ravel(), weights=vals, minlength=keys.size)
+        # a stable sort merges the sorted runs builders emit (np.unique would
+        # quicksort) and keeps each key's entries in input order, the order
+        # in which bincount adds them
+        raw = lo * dim + hi
+        order = np.argsort(raw, kind="stable")
+        ranked = raw[order]
+        first = np.ones(raw.size, dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        sums = np.bincount(np.cumsum(first) - 1, weights=vals[order])
         keep = sums != 0.0
-        rows, cols = np.divmod(keys[keep], dim)
-        vals = sums[keep].astype(float, copy=False)
+        head = order[first][keep]  # one input entry of each kept key
+        rows, cols, vals = lo[head], hi[head], sums[keep].astype(float, copy=False)
         for a in (rows, cols, vals):
             a.flags.writeable = False
         object.__setattr__(self, "dim", dim)

@@ -8,6 +8,7 @@ O(degree) per flip; each sampler only adds its move rule.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -156,6 +157,12 @@ class _Walk:
                            trace=self.trace)
 
 
+@functools.cache
+def _bit_table() -> np.ndarray:
+    """table[i, v] is bit i of v, for the 2^16 values v of 16 bits (1 MB)."""
+    return ((np.arange(1 << 16) >> np.arange(16)[:, None]) & 1).astype(bool)
+
+
 def brute_force(req: SolveRequest) -> SolveResult:
     """Enumerate all bit vectors; ties break toward the smallest encoding.
 
@@ -168,19 +175,21 @@ def brute_force(req: SolveRequest) -> SolveResult:
         raise TooLargeError(f"dim {q.dim} exceeds brute-force cap {BRUTE_FORCE_LIMIT}")
     started = time.monotonic()
     total = 1 << q.dim
-    chunk = 1 << min(q.dim, 16)
-    bits = np.arange(q.dim, dtype=np.uint32)
+    # X[i, v] is bit i of vector v of a chunk; the high bits are per chunk
+    low = min(q.dim, 16)
+    X = np.empty((q.dim, 1 << low), dtype=bool)
+    X[:low] = _bit_table()[:low, : 1 << low]
     best_score = math.inf
     best_v = 0
-    for start in range(0, total, chunk):
-        vs = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        X = ((vs[:, None] >> bits[None, :]) & 1).astype(np.int8)
-        scores = q.evaluate_many(X)
+    for high in range(total >> low):
+        X[low:] = ((high >> np.arange(q.dim - low)) & 1)[:, None]
+        # evaluate_many's products, summed term by term in the same order
+        scores = q.offset + ((X[q.rows] & X[q.cols]) * q.vals[:, None]).sum(axis=0)
         idx = int(np.argmin(scores))
         if scores[idx] < best_score:
             best_score = float(scores[idx])
-            best_v = int(vs[idx])
-    best = ((best_v >> bits) & 1).astype(np.int8)
+            best_v = (high << low) | idx
+    best = ((best_v >> np.arange(q.dim)) & 1).astype(np.int8)
     return SolveResult(best=best, score=best_score, iterations=total,
                        wall_seconds=time.monotonic() - started,
                        trace=[(0, best_score)])
@@ -210,17 +219,25 @@ def tabu_search(req: SolveRequest) -> SolveResult:
 def _tabu_on_arrays(walk: _Walk, limit: int, tenure: int) -> int:
     deltas = walk.deltas
     tabu_until = np.zeros(walk.qubo.dim, dtype=np.int64)
+    barred = np.full(walk.qubo.dim, -math.inf)  # +inf exactly while tabu
+    flips: list[int] = []
     it = 0
     while it < limit and time.monotonic() <= walk.deadline:
         it += 1
-        allowed = tabu_until < it
-        aspiring = walk.score + deltas < walk.best_score - 1e-12
-        candidates = allowed | aspiring
-        if not candidates.any():
-            candidates = tabu_until == tabu_until.min()
-        flip = int(np.argmin(np.where(candidates, deltas, math.inf)))
+        if it > tenure + 1 and tabu_until[flips[-tenure - 1]] < it:
+            barred[flips[-tenure - 1]] = -math.inf  # released this iteration
+        # some bit aspires iff the lowest delta does: score + d rises with d
+        flip = int(np.argmin(deltas))
+        if not (tabu_until[flip] < it
+                or walk.score + deltas[flip] < walk.best_score - 1e-12):
+            masked = np.maximum(deltas, barred)
+            flip = int(np.argmin(masked))
+            if masked[flip] == math.inf:  # all tabu: the one released soonest
+                flip = int(np.argmin(tabu_until))
         walk.flip(flip, it)
         tabu_until[flip] = it + tenure
+        barred[flip] = math.inf
+        flips.append(flip)
     return it
 
 

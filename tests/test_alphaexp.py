@@ -130,6 +130,29 @@ def test_sample_disjoint_changes_resources_independent():
     assert len(accepted) == 5 and not skipped
 
 
+def full_scan_sample(pool, count, k):
+    """Reference: the scan over the whole pool that the early exit replaced."""
+    accepted, skipped = [], []
+    for change in pool:
+        if len(accepted) >= count:
+            skipped.append(change)
+            continue
+        clash = any(other.j == change.j and abs(other.t - change.t) < k
+                    for other in accepted)
+        (skipped if clash else accepted).append(change)
+    return accepted, skipped
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(st.builds(StateChange, st.integers(0, 7),
+                               st.integers(0, 3), st.integers(1, 4)),
+                     max_size=60),
+       count=st.integers(0, 12), k=st.integers(1, 5))
+def test_sample_disjoint_changes_equals_full_scan(pool, count, k):
+    assert sample_disjoint_changes(pool, count, k) == full_scan_sample(
+        pool, count, k)
+
+
 # ----------------------------------------------------- reduced move problem
 
 
@@ -185,8 +208,15 @@ def test_alpha_qubo_rejects_overlapping_cycles():
         CycleSet(swaps=((0, 1),), touched=shared),
         CycleSet(swaps=((1, 2),), touched=shared),
     ]
-    with pytest.raises(NonDisjointCyclesError):
+    with pytest.raises(NonDisjointCyclesError, match="cycles 0 and 1"):
         build_alpha_qubo(q, np.zeros(6, dtype=np.int8), cycles)
+    # blocks apart, but both cycles move bit 1
+    cycles = [
+        CycleSet(swaps=((0, 1),), touched=frozenset([(0, 0)])),
+        CycleSet(swaps=((1, 2),), touched=frozenset([(0, 1)])),
+    ]
+    with pytest.raises(NonDisjointCyclesError, match="bit"):
+        build_alpha_qubo(q, np.array([1, 0, 1, 0, 0, 0], dtype=np.int8), cycles)
 
 
 def test_alpha_qubo_empty_cycle_contributes_nothing():

@@ -12,7 +12,13 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from redispatch import experiments
+import numpy as np
+
+from redispatch import alphaexp, experiments
+from redispatch.data import synth_instance
+from redispatch.encodings import build_objective
+from redispatch.model import encode_one_hot
+from redispatch.solvers import Budget
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,6 +52,33 @@ def test_every_traced_name_resolves():
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing
+
+
+def test_alpha_expansion_calls_each_traced_alphaexp_name(monkeypatch):
+    # the split of an alpha step into propose, move QUBO, sub-solve and apply
+    # comes from wrapping these names; one inlined would read 0 s
+    names = {attr for owners, attr, *_ in load_spans().TARGETS
+             if alphaexp in owners} - {"alpha_expansion"}
+    assert {"rectify", "sample_disjoint_changes", "build_alpha_qubo",
+            "brute_force"} <= names
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(alphaexp, name, counting(name, getattr(alphaexp, name)))
+    inst, _ = synth_instance(3, 3, 4, 2, seed=0)
+    x0 = encode_one_hot(np.ones((inst.T, inst.n), dtype=int),
+                        inst.T, inst.n, inst.k)
+    alphaexp.alpha_expansion(inst, build_objective(inst), x0, batch_size=4,
+                             budget=Budget(max_iterations=2))
+    # tabu search only takes over above 20 moves in one batch
+    assert [name for name, n in calls.items()
+            if n == 0 and name != "tabu_search"] == []
 
 
 def test_workload_captured_names_resolve_on_experiments():

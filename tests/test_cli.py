@@ -136,6 +136,17 @@ def test_solve_decomposer_paths(tmp_path, capsys):
         assert (out / "solution.json").exists()
 
 
+@pytest.mark.parametrize("solver", ["tabu", "sa", "alpha", "brute",
+                                    "random-decomp", "score-decomp"])
+def test_solve_single_timepoint_instance(tmp_path, capsys, solver):
+    # at T=1 the switch term is constant, so its score range is empty
+    inst_path = tmp_path / "t1.json"
+    assert main(["build-instance", "--synthetic", "3,3,1,2", "--T", "1",
+                 "--k", "3", "--out", str(inst_path)]) == 0
+    out = run_solve(tmp_path, inst_path, f"{solver}-out", solver)
+    assert json.loads((out / "solution.json").read_text())["feasible"] is True
+
+
 @pytest.mark.parametrize("command, extra", [
     ("solve", ("--time-limit", "0")),
     ("solve", ("--time-limit", "-1.5")),

@@ -1,5 +1,7 @@
 """Container-level tests: evaluation, clamping, combination, normalization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,6 +271,55 @@ def test_constructor_sums_in_input_order(case):
     q = from_pairs(dim, pairs)
     assert_canonical(q)
     assert list(entries(q).items()) == reference_terms(pairs)
+
+
+def unique_canonical(dim, rows, cols, vals):
+    """Reference: the np.unique canonicalization the stable sort replaced."""
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    keys, inverse = np.unique(lo * dim + hi, return_inverse=True)
+    sums = np.bincount(inverse.ravel(), weights=vals, minlength=keys.size)
+    keep = sums != 0.0
+    return (*np.divmod(keys[keep], dim), sums[keep])
+
+
+@st.composite
+def builder_layouts(draw):
+    """Triplets as builders emit them: sorted runs, reversed, or shuffled,
+    with duplicates and entries that cancel to 0.0 or -0.0."""
+    dim = draw(st.integers(1, 12))
+    index = st.integers(0, dim - 1)
+    value = st.one_of(term_values, st.just(-0.0))
+    pairs = draw(st.lists(st.tuples(st.tuples(index, index), value),
+                          max_size=60))
+    if pairs:  # negated copies cancel their originals to 0.0 or -0.0
+        pairs += [(key, -v) for key, v in draw(
+            st.lists(st.sampled_from(pairs), max_size=10))]
+    layout = draw(st.sampled_from(["runs", "reversed", "shuffled"]))
+    if layout == "shuffled":
+        pairs = draw(st.permutations(pairs))
+    else:
+        cuts = sorted(draw(st.lists(st.integers(0, len(pairs)), max_size=3)))
+        runs = [sorted(pairs[a:b], key=lambda p: p[0])
+                for a, b in zip([0, *cuts], [*cuts, len(pairs)])]
+        pairs = [p for run in runs for p in run]
+        if layout == "reversed":
+            pairs.reverse()
+    return dim, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(builder_layouts())
+def test_constructor_equals_unique_reference(case):
+    dim, pairs = case
+    rows = np.array([i for (i, _), _ in pairs], dtype=np.int64)
+    cols = np.array([j for (_, j), _ in pairs], dtype=np.int64)
+    vals = np.array([v for _, v in pairs], dtype=float)
+    q = Qubo(dim, rows, cols, vals, offset=-0.0)
+    ref_rows, ref_cols, ref_vals = unique_canonical(dim, rows, cols, vals)
+    assert np.array_equal(q.rows, ref_rows)
+    assert np.array_equal(q.cols, ref_cols)
+    assert q.vals.tobytes() == ref_vals.tobytes()
+    assert math.copysign(1.0, q.offset) == -1.0
 
 
 @settings(max_examples=100, deadline=None)

@@ -68,6 +68,40 @@ def test_brute_force_tie_break_prefers_smallest_integer():
     assert res.best.tolist() == [0, 0]
 
 
+def evaluate_many_minimum(q):
+    """Reference: evaluate_many over every vector in integer order, first min."""
+    scores = np.concatenate([
+        q.evaluate_many(((np.arange(start, min(start + 4096, 1 << q.dim))[:, None]
+                          >> np.arange(q.dim)) & 1).astype(np.int8))
+        for start in range(0, 1 << q.dim, 4096)])
+    v = int(np.argmin(scores))
+    return [(v >> b) & 1 for b in range(q.dim)], scores[v]
+
+
+# small integers tie often; the fractions, over 20 or more terms, make the
+# order of addition visible in the last bits
+@st.composite
+def tie_prone_qubos(draw):
+    dim = draw(st.sampled_from([*range(14), 17]))
+    value = st.sampled_from([-2.0, -1.0, -0.7, -0.1, 0.2, 0.3, 1.0, 2.0])
+    index = st.integers(0, max(dim - 1, 0))
+    terms = draw(st.lists(st.tuples(index, index, value),
+                          min_size=20 if dim else 0, max_size=60 if dim else 0))
+    return Qubo(dim, [i for i, _, _ in terms], [j for _, j, _ in terms],
+                [v for _, _, v in terms],
+                draw(st.sampled_from([0.0, -0.0, 0.5])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=tie_prone_qubos())
+def test_brute_force_equals_evaluate_many_enumeration(q):
+    # dim 17 runs two chunks with the high bit held constant
+    res = brute_force(SolveRequest(qubo=q))
+    best, score = evaluate_many_minimum(q)
+    assert res.best.tolist() == best
+    assert res.score == score
+
+
 def test_brute_force_rejects_large_problems():
     q = Qubo(BRUTE_FORCE_LIMIT + 1, [0], [0], [1.0])
     with pytest.raises(TooLargeError):
