@@ -201,12 +201,12 @@ def _rank_one_block(weights: np.ndarray, linear: float, quad: float) -> np.ndarr
     return block
 
 
-def _block_diagonal_qubo(dim: int, blocks: list, offset: float) -> Qubo:
-    """Qubo holding the upper triangle of blocks[t] at bits t*nk .. (t+1)*nk - 1."""
-    nk = blocks[0].shape[0]
-    iu, ju = np.triu_indices(nk)
-    base = (np.arange(len(blocks)) * nk)[:, None]
-    vals = np.stack([block[iu, ju] for block in blocks])
+def _block_diagonal_qubo(dim: int, upper: tuple, vals: np.ndarray,
+                         offset: float) -> Qubo:
+    """Qubo holding vals[t] at the upper triangle upper = (iu, ju) of the
+    nk x nk block over bits t*nk .. (t+1)*nk - 1."""
+    iu, ju = upper
+    base = (np.arange(vals.shape[0]) * (dim // vals.shape[0]))[:, None]
     return Qubo(dim, base + iu, base + ju, vals, offset)
 
 
@@ -223,15 +223,16 @@ def build_power_qubo(
     if normalized and bounds is None:
         bounds = compute_bounds(inst)
     w = inst.p.ravel()
-    blocks = []
+    upper = np.triu_indices(w.size)
+    vals = np.empty((inst.T, upper[0].size))  # one block at a time, not T
     offset = 0.0
     for t in range(inst.T):
         f = 1.0 / bounds.power[t] if normalized else 1.0
         tau = inst.tau[t]
         # zeta(f*(w.x - tau)) = const + (-f - f^2 tau)(w.x) + (f^2/2)(w.x)^2
         offset += 1.0 + f * tau + 0.5 * (f * tau) ** 2
-        blocks.append(_rank_one_block(w, -f - f * f * tau, 0.5 * f * f))
-    return _block_diagonal_qubo(inst.dim, blocks, offset)
+        vals[t] = _rank_one_block(w, -f - f * f * tau, 0.5 * f * f)[upper]
+    return _block_diagonal_qubo(inst.dim, upper, vals, offset)
 
 
 def build_load_qubo(
@@ -247,7 +248,8 @@ def build_load_qubo(
     if normalized and bounds is None:
         bounds = compute_bounds(inst)
     nk = inst.n * inst.k
-    blocks = []
+    upper = np.triu_indices(nk)
+    vals = np.empty((inst.T, upper[0].size))
     offset = 0.0
     for t in range(inst.T):
         block = np.zeros((nk, nk))
@@ -258,8 +260,8 @@ def build_load_qubo(
             # zeta(f*(m - v.x)) = const + (f - f^2 m)(v.x) + (f^2/2)(v.x)^2
             offset += 1.0 - f * m + 0.5 * (f * m) ** 2
             block += _rank_one_block(v, f - f * f * m, 0.5 * f * f)
-        blocks.append(block)
-    return _block_diagonal_qubo(inst.dim, blocks, offset)
+        vals[t] = block[upper]
+    return _block_diagonal_qubo(inst.dim, upper, vals, offset)
 
 
 def extremal_schedules(inst: ProblemInstance, which: str) -> tuple[np.ndarray, np.ndarray]:

@@ -7,12 +7,13 @@ scalar offset.  The score of a 0/1 vector x is
 
 The arrays (rows, cols: int64; vals: float64) are sorted by (row, col), hold
 row <= col and no zero values, so two Qubos built from the same quadratic
-form compare equal entry by entry.  The constructor is the only place that
-canonicalizes: it folds entries with i > j onto (j, i), rejects indices out of
-range and non-finite values, and sums entries sharing a key sequentially in
-input order starting from 0.0 (np.bincount, not a pairwise reduction), then
-drops exact zeros.  Every combinator (weighted_sum, normalize_range, clamp)
-emits raw triplets in a defined order and lets the constructor do the rest.
+form compare equal entry by entry.  The constructor canonicalizes: it folds
+entries with i > j onto (j, i), rejects indices out of range and non-finite
+values, and sums entries sharing a key sequentially in input order starting
+from 0.0 (np.bincount, not a pairwise reduction), then drops exact zeros;
+input already in key order skips the sort.  clamp emits raw triplets for it.
+weighted_sum and normalize_range merge canonical terms key by key instead, in
+term order, which gives the bits the constructor would give their concatenation.
 """
 
 from __future__ import annotations
@@ -54,32 +55,44 @@ class Qubo:
         if not rows.size == cols.size == vals.size:
             raise ValueError(f"rows, cols and vals differ in length: "
                              f"{rows.size}, {cols.size}, {vals.size}")
-        if not math.isfinite(offset) or not np.isfinite(vals).all():
-            raise ValueError("QUBO coefficients and offset must be finite")
-        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-        if lo.size and (lo.min() < 0 or hi.max() >= dim):
-            raise IndexError(f"coefficient indices {lo.min()}..{hi.max()} "
-                             f"outside 0..{dim - 1}")
-        # a stable sort merges the sorted runs builders emit (np.unique would
-        # quicksort) and keeps each key's entries in input order, the order
-        # in which bincount adds them
-        raw = lo * dim + hi
-        order = np.argsort(raw, kind="stable")
-        ranked = raw[order]
-        first = np.ones(raw.size, dtype=bool)
-        first[1:] = ranked[1:] != ranked[:-1]
-        sums = np.bincount(np.cumsum(first) - 1, weights=vals[order])
-        keep = sums != 0.0
-        head = order[first][keep]  # one input entry of each kept key
-        rows, cols, vals = lo[head], hi[head], sums[keep].astype(float, copy=False)
+        if rows.size:
+            if (rows > cols).any():  # fold onto the upper triangle
+                rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
+            if rows.min() < 0 or cols.max() >= dim:
+                raise IndexError(f"coefficient indices {rows.min()}..{cols.max()} "
+                                 f"outside 0..{dim - 1}")
+        key = rows * dim
+        key += cols
+        if (key[1:] > key[:-1]).all():
+            # already in canonical order (builders and move QUBOs are): each
+            # key's bincount sum would be 0.0 + v, which is v unless v is zero
+            del key
+            pick = vals != 0.0
+            vals = vals[pick]
+        else:
+            # a stable sort merges sorted runs (np.unique would quicksort) and
+            # keeps each key's entries in input order, the order bincount adds
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            first = np.concatenate(([True], key[1:] != key[:-1]))
+            del key
+            sums = np.bincount(np.cumsum(first) - 1, weights=vals[order])
+            keep = sums != 0.0
+            pick = order[first][keep]  # one input entry of each kept key
+            del order, first
+            vals = sums[keep]
+        _check_finite(vals, offset)  # after summing: sums can overflow
+        self._adopt(dim, rows[pick], cols[pick], vals, offset)
+
+    def _adopt(self, dim, rows, cols, vals, offset):
+        """Take arrays already in canonical form, without copying them."""
         for a in (rows, cols, vals):
             a.flags.writeable = False
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "vals", vals)
-        object.__setattr__(self, "_adjacency", None)
+        for name, value in zip(self.__slots__, (dim, offset, rows, cols, vals, None)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return Qubo, (self.dim, self.rows, self.cols, self.vals, self.offset)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Qubo instances are immutable")
@@ -114,13 +127,23 @@ class Qubo:
             diag = np.zeros(self.dim)
             diag[rows[on_diag]] = vals[on_diag]
             r, c, v = rows[~on_diag], cols[~on_diag], vals[~on_diag]
-            src = np.concatenate([r, c])
-            dst = np.concatenate([c, r])
-            w = np.concatenate([v, v])
-            order = np.argsort(src, kind="stable")
-            dst, w = dst[order], w[order]
-            counts = np.bincount(src, minlength=self.dim)
-            bounds = np.concatenate([[0], np.cumsum(counts)])
+            del on_diag
+            # row i lists its upper neighbours (entries (i, j), in stored
+            # order), then its lower ones (entries (j, i), in stored order)
+            upper = np.bincount(r, minlength=self.dim)
+            lower = np.bincount(c, minlength=self.dim)
+            bounds = np.zeros(self.dim + 1, dtype=np.int64)
+            np.cumsum(upper + lower, out=bounds[1:])
+            dst = np.empty(2 * r.size, dtype=np.int64)
+            w = np.empty(2 * r.size)
+            at = (np.cumsum(lower) - lower)[r]  # lower entries of earlier rows
+            at += np.arange(r.size)
+            dst[at], w[at] = c, v
+            order = np.argsort(c, kind="stable")
+            at = np.cumsum(upper)[c[order]]  # upper entries up to that row
+            del c
+            at += np.arange(r.size)
+            dst[at], w[at] = r[order], v[order]
             for a in (diag, dst, w, bounds):
                 a.flags.writeable = False
             neighbors = [dst[bounds[i] : bounds[i + 1]] for i in range(self.dim)]
@@ -199,13 +222,8 @@ def weighted_sum(terms: Iterable[tuple[float, Qubo]]) -> Qubo:
         if q.dim != dim:
             raise DimensionMismatchError(f"mixing dims {dim} and {q.dim}")
         offset += w * q.offset
-    return Qubo(
-        dim,
-        np.concatenate([q.rows for _, q in terms]),
-        np.concatenate([q.cols for _, q in terms]),
-        np.concatenate([w * q.vals for w, q in terms]),
-        offset,
-    )
+    return _merge(dim, ((q.rows * dim + q.cols, w * q.vals) for w, q in terms),
+                  offset)
 
 
 def normalize_range(
@@ -226,11 +244,34 @@ def normalize_range(
         raise ValueError("ones_count must be at least 1")
     span = score_max - score_min
     shift = score_min / ones_count
-    diag = np.arange(q.dim)
-    return Qubo(
-        q.dim,
-        np.concatenate([q.rows, diag]),
-        np.concatenate([q.cols, diag]),
-        np.concatenate([q.vals / span, np.full(q.dim, -(shift / span))]),
-        q.offset / span,
-    )
+    diag = np.arange(q.dim) * (q.dim + 1)
+    return _merge(q.dim, [(q.rows * q.dim + q.cols, q.vals / span),
+                          (diag, np.full(q.dim, -(shift / span)))], q.offset / span)
+
+
+def _check_finite(vals: np.ndarray, offset: float) -> None:
+    if not math.isfinite(offset) or not np.isfinite(vals).all():
+        raise ValueError("QUBO coefficients and offset must be finite")
+
+
+def _merge(dim: int, parts, offset: float) -> Qubo:
+    """Qubo summing parts (sorted unique keys row * dim + col, values) key by
+    key, in part order as the constructor's bincount would; a sum starts at
+    its first value, not at 0.0 plus it, which shows on a zero alone."""
+    keys, vals = np.empty(0, dtype=np.int64), np.empty(0)
+    for key, val in parts:
+        if not keys.size:
+            keys, vals = key, val
+            continue
+        at = np.searchsorted(keys, key)
+        hit = keys.take(at, mode="clip") == key
+        vals[at[hit]] += val[hit]
+        hit = ~hit
+        keys = np.insert(keys, at[hit], key[hit])
+        vals = np.insert(vals, at[hit], val[hit])
+    _check_finite(vals, offset)
+    keep = vals != 0.0
+    rows, cols = np.divmod(keys[keep], max(dim, 1))
+    merged = object.__new__(Qubo)
+    merged._adopt(dim, rows, cols, vals[keep], offset)
+    return merged

@@ -217,9 +217,15 @@ def tabu_search(req: SolveRequest) -> SolveResult:
 
 
 def _tabu_on_arrays(walk: _Walk, limit: int, tenure: int) -> int:
-    deltas = walk.deltas
+    """The move rule over numpy arrays, with _Walk.flip inlined; sign[j] is
+    its 1 - 2 x[j] (exactly +-1.0), kept instead of recomputed each flip."""
+    x, deltas = walk.x, walk.deltas
+    neighbors, weights = walk.neighbors, walk.weights
+    sign = 1.0 - 2.0 * x
     tabu_until = np.zeros(walk.qubo.dim, dtype=np.int64)
     barred = np.full(walk.qubo.dim, -math.inf)  # +inf exactly while tabu
+    masked = np.empty(walk.qubo.dim)
+    score, best_score, trace = walk.score, walk.best_score, walk.trace
     flips: list[int] = []
     it = 0
     while it < limit and time.monotonic() <= walk.deadline:
@@ -227,17 +233,27 @@ def _tabu_on_arrays(walk: _Walk, limit: int, tenure: int) -> int:
         if it > tenure + 1 and tabu_until[flips[-tenure - 1]] < it:
             barred[flips[-tenure - 1]] = -math.inf  # released this iteration
         # some bit aspires iff the lowest delta does: score + d rises with d
-        flip = int(np.argmin(deltas))
-        if not (tabu_until[flip] < it
-                or walk.score + deltas[flip] < walk.best_score - 1e-12):
-            masked = np.maximum(deltas, barred)
-            flip = int(np.argmin(masked))
+        flip = int(deltas.argmin())
+        if not (tabu_until[flip] < it or score + deltas[flip] < best_score - 1e-12):
+            np.maximum(deltas, barred, out=masked)
+            flip = int(masked.argmin())
             if masked[flip] == math.inf:  # all tabu: the one released soonest
-                flip = int(np.argmin(tabu_until))
-        walk.flip(flip, it)
+                flip = int(tabu_until.argmin())
+        d = float(deltas[flip])
+        nb = neighbors[flip]
+        deltas[nb] += sign[nb] * weights[flip] * sign[flip]
+        deltas[flip] = -d
+        sign[flip] = -sign[flip]
+        x[flip] = 1 - x[flip]
+        score += d
+        if score < best_score - 1e-12:
+            best_score = score
+            walk.best = x.copy()
+            trace.append((it, score))
         tabu_until[flip] = it + tenure
         barred[flip] = math.inf
         flips.append(flip)
+    walk.score, walk.best_score = score, best_score
     return it
 
 
