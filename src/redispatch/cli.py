@@ -263,6 +263,8 @@ def cmd_solve(args) -> int:
 
 def cmd_experiment(args) -> int:
     time_limit = _time_limit(args, 60.0)
+    if args.max_steps < 0:
+        raise ConfigError("--max-steps must be non-negative")
     ds = _load_dataset(args)
     out = _out_dir(args)
     try:

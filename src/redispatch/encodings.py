@@ -10,9 +10,11 @@ layout described in model.py:
 The two soft penalties encode an inequality h(x) >= 0 through the quadratic
 Taylor expansion of exp(-h), i.e. zeta(h) = 1 - h + h^2/2, optionally with h
 rescaled by a per-constraint bound so the argument never exceeds 1 on
-feasible schedules.  penalty_scalar / power_penalty / load_penalty are plain
-scalar re-computations of those penalties and serve as the reference the
-matrix builders are tested against.
+feasible schedules.  Each h is affine in s_tr = V[:, r] . x_t, a linear form
+of timepoint t's bits, so one builder materializes both: rank 1 for power
+(V = p), rank L for load (V = p * S).  penalty_scalar / power_penalty /
+load_penalty re-compute the penalties as scalars: the reference the matrix
+builders are tested against.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "build_load_qubo",
     "extremal_schedules",
     "extremal_scores",
+    "normalized_term",
     "add_hard_terms",
     "build_objective",
 ]
@@ -79,8 +82,8 @@ def compute_bounds(inst: ProblemInstance) -> PenaltyBounds:
         )
     # Smallest achievable flow per (line, resource): state-wise minimum of
     # p * S, which is p[:, 0] * S whenever sensitivities are non-negative.
-    per_resource = np.min(inst.p[:, :, None] * inst.S[:, None, :], axis=1)
-    min_flow = per_resource.sum(axis=0)
+    per_state = _line_factor(inst).reshape(inst.n, inst.k, inst.L)
+    min_flow = per_state.min(axis=1).sum(axis=0)
     load = inst.M - min_flow[None, :]
     if np.any(load <= 0):
         t, l = np.unravel_index(int(np.argmax(load <= 0)), load.shape)
@@ -89,6 +92,11 @@ def compute_bounds(inst: ProblemInstance) -> PenaltyBounds:
             f"controllable flow {min_flow[l]:g}"
         )
     return PenaltyBounds(power=power, load=load)
+
+
+def _line_factor(inst: ProblemInstance) -> np.ndarray:
+    """nk x L matrix p[a, i] * S[a, l]; x_t . column l is line l's flow."""
+    return (inst.p[:, :, None] * inst.S[:, None, :]).reshape(-1, inst.L)
 
 
 def penalty_scalar(h: float) -> float:
@@ -190,24 +198,28 @@ def build_switch_qubo(inst: ProblemInstance) -> Qubo:
     return _transition_qubo(inst.T, inst.n, inst.k, diff)
 
 
-def _rank_one_block(weights: np.ndarray, linear: float, quad: float) -> np.ndarray:
-    """Coefficients of linear*(w.x) + quad*(w.x)^2 for binary x.
+def _factored_qubo(V: np.ndarray, const: np.ndarray, lin: np.ndarray,
+                   quad: np.ndarray) -> Qubo:
+    """Qubo of sum_{t,r} const[t,r] + lin[t,r] s_tr + quad[t,r] s_tr^2, where
+    s_tr = V[:, r] . x_t is the r-th linear form of timepoint t's nk bits.
 
-    Returns one square matrix: the x_j coefficient at [j, j] and the j < j2
-    cross coefficients at [j, j2]; the lower triangle is not used.
+    Timepoint t's nk x nk block holds the x_j coefficients on its diagonal
+    and the j < j2 cross terms above it.  Every sum over r runs in order
+    (a C-order reduction; np.einsum without optimize) and none uses BLAS,
+    so the bits do not depend on the BLAS thread count.
     """
-    block = 2.0 * quad * np.outer(weights, weights)
-    np.fill_diagonal(block, linear * weights + quad * weights * weights)
-    return block
-
-
-def _block_diagonal_qubo(dim: int, upper: tuple, vals: np.ndarray,
-                         offset: float) -> Qubo:
-    """Qubo holding vals[t] at the upper triangle upper = (iu, ju) of the
-    nk x nk block over bits t*nk .. (t+1)*nk - 1."""
-    iu, ju = upper
-    base = (np.arange(vals.shape[0]) * (dim // vals.shape[0]))[:, None]
-    return Qubo(dim, base + iu, base + ju, vals, offset)
+    T, nk = lin.shape[0], V.shape[0]
+    iu, ju = np.triu_indices(nk)
+    Vt = np.ascontiguousarray(V.T)
+    diag = (lin[:, :, None] * Vt + quad[:, :, None] * Vt * Vt).sum(axis=1)
+    vals = np.empty((T, iu.size))  # one block at a time, not T
+    for t in range(T):
+        block = np.einsum("ir,jr,r->ij", V, V, 2.0 * quad[t])
+        np.fill_diagonal(block, diag[t])
+        vals[t] = block[iu, ju]
+    base = (np.arange(T) * nk)[:, None]
+    offset = float(np.cumsum(const)[-1])  # a running sum in (t, r) order
+    return Qubo(T * nk, base + iu, base + ju, vals, offset)
 
 
 def build_power_qubo(
@@ -222,17 +234,12 @@ def build_power_qubo(
     """
     if normalized and bounds is None:
         bounds = compute_bounds(inst)
-    w = inst.p.ravel()
-    upper = np.triu_indices(w.size)
-    vals = np.empty((inst.T, upper[0].size))  # one block at a time, not T
-    offset = 0.0
-    for t in range(inst.T):
-        f = 1.0 / bounds.power[t] if normalized else 1.0
-        tau = inst.tau[t]
-        # zeta(f*(w.x - tau)) = const + (-f - f^2 tau)(w.x) + (f^2/2)(w.x)^2
-        offset += 1.0 + f * tau + 0.5 * (f * tau) ** 2
-        vals[t] = _rank_one_block(w, -f - f * f * tau, 0.5 * f * f)[upper]
-    return _block_diagonal_qubo(inst.dim, upper, vals, offset)
+    f = 1.0 / bounds.power if normalized else np.ones(inst.T)
+    tau = inst.tau
+    # zeta(f*(w.x - tau)) = const + (-f - f^2 tau)(w.x) + (f^2/2)(w.x)^2
+    return _factored_qubo(inst.p.reshape(-1, 1),
+                          (1.0 + f * tau + 0.5 * (f * tau) ** 2)[:, None],
+                          (-f - f * f * tau)[:, None], (0.5 * f * f)[:, None])
 
 
 def build_load_qubo(
@@ -247,21 +254,12 @@ def build_load_qubo(
     """
     if normalized and bounds is None:
         bounds = compute_bounds(inst)
-    nk = inst.n * inst.k
-    upper = np.triu_indices(nk)
-    vals = np.empty((inst.T, upper[0].size))
-    offset = 0.0
-    for t in range(inst.T):
-        block = np.zeros((nk, nk))
-        for l in range(inst.L):
-            f = 1.0 / bounds.load[t, l] if normalized else 1.0
-            m = inst.M[t, l]
-            v = (inst.p * inst.S[:, l : l + 1]).ravel()
-            # zeta(f*(m - v.x)) = const + (f - f^2 m)(v.x) + (f^2/2)(v.x)^2
-            offset += 1.0 - f * m + 0.5 * (f * m) ** 2
-            block += _rank_one_block(v, f - f * f * m, 0.5 * f * f)
-        vals[t] = block[upper]
-    return _block_diagonal_qubo(inst.dim, upper, vals, offset)
+    f = 1.0 / bounds.load if normalized else np.ones((inst.T, inst.L))
+    m = inst.M
+    # zeta(f*(m - v.x)) = const + (f - f^2 m)(v.x) + (f^2/2)(v.x)^2
+    return _factored_qubo(_line_factor(inst),
+                          1.0 - f * m + 0.5 * (f * m) ** 2,
+                          f - f * f * m, 0.5 * f * f)
 
 
 def extremal_schedules(inst: ProblemInstance, which: str) -> tuple[np.ndarray, np.ndarray]:
@@ -299,6 +297,19 @@ def extremal_scores(inst: ProblemInstance, which: str,
     return lo, hi
 
 
+def normalized_term(inst: ProblemInstance, which: str,
+                    qubo: Qubo) -> tuple[Qubo, float] | None:
+    """(qubo rescaled so its extreme schedules score 0 and 1, raw span hi - lo).
+
+    None for a term whose extremes score the same: it is constant on every
+    one-hot schedule (switch at T=1), so it is left out, not rescaled.
+    """
+    lo, hi = extremal_scores(inst, which, qubo=qubo)
+    if hi == lo:
+        return None
+    return normalize_range(qubo, lo, hi, inst.T * inst.n), hi - lo
+
+
 def add_hard_terms(
     inst: ProblemInstance, soft_terms: list[tuple[float, Qubo]], weight: float
 ) -> Qubo:
@@ -326,22 +337,17 @@ def build_objective(
     + weights[3] * gamma * switch; soft terms with weight 0 are skipped.  The
     one-hot and adjacency constraints always enter, scaled by
     extra_hard_weight (1 reproduces the plain formulation).  With
-    score_normalized each soft term is affinely rescaled so its prescribed
-    extreme schedules score 0 and 1; a term whose extremes score the same
-    is constant on one-hot schedules and is left out.
+    score_normalized each soft term goes through normalized_term, which
+    rescales it or leaves it out.
     """
     w_power, w_load, w_cost, w_switch = inst.weights
     bounds = compute_bounds(inst) if w_power > 0 or w_load > 0 else None
-    ones = inst.T * inst.n
     terms: list[tuple[float, Qubo]] = []
 
     def add(weight: float, which: str, q: Qubo):
-        if score_normalized:
-            lo, hi = extremal_scores(inst, which, qubo=q)
-            if hi == lo:  # constant on every one-hot schedule (switch at T=1)
-                return
-            q = normalize_range(q, lo, hi, ones)
-        terms.append((weight, q))
+        scaled = normalized_term(inst, which, q) if score_normalized else (q,)
+        if scaled is not None:
+            terms.append((weight, scaled[0]))
 
     if w_power > 0:
         add(w_power, "power", build_power_qubo(inst, bounds))

@@ -24,6 +24,7 @@ from .encodings import (
     build_switch_qubo,
     compute_bounds,
     extremal_scores,
+    normalized_term,
 )
 from .model import (
     ProblemInstance,
@@ -34,12 +35,12 @@ from .model import (
     power_production,
     read_schedule,
 )
-from .qubo import Qubo, normalize_range
+from .qubo import Qubo
 from .solvers import Budget, SolveRequest, tabu_search
 
 # Not called here: the tracer in perfbench/spans.py wraps them on this module.
 from .encodings import build_adjacency_qubo, build_onehot_qubo  # noqa: F401
-from .qubo import weighted_sum  # noqa: F401
+from .qubo import normalize_range, weighted_sum  # noqa: F401
 
 __all__ = [
     "ExperimentSettings",
@@ -170,52 +171,40 @@ def run_penalty_norm(ds: NetworkDataset, settings: ExperimentSettings,
     return summary
 
 
-def _single_term_qubos(inst: ProblemInstance) -> dict[str, Qubo]:
-    bounds = compute_bounds(inst)
-    return {
-        "power": build_power_qubo(inst, bounds),
-        "load": build_load_qubo(inst, bounds),
-        "cost": build_cost_qubo(inst),
-        "switch": build_switch_qubo(inst),
-    }
-
-
 def run_score_norm(ds: NetworkDataset, settings: ExperimentSettings,
                    out_dir) -> dict:
     """Raw vs range-normalized single-term objectives.
 
     Reports the observed score spread of each term over random feasible
     schedules, and the published metrics after optimizing each term alone,
-    raw and normalized.
+    raw and normalized.  A term constant on one-hot schedules (switch at
+    T=1) is left out.
     """
     seed0 = settings.seeds[0]
     inst = build_instance(ds, settings.T, settings.k, seed=seed0,
                           promote_statics=settings.promote_statics)
-    terms = _single_term_qubos(inst)
-    ones = inst.T * inst.n
+    bounds = compute_bounds(inst)
+    terms = {"power": build_power_qubo(inst, bounds),
+             "load": build_load_qubo(inst, bounds),
+             "cost": build_cost_qubo(inst), "switch": build_switch_qubo(inst)}
     rng = np.random.default_rng(seed0)
     sample = np.stack([
         encode_one_hot(rng.integers(1, inst.k + 1, size=(inst.T, inst.n)),
                        inst.T, inst.n, inst.k)
         for _ in range(1000)
     ])
-    spread_rows = []
-    for name, qubo in terms.items():
-        lo, hi = extremal_scores(inst, name, qubo=qubo)
-        normalized = normalize_range(qubo, lo, hi, ones)
-        for label, q in (("raw", qubo), ("normalized", normalized)):
+    spread_rows, solve_rows, kept = [], [], []
+    for name, raw in terms.items():
+        scaled = normalized_term(inst, name, raw)
+        if scaled is None:
+            continue
+        kept.append(name)
+        # the hard weight dominates the raw span, or 1 once normalized
+        for label, q, span in (("raw", raw, scaled[1]),
+                               ("normalized", scaled[0], 1.0)):
             scores = q.evaluate_many(sample)
             spread_rows.append([name, label, float(scores.min()),
                                 float(np.median(scores)), float(scores.max())])
-    write_csv(out_dir / "score_norm_spread.csv",
-              ["term", "variant", "min", "median", "max"], spread_rows)
-
-    solve_rows = []
-    for name, qubo in terms.items():
-        lo, hi = extremal_scores(inst, name, qubo=qubo)
-        for label, q, span in (("raw", qubo, abs(hi - lo)),
-                               ("normalized",
-                                normalize_range(qubo, lo, hi, ones), 1.0)):
             for seed in settings.seeds:
                 guarded = add_hard_terms(inst, [(1.0, q)], _hard_weight(span))
                 Z, feasible = _solve_schedule(inst, guarded, seed,
@@ -226,11 +215,13 @@ def run_score_norm(ds: NetworkDataset, settings: ExperimentSettings,
                     report.production_cost, report.fulfilled_timepoints,
                     report.switches, int(feasible),
                 ])
+    write_csv(out_dir / "score_norm_spread.csv",
+              ["term", "variant", "min", "median", "max"], spread_rows)
     write_csv(out_dir / "score_norm_solutions.csv",
               ["term", "variant", "seed", "overloaded_lines",
                "production_cost", "fulfilled_timepoints", "switches",
                "feasible"], solve_rows)
-    return {"terms": sorted(terms)}
+    return {"terms": sorted(kept)}
 
 
 def composed_objective(inst: ProblemInstance) -> Qubo:

@@ -156,6 +156,7 @@ def test_solve_single_timepoint_instance(tmp_path, capsys, solver):
     ("solve", ("--solver", "brute")),
     ("experiment", ("--time-limit", "0")),
     ("experiment", ("--max-iterations", "-1")),
+    ("experiment-decomposers", ("--max-steps", "-1")),
     ("instance-missing-key", ()),
     ("instance-not-json", ()),
     ("instance-negative-s-box", ()),
@@ -172,6 +173,7 @@ def test_solve_single_timepoint_instance(tmp_path, capsys, solver):
 ], ids=["time-limit-0", "time-limit-negative", "max-iterations-negative",
         "batch-size-0", "batch-size-negative", "brute-above-cap",
         "experiment-time-limit-0", "experiment-max-iterations-negative",
+        "experiment-max-steps-negative",
         "instance-missing-key", "instance-not-json",
         "instance-negative-s-box", "config-bad-type", "config-not-a-flag",
         "sensitivity-max-iterations-negative", "sensitivity-config-step",
@@ -265,6 +267,19 @@ def test_experiment_penalty_norm(tmp_path, network_dir, capsys):
     assert (out / "MANIFEST.json").exists()
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["experiment"] == "penalty-norm"
+
+
+def test_experiment_score_norm_single_timepoint(tmp_path, network_dir, capsys):
+    # at T=1 the switch term is constant on one-hot schedules: left out
+    out = tmp_path / "exp"
+    code = main(["experiment", "score-norm", "--data-dir", str(network_dir),
+                 "--T", "1", "--seeds", "0", "--max-iterations", "200",
+                 "--out-dir", str(out)])
+    assert code == 0
+    for report in ("score_norm_spread.csv", "score_norm_solutions.csv"):
+        terms = {row.split(",")[0]
+                 for row in (out / report).read_text().splitlines()[1:]}
+        assert terms == {"power", "load", "cost"}, report
 
 
 def test_experiment_timeseries_rerun_identical(tmp_path, network_dir, capsys):

@@ -2,6 +2,10 @@
 
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,19 +168,20 @@ def test_load_qubo_matches_scalar_oracle():
                 assert q.evaluate(x) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
 
-def test_penalties_score_arbitrary_bit_vectors():
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 8),
+       normalized=st.booleans(), data=st.data())
+def test_penalties_score_arbitrary_bit_vectors(seed, L, normalized, data):
     # the QUBO and the oracle agree off the one-hot manifold as well
-    rng = np.random.default_rng(4)
-    inst = random_instance(rng, T=2, n=2, k=3, L=2)
+    inst = random_instance(np.random.default_rng(seed), L=L)
     bounds = compute_bounds(inst)
-    qg = build_power_qubo(inst, bounds)
-    qh = build_load_qubo(inst, bounds)
-    for _ in range(30):
-        x = rng.integers(0, 2, inst.dim)
-        assert qg.evaluate(x) == pytest.approx(
-            power_penalty(inst, x, bounds), rel=1e-9, abs=1e-9)
-        assert qh.evaluate(x) == pytest.approx(
-            load_penalty(inst, x, bounds), rel=1e-9, abs=1e-9)
+    qg = build_power_qubo(inst, bounds, normalized=normalized)
+    qh = build_load_qubo(inst, bounds, normalized=normalized)
+    x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=inst.dim,
+                                    max_size=inst.dim)))
+    for q, oracle in ((qg, power_penalty), (qh, load_penalty)):
+        expected = oracle(inst, x, bounds, normalized=normalized)
+        assert abs(q.evaluate(x) - expected) <= 1e-9 * (1.0 + abs(expected))
 
 
 def test_normalized_penalty_argument_at_most_one():
@@ -410,3 +415,37 @@ def test_objective_bits_are_pinned(seed):
     digest.update(q.vals.astype("<f8").tobytes())
     digest.update(repr(q.offset).encode())
     assert digest.hexdigest() == OBJECTIVE_DIGESTS[seed]
+
+
+BUILD_DIGEST = """
+import hashlib
+from redispatch.data import synth_instance
+from redispatch.encodings import build_load_qubo, build_power_qubo
+inst, _ = synth_instance(105, 5, 2, 20, seed=0)
+digest = hashlib.sha256()
+for build in (build_power_qubo, build_load_qubo):
+    for normalized in (False, True):
+        q = build(inst, normalized=normalized)
+        digest.update(q.rows.astype("<i8").tobytes())
+        digest.update(q.cols.astype("<i8").tobytes())
+        digest.update(q.vals.astype("<f8").tobytes())
+        digest.update(repr(q.offset).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_penalty_bits_ignore_blas_threads():
+    # nk = 525 and L = 20: large enough that a BLAS product would split a
+    # block's sums by thread count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in (1, 2):
+        env = {**os.environ, "PYTHONPATH": path,
+               **{key: str(threads) for key in
+                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+        child = subprocess.run([sys.executable, "-c", BUILD_DIGEST], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        digests.append(child.stdout)
+    assert digests[0] == digests[1]
