@@ -24,6 +24,7 @@ import numpy as np
 
 from .model import (
     ProblemInstance,
+    count_switches,
     decode_one_hot,
     first_adjacency_violation,
     flat_index,
@@ -282,9 +283,6 @@ def alpha_expansion(
     epoch = 0
     tol = 1e-9
 
-    def switches(Zm: np.ndarray) -> int:
-        return int(np.count_nonzero(np.diff(Zm, axis=0)))
-
     while epoch < budget.max_iterations:
         epoch += 1
         order = rng.permutation(len(members))
@@ -333,7 +331,8 @@ def alpha_expansion(
                         x_new[on], x_new[off] = x[off], x[on]
             Z_new = decode_one_hot(x_new, inst.T, inst.n, inst.k)
             take = delta < -tol or (
-                epoch == 1 and abs(delta) <= tol and switches(Z_new) < switches(Z)
+                epoch == 1 and abs(delta) <= tol
+                and count_switches(inst, Z_new) < count_switches(inst, Z)
             )
             if take:
                 x, Z = x_new, Z_new

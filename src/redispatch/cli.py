@@ -27,28 +27,23 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .alphaexp import alpha_expansion
-from .decomposers import DecomposeConfig, decompose_loop
+from .encodings import InfeasibleBoundError
 from .experiments import (
+    REPORT_COLUMNS,
+    SOLVERS,
     ExperimentSettings,
     composed_objective,
     fmt,
+    read_out,
+    report_cells,
     run_decomposers,
     run_penalty_norm,
     run_score_norm,
+    run_solver,
     run_timeseries,
     write_csv,
 )
-from .model import encode_one_hot, evaluate_schedule, read_schedule
-from .solvers import (
-    Budget,
-    SolveRequest,
-    TooLargeError,
-    brute_force,
-    simulated_annealing,
-    tabu_search,
-    write_trace_csv,
-)
+from .solvers import TooLargeError, write_trace_csv
 
 __all__ = ["main"]
 
@@ -193,39 +188,11 @@ def cmd_solve(args) -> int:
     if args.batch_size < 1 or args.subproblem_size < 1:
         raise ConfigError("--batch-size and --subproblem-size must be at least 1")
     inst = data_mod.load_instance(args.instance)
-    qubo = composed_objective(inst)
-    x0 = encode_one_hot(np.ones((inst.T, inst.n), dtype=int),
-                        inst.T, inst.n, inst.k)
-    if args.solver == "alpha":
-        result = alpha_expansion(
-            inst, qubo, x0, batch_size=args.batch_size,
-            budget=Budget(max_iterations=args.max_iterations,
-                          time_limit=time_limit),
-            seed=args.seed,
-        )
-    elif args.solver in ("random-decomp", "score-decomp"):
-        result = decompose_loop(qubo, x0, DecomposeConfig(
-            subproblem_size=args.subproblem_size,
-            strategy=args.solver.split("-")[0],
-            max_steps=args.max_iterations,
-            time_limit=time_limit,
-            seed=args.seed,
-        ))
-    else:
-        req = SolveRequest(
-            qubo=qubo, initial=x0, seed=args.seed,
-            budget=Budget(max_iterations=args.max_iterations,
-                          time_limit=time_limit),
-        )
-        if args.solver == "tabu":
-            result = tabu_search(req)
-        elif args.solver == "sa":
-            result = simulated_annealing(req)
-        else:
-            result = brute_force(req)
+    result = run_solver(args.solver, inst, composed_objective(inst), args.seed,
+                        args.max_iterations, time_limit, args.batch_size,
+                        args.subproblem_size)
     out = _out_dir(args)
-    Z, feasible = read_schedule(result.best, inst.T, inst.n, inst.k)
-    report = evaluate_schedule(inst, Z)
+    Z, feasible, report = read_out(inst, result.best)
     solution = {
         "schedule": Z.tolist(),
         "objective": result.score,
@@ -240,15 +207,10 @@ def cmd_solve(args) -> int:
     _write_json(out / "solution.json", solution)
     _write_json(out / "timing.json", {"wall_seconds": result.wall_seconds})
     write_trace_csv(out / "trace.csv", result.trace)
-    report_rows = [[
-        args.solver, args.seed, result.iterations, result.score,
-        report.overloaded_lines, report.production_cost,
-        report.fulfilled_timepoints, report.switches, int(feasible),
-    ]]
     write_csv(out / "report.csv",
-              ["solver", "seed", "iterations", "objective",
-               "overloaded_lines", "production_cost", "fulfilled_timepoints",
-               "switches", "feasible"], report_rows)
+              ["solver", "seed", "iterations", "objective", *REPORT_COLUMNS],
+              [[args.solver, args.seed, result.iterations, result.score,
+                *report_cells(report, feasible)]])
     config = {
         "instance": str(args.instance), "solver": args.solver,
         "seed": args.seed, "max_iterations": args.max_iterations,
@@ -363,9 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="minimize the composite objective")
     common(p)
     p.add_argument("--instance", required=True)
-    p.add_argument("--solver", default="alpha",
-                   choices=["alpha", "tabu", "sa", "brute",
-                            "random-decomp", "score-decomp"])
+    p.add_argument("--solver", default="alpha", choices=SOLVERS)
     p.add_argument("--max-iterations", type=int, default=10000)
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--batch-size", type=int, default=12)
@@ -408,7 +368,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, data_mod.ParseError, data_mod.SchemaError,
             data_mod.BadLevelsError, FileNotFoundError,
-            TooLargeError) as exc:
+            InfeasibleBoundError, TooLargeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -235,6 +235,8 @@ def load_network(path) -> NetworkDataset:
     fp_rows = _read_rows(fp_path, ["id", "t", "mw"])
     fixed_ids = list(dict.fromkeys(row["id"] for row in fp_rows))
     fixed_profiles, fixed_t = _series_matrix(fp_rows, fixed_ids, fp_path, "id")
+    if not fp_rows:  # no fixed elements: an empty series on the shared axis
+        fixed_profiles, fixed_t = np.empty((raw_t, 0)), raw_t
 
     fl_path = root / "flows.csv"
     fl_rows = _read_rows(fl_path, ["line_id", "t", "mw"])
@@ -521,8 +523,11 @@ def synth_instance(
     Costs dip to zero exactly at the planted states, the power target is what
     the planted schedule produces, and line limits leave it a safety margin,
     so under a cost-only objective the planted schedule is the optimum.
-    Returns (instance, planted schedule).
+    Returns (instance, planted schedule).  BadLevelsError if k < 2: one
+    state produces nothing, so no target or limit leaves any slack.
     """
+    if k < 2:
+        raise BadLevelsError(f"need at least 2 states, got {k}")
     rng = np.random.default_rng(seed)
     p = np.hstack([
         np.zeros((n, 1)),

@@ -1,4 +1,4 @@
-"""Desk-scale experiment protocols behind the `experiment` CLI subcommand.
+"""Desk-scale study protocols, and the named-solver path `solve` shares.
 
 Each protocol builds instances from a dataset, runs the relevant solvers over
 a seed list and writes deterministic CSV reports (fixed float formatting, no
@@ -28,6 +28,7 @@ from .encodings import (
 )
 from .model import (
     ProblemInstance,
+    SolutionReport,
     decode_one_hot,
     encode_one_hot,
     evaluate_schedule,
@@ -36,20 +37,36 @@ from .model import (
     read_schedule,
 )
 from .qubo import Qubo
-from .solvers import Budget, SolveRequest, tabu_search
+from .solvers import (
+    Budget,
+    SolveRequest,
+    SolveResult,
+    brute_force,
+    simulated_annealing,
+    tabu_search,
+)
 
 # Not called here: the tracer in perfbench/spans.py wraps them on this module.
 from .encodings import build_adjacency_qubo, build_onehot_qubo  # noqa: F401
 from .qubo import normalize_range, weighted_sum  # noqa: F401
 
 __all__ = [
+    "SOLVERS",
     "ExperimentSettings",
+    "run_solver",
     "fmt",
     "run_penalty_norm",
     "run_score_norm",
     "run_decomposers",
     "run_timeseries",
 ]
+
+
+SOLVERS = ("alpha", "tabu", "sa", "brute", "random-decomp", "score-decomp")
+
+# metric columns of report.csv, decomposers.csv and score_norm_solutions.csv
+REPORT_COLUMNS = ["overloaded_lines", "production_cost",
+                  "fulfilled_timepoints", "switches", "feasible"]
 
 
 @dataclass(frozen=True)
@@ -88,14 +105,65 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(fmt(cell) for cell in row) + "\n")
 
 
+def write_summary(path, key: str,
+                  groups: dict[str, dict[str, list[float]]]) -> dict:
+    """Write and return each group's <metric>_mean, <metric>_std in order."""
+    summary = {}
+    for name, metrics in groups.items():
+        summary[name] = {}
+        for metric, values in metrics.items():
+            arr = np.asarray(values, dtype=float)
+            summary[name][f"{metric}_mean"] = float(arr.mean())
+            summary[name][f"{metric}_std"] = float(arr.std())
+    write_csv(path, [key, *next(iter(summary.values()))],
+              [[name, *stats.values()] for name, stats in summary.items()])
+    return summary
+
+
+def run_solver(name: str, inst: ProblemInstance, qubo: Qubo, seed: int,
+               max_iterations: int, time_limit: float, batch_size: int = 12,
+               subproblem_size: int = 40) -> SolveResult:
+    """Minimize qubo with solver `name` (one of SOLVERS) from all-state-1.
+
+    max_iterations counts alpha epochs, decomposer steps or sampler flips.
+    """
+    x0 = encode_one_hot(np.ones((inst.T, inst.n), dtype=int),
+                        inst.T, inst.n, inst.k)
+    budget = Budget(max_iterations=max_iterations, time_limit=time_limit)
+    if name == "alpha":
+        return alpha_expansion(inst, qubo, x0, batch_size=batch_size,
+                               budget=budget, seed=seed)
+    if name in ("random-decomp", "score-decomp"):
+        return decompose_loop(qubo, x0, DecomposeConfig(
+            subproblem_size=subproblem_size, strategy=name.split("-")[0],
+            max_steps=max_iterations, time_limit=time_limit, seed=seed))
+    sampler = {"tabu": tabu_search, "sa": simulated_annealing,
+               "brute": brute_force}[name]
+    return sampler(SolveRequest(qubo=qubo, initial=x0, seed=seed,
+                                budget=budget))
+
+
+def read_out(inst: ProblemInstance,
+             x: np.ndarray) -> tuple[np.ndarray, bool, SolutionReport]:
+    """(schedule, one-hot, report) of a solver's best bit vector."""
+    Z, feasible = read_schedule(x, inst.T, inst.n, inst.k)
+    return Z, feasible, evaluate_schedule(inst, Z)
+
+
+def report_cells(report: SolutionReport, feasible: bool) -> list:
+    """The REPORT_COLUMNS cells of one evaluated schedule."""
+    return [report.overloaded_lines, report.production_cost,
+            report.fulfilled_timepoints, report.switches, int(feasible)]
+
+
 def _hard_weight(soft_span: float) -> float:
     """Hard-constraint weight dominating a soft score range of soft_span."""
     return 10.0 * max(1.0, soft_span)
 
 
 def _solve_schedule(inst: ProblemInstance, qubo: Qubo, seed: int,
-                    iterations: int) -> tuple[np.ndarray, bool]:
-    """Tabu from a seeded random constant schedule; returns (schedule, one-hot).
+                    iterations: int) -> tuple[np.ndarray, bool, SolutionReport]:
+    """Tabu from a seeded random constant schedule; returns read_out of it.
 
     A constant schedule keeps the start adjacency-feasible while varying it
     across seeds, which is what spreads the per-seed statistics.
@@ -107,12 +175,7 @@ def _solve_schedule(inst: ProblemInstance, qubo: Qubo, seed: int,
         qubo=qubo, initial=x0, seed=seed,
         budget=Budget(max_iterations=iterations),
     ))
-    return read_schedule(result.best, inst.T, inst.n, inst.k)
-
-
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    return float(arr.mean()), float(arr.std())
+    return read_out(inst, result.best)
 
 
 def run_penalty_norm(ds: NetworkDataset, settings: ExperimentSettings,
@@ -124,10 +187,8 @@ def run_penalty_norm(ds: NetworkDataset, settings: ExperimentSettings,
     timepoint and power fulfillment.
     """
     rows = []
-    per_variant: dict[str, dict[str, list[float]]] = {
-        "baseline": {"overloads": [], "fulfillment": []},
-        "normalized": {"overloads": [], "fulfillment": []},
-    }
+    per_variant = {variant: {"overloads": [], "fulfillment": []}
+                   for variant in ("baseline", "normalized")}
     for seed in settings.seeds:
         inst = build_instance(ds, settings.T, settings.k, seed=seed,
                               promote_statics=settings.promote_statics)
@@ -141,9 +202,8 @@ def run_penalty_norm(ds: NetworkDataset, settings: ExperimentSettings,
             span = abs(p_hi - p_lo) + abs(l_hi - l_lo)
             qubo = add_hard_terms(inst, [(1.0, power), (1.0, load)],
                                   _hard_weight(span))
-            Z, feasible = _solve_schedule(inst, qubo, seed,
-                                          settings.tabu_iterations)
-            report = evaluate_schedule(inst, Z)
+            _, feasible, report = _solve_schedule(inst, qubo, seed,
+                                                  settings.tabu_iterations)
             rows.append([
                 variant, seed, report.mean_overloaded_per_timepoint,
                 report.mean_fulfillment, report.fulfilled_timepoints,
@@ -156,19 +216,8 @@ def run_penalty_norm(ds: NetworkDataset, settings: ExperimentSettings,
               ["variant", "seed", "overloaded_per_timepoint",
                "mean_fulfillment", "fulfilled_timepoints", "feasible"],
               rows)
-    summary_rows = []
-    summary = {}
-    for variant, metrics in per_variant.items():
-        mo, so = _mean_std(metrics["overloads"])
-        mf, sf = _mean_std(metrics["fulfillment"])
-        summary_rows.append([variant, mo, so, mf, sf])
-        summary[variant] = {"overloads_mean": mo, "overloads_std": so,
-                            "fulfillment_mean": mf, "fulfillment_std": sf}
-    write_csv(out_dir / "penalty_norm_summary.csv",
-              ["variant", "overloads_mean", "overloads_std",
-               "fulfillment_mean", "fulfillment_std"],
-              summary_rows)
-    return summary
+    return write_summary(out_dir / "penalty_norm_summary.csv", "variant",
+                         per_variant)
 
 
 def run_score_norm(ds: NetworkDataset, settings: ExperimentSettings,
@@ -207,20 +256,14 @@ def run_score_norm(ds: NetworkDataset, settings: ExperimentSettings,
                                 float(np.median(scores)), float(scores.max())])
             for seed in settings.seeds:
                 guarded = add_hard_terms(inst, [(1.0, q)], _hard_weight(span))
-                Z, feasible = _solve_schedule(inst, guarded, seed,
-                                              settings.tabu_iterations)
-                report = evaluate_schedule(inst, Z)
-                solve_rows.append([
-                    name, label, seed, report.overloaded_lines,
-                    report.production_cost, report.fulfilled_timepoints,
-                    report.switches, int(feasible),
-                ])
+                _, feasible, report = _solve_schedule(
+                    inst, guarded, seed, settings.tabu_iterations)
+                solve_rows.append([name, label, seed,
+                                   *report_cells(report, feasible)])
     write_csv(out_dir / "score_norm_spread.csv",
               ["term", "variant", "min", "median", "max"], spread_rows)
     write_csv(out_dir / "score_norm_solutions.csv",
-              ["term", "variant", "seed", "overloaded_lines",
-               "production_cost", "fulfilled_timepoints", "switches",
-               "feasible"], solve_rows)
+              ["term", "variant", "seed", *REPORT_COLUMNS], solve_rows)
     return {"terms": sorted(kept)}
 
 
@@ -233,50 +276,29 @@ def composed_objective(inst: ProblemInstance) -> Qubo:
 def run_decomposers(ds: NetworkDataset, settings: ExperimentSettings,
                     out_dir) -> dict:
     """Cycle-move expansion against the clamping baselines on one composite."""
+    # (row label, solver, budget): alpha epochs or decomposer steps
+    runs = (("alpha", "alpha", 50),
+            ("random", "random-decomp", settings.max_steps),
+            ("score", "score-decomp", settings.max_steps))
     rows = []
-    scores: dict[str, list[float]] = {"alpha": [], "random": [], "score": []}
+    scores = {label: {"objective": []} for label, _, _ in runs}
     for seed in settings.seeds:
         inst = build_instance(ds, settings.T, settings.k, seed=seed,
                               promote_statics=settings.promote_statics)
         qubo = composed_objective(inst)
-        x0 = encode_one_hot(np.ones((inst.T, inst.n), dtype=int),
-                            inst.T, inst.n, inst.k)
-        runs = {}
-        runs["alpha"] = alpha_expansion(
-            inst, qubo, x0, batch_size=settings.batch_size,
-            budget=Budget(max_iterations=50, time_limit=settings.time_limit),
-            seed=seed,
-        )
-        for strategy in ("random", "score"):
-            runs[strategy] = decompose_loop(qubo, x0, DecomposeConfig(
-                subproblem_size=settings.subproblem_size,
-                strategy=strategy,
-                max_steps=settings.max_steps,
-                time_limit=settings.time_limit,
-                seed=seed,
-            ))
-        for name, result in runs.items():
-            Z, feasible = read_schedule(result.best, inst.T, inst.n, inst.k)
-            report = evaluate_schedule(inst, Z)
-            scores[name].append(result.score)
-            rows.append([
-                name, seed, result.iterations, result.score,
-                report.overloaded_lines, report.production_cost,
-                report.fulfilled_timepoints, report.switches, int(feasible),
-            ])
+        for label, solver, budget in runs:
+            result = run_solver(solver, inst, qubo, seed, budget,
+                                settings.time_limit, settings.batch_size,
+                                settings.subproblem_size)
+            _, feasible, report = read_out(inst, result.best)
+            scores[label]["objective"].append(result.score)
+            rows.append([label, seed, result.iterations, result.score,
+                         *report_cells(report, feasible)])
     write_csv(out_dir / "decomposers.csv",
-              ["decomposer", "seed", "steps", "objective", "overloaded_lines",
-               "production_cost", "fulfilled_timepoints", "switches",
-               "feasible"], rows)
-    summary_rows = []
-    summary = {}
-    for name, vals in scores.items():
-        mean, std = _mean_std(vals)
-        summary_rows.append([name, mean, std])
-        summary[name] = {"objective_mean": mean, "objective_std": std}
-    write_csv(out_dir / "decomposers_summary.csv",
-              ["decomposer", "objective_mean", "objective_std"], summary_rows)
-    return summary
+              ["decomposer", "seed", "steps", "objective", *REPORT_COLUMNS],
+              rows)
+    return write_summary(out_dir / "decomposers_summary.csv", "decomposer",
+                         scores)
 
 
 def run_timeseries(ds: NetworkDataset, settings: ExperimentSettings,
@@ -285,14 +307,8 @@ def run_timeseries(ds: NetworkDataset, settings: ExperimentSettings,
     seed = settings.seeds[0]
     inst = build_instance(ds, settings.T, settings.k, seed=seed,
                           promote_statics=settings.promote_statics)
-    qubo = composed_objective(inst)
-    x0 = encode_one_hot(np.ones((inst.T, inst.n), dtype=int),
-                        inst.T, inst.n, inst.k)
-    result = alpha_expansion(
-        inst, qubo, x0, batch_size=settings.batch_size,
-        budget=Budget(max_iterations=50, time_limit=settings.time_limit),
-        seed=seed,
-    )
+    result = run_solver("alpha", inst, composed_objective(inst), seed, 50,
+                        settings.time_limit, settings.batch_size)
     Z = decode_one_hot(result.best, inst.T, inst.n, inst.k)
     prod = power_production(inst, Z)
     loads = line_loads(inst, Z)

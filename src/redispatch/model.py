@@ -14,7 +14,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
 import numpy as np
 
 __all__ = [
@@ -120,8 +122,9 @@ class ProblemInstance:
             raise ValueError(f"sensitivities fall outside the box [{lo}, {hi}]")
         if len(self.weights) != 4:
             raise ValueError("weights must be (power, load, cost, switch)")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be non-negative")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.gamma, *self.weights)):
+            raise ValueError("gamma and weights must be finite and non-negative, "
+                             f"got {self.gamma!r} and {self.weights!r}")
 
     @property
     def dim(self) -> int:

@@ -147,6 +147,18 @@ def test_solve_single_timepoint_instance(tmp_path, capsys, solver):
     assert json.loads((out / "solution.json").read_text())["feasible"] is True
 
 
+# instance-file fields that must exit 2, not 0 or 3
+INSTANCE_EDITS = {
+    "instance-negative-s-box": {"s_box": [-1.0, 1.0]},
+    "instance-gamma-nan": {"gamma": float("nan")},
+    "instance-gamma-negative": {"gamma": -5.0},
+    "instance-weight-nan": {"weights": [float("nan"), 100.0, 20.0, 1e-4]},
+    "instance-weight-inf": {"weights": [float("inf"), 100.0, 20.0, 1e-4]},
+    # no schedule reaches the target, so compute_bounds has no slack
+    "instance-unreachable-target": {"tau": [1e9, 1e9]},
+}
+
+
 @pytest.mark.parametrize("command, extra", [
     ("solve", ("--time-limit", "0")),
     ("solve", ("--time-limit", "-1.5")),
@@ -170,6 +182,12 @@ def test_solve_single_timepoint_instance(tmp_path, capsys, solver):
     ("solve", ("--seed", "-1")),
     ("build-instance", ("--synthetic", "0,2,1,1", "--T", "1", "--k", "2")),
     ("solve", ("--solver", "random-decomp", "--subproblem-size", "0")),
+    ("instance-gamma-nan", ()),
+    ("instance-gamma-negative", ()),
+    ("instance-weight-nan", ()),
+    ("instance-weight-inf", ()),
+    ("instance-unreachable-target", ()),
+    ("build-instance", ("--synthetic", "3,1,2,2", "--T", "2", "--k", "1")),
 ], ids=["time-limit-0", "time-limit-negative", "max-iterations-negative",
         "batch-size-0", "batch-size-negative", "brute-above-cap",
         "experiment-time-limit-0", "experiment-max-iterations-negative",
@@ -179,7 +197,10 @@ def test_solve_single_timepoint_instance(tmp_path, capsys, solver):
         "sensitivity-max-iterations-negative", "sensitivity-config-step",
         "experiment-seeds-not-integers", "experiment-T-0",
         "experiment-L-on-6-timepoints", "seed-negative",
-        "synthetic-zero-resources", "subproblem-size-0"])
+        "synthetic-zero-resources", "subproblem-size-0",
+        "instance-gamma-nan", "instance-gamma-negative", "instance-weight-nan",
+        "instance-weight-inf", "instance-unreachable-target",
+        "synthetic-one-state"])
 def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
     if extra and isinstance(extra[0], dict):
         cfg = tmp_path / "cfg.json"
@@ -206,9 +227,9 @@ def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
             inst_path.write_text(json.dumps(doc))
         elif command == "instance-not-json":
             inst_path.write_text("{not json")
-        elif command == "instance-negative-s-box":
+        elif command in INSTANCE_EDITS:
             doc = json.loads(inst_path.read_text())
-            doc["s_box"] = [-1.0, 1.0]
+            doc.update(INSTANCE_EDITS[command])
             inst_path.write_text(json.dumps(doc))
     assert main(args + [*extra, *out]) == 2
     assert "configuration error" in capsys.readouterr().err

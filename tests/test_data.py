@@ -129,6 +129,17 @@ def test_mismatched_time_axes_rejected(network_dir):
         load_network(network_dir)
 
 
+def test_network_without_fixed_elements_loads(tmp_path):
+    # an empty fixed_profiles.csv used to get a time axis of length 0
+    root = write_synthetic_network(tmp_path / "net", 3, 2, 6, n_fixed=0)
+    ds = load_network(root)
+    assert ds.fixed_ids == [] and ds.fixed_profiles.shape == (6, 0)
+    for promote in (False, True):
+        inst = build_instance(ds, T=2, k=3, promote_statics=promote)
+        assert inst.n == 3
+        compute_bounds(inst)
+
+
 def test_inverted_rating_rejected(network_dir):
     path = network_dir / "controllables.csv"
     lines = path.read_text().splitlines()

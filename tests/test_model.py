@@ -112,6 +112,20 @@ def test_cost_and_switch_metrics_hand_values():
     assert count_switches(inst, np.array([[2, 3], [2, 3]])) == 0
 
 
+@pytest.mark.parametrize("field, value", [
+    ("gamma", float("nan")), ("gamma", -5.0), ("gamma", float("inf")),
+    ("weights", (float("nan"), 100.0, 20.0, 1e-4)),
+    ("weights", (float("inf"), 100.0, 20.0, 1e-4)),
+    ("weights", (30.0, 100.0, -20.0, 1e-4)),
+])
+def test_instance_rejects_bad_gamma_and_weights(field, value):
+    # a NaN weight used to drop its term silently (NaN > 0 is False)
+    fields = {f: getattr(tiny_instance(), f)
+              for f in ("T", "n", "k", "L", "p", "c", "S", "M", "tau")}
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        ProblemInstance(**fields, **{field: value})
+
+
 def test_evaluate_schedule_report():
     inst = tiny_instance()
     Z = np.array([[3, 3], [1, 1]])
