@@ -241,7 +241,6 @@ def alpha_expansion(
     batch_size: int = 16,
     budget: Budget | None = None,
     seed: int = 0,
-    on_epoch=None,
 ) -> SolveResult:
     """Minimize a QUBO over feasible schedules by batched cycle moves.
 
@@ -254,9 +253,6 @@ def alpha_expansion(
     first epoch.  Stops after an epoch without any accepted move, or when
     the budget (max_iterations counts epochs) runs out.
     budget.max_iterations = 0 returns the start point.
-
-    on_epoch, when given, is called as on_epoch(epoch_index, accepted_moves,
-    score) after every epoch.
     """
     if budget is None:
         budget = Budget(max_iterations=1000)
@@ -288,11 +284,7 @@ def alpha_expansion(
         order = rng.permutation(len(members))
         pool = [members[i] for i in order.tolist()]
         accepted_moves = 0
-        out_of_time = False
-        while pool:
-            if time.monotonic() > deadline:
-                out_of_time = True
-                break
+        while pool and time.monotonic() <= deadline:
             batch, pool = sample_disjoint_changes(pool, batch_size, inst.k)
             batch = [ch for ch in batch if Z[ch.t, ch.j] != ch.i_new]
             cycles: list[CycleSet] = []
@@ -323,12 +315,11 @@ def alpha_expansion(
             delta = reduced.evaluate(alpha)
             if not alpha.any():
                 continue
-            # the cycles touch disjoint bits, so their swaps apply in place
-            x_new = x.copy()
+            # the cycles touch disjoint blocks, so they apply one by one
+            x_new = x
             for sel, cyc in zip(alpha.tolist(), cycles):
                 if sel:
-                    for on, off in cyc.swaps:
-                        x_new[on], x_new[off] = x[off], x[on]
+                    x_new = cyc.apply(x_new)
             Z_new = decode_one_hot(x_new, inst.T, inst.n, inst.k)
             take = delta < -tol or (
                 epoch == 1 and abs(delta) <= tol
@@ -339,9 +330,7 @@ def alpha_expansion(
                 score += delta
                 accepted_moves += int(alpha.sum())
                 trace.append((steps, score))
-        if on_epoch is not None:
-            on_epoch(epoch, accepted_moves, score)
-        if out_of_time or accepted_moves == 0:
+        if pool or accepted_moves == 0:  # out of time, or nothing accepted
             break
     # re-anchor the arithmetic so the reported score is exact, not summed deltas
     score = qubo.evaluate(x)

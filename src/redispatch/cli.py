@@ -43,6 +43,7 @@ from .experiments import (
     run_timeseries,
     write_csv,
 )
+from .qubo import NonFiniteError
 from .solvers import TooLargeError, write_trace_csv
 
 __all__ = ["main"]
@@ -125,6 +126,14 @@ def _load_dataset(args) -> data_mod.NetworkDataset:
     raise ConfigError("a dataset directory is required (--data-dir)")
 
 
+def _shape_flags(args, size: str | None) -> list:
+    """T, k and promote_statics: each flag as given, else the size preset's
+    value (without a preset: None for T and k, False for promote_statics)."""
+    preset = SIZE_PRESETS.get(size, {"promote_statics": False})
+    return [preset.get(key) if getattr(args, key) is None else getattr(args, key)
+            for key in ("T", "k", "promote_statics")]
+
+
 def _check_T(T: int, ds: data_mod.NetworkDataset) -> None:
     if not 1 <= T <= ds.raw_timepoints:
         raise ConfigError(f"T must be in 1..{ds.raw_timepoints}, got {T}")
@@ -150,22 +159,24 @@ def _out_dir(args) -> Path:
 def cmd_build_instance(args) -> int:
     if bool(args.data_dir) == bool(args.synthetic):
         raise ConfigError("pass exactly one of --data-dir or --synthetic n,k,T,L")
-    preset = SIZE_PRESETS.get(args.size, {})
-    T = args.T if args.T is not None else preset.get("T")
-    k = args.k if args.k is not None else preset.get("k")
-    if T is None or k is None:
-        raise ConfigError("need --size S|L or explicit --T and --k")
-    promote = (args.promote_statics if args.promote_statics is not None
-               else preset.get("promote_statics", False))
+    T, k, promote = _shape_flags(args, args.size)
     if args.synthetic:
+        if args.size is not None or args.promote_statics is not None:
+            raise ConfigError("--size and --promote-statics do not apply to --synthetic")
         try:
             n, k_s, t_s, L = (int(v) for v in args.synthetic.split(","))
         except ValueError as exc:
             raise ConfigError(f"--synthetic wants n,k,T,L integers: {exc}") from exc
         if min(n, k_s, t_s, L) < 1:
             raise ConfigError(f"--synthetic wants positive n,k,T,L, got {args.synthetic}")
+        for flag, given, value in (("--T", T, t_s), ("--k", k, k_s)):
+            if given not in (None, value):
+                raise ConfigError(f"{flag} {given} disagrees with --synthetic "
+                                  f"{args.synthetic} (n,k,T,L)")
         inst, _ = data_mod.synth_instance(n, k_s, t_s, L, seed=args.seed)
     else:
+        if T is None or k is None:
+            raise ConfigError("need --size S|L or explicit --T and --k")
         ds = data_mod.load_network(args.data_dir)
         _check_T(T, ds)
         inst = data_mod.build_instance(ds, T, k, seed=args.seed,
@@ -175,7 +186,7 @@ def cmd_build_instance(args) -> int:
     data_mod.save_instance(out, inst)
     config = {
         "data_dir": str(args.data_dir) if args.data_dir else None,
-        "synthetic": args.synthetic, "size": args.size, "T": T, "k": k,
+        "synthetic": args.synthetic, "size": args.size, "T": inst.T, "k": inst.k,
         "promote_statics": promote, "seed": args.seed, "out": str(out),
     }
     _write_manifest(out.parent, "build-instance", config)
@@ -235,17 +246,11 @@ def cmd_experiment(args) -> int:
         raise ConfigError(f"--seeds wants comma separated integers: {exc}") from exc
     if min(seeds) < 0:
         raise ConfigError("--seeds must be non-negative")
-    preset = SIZE_PRESETS.get(args.size, SIZE_PRESETS["S"])
+    T, k, promote = _shape_flags(args, args.size)
     settings = ExperimentSettings(
-        T=args.T if args.T is not None else preset["T"],
-        k=args.k if args.k is not None else preset["k"],
-        seeds=seeds,
-        tabu_iterations=args.max_iterations,
-        time_limit=time_limit,
-        max_steps=args.max_steps,
-        promote_statics=(args.promote_statics
-                         if args.promote_statics is not None
-                         else preset["promote_statics"]),
+        T=T, k=k, seeds=seeds, tabu_iterations=args.max_iterations,
+        time_limit=time_limit, max_steps=args.max_steps,
+        promote_statics=promote,
     )
     _check_T(settings.T, ds)
     runner = {
@@ -277,14 +282,10 @@ def cmd_estimate_sensitivity(args) -> int:
     phi = np.hstack([ds.controllable_profiles, ds.fixed_profiles])
     fit = data_mod.estimate_sensitivity(phi, ds.flows, args.max_iterations)
     source_ids = [c.id for c in ds.controllables] + list(ds.fixed_ids)
-    rows = []
-    for i, ident in enumerate(source_ids):
-        for l, line in enumerate(ds.lines):
-            rows.append([ident, line.id, fit.S[i, l]])
-    with open(out / "sensitivity.csv", "w", encoding="ascii") as fh:
-        fh.write("source_id,line_id,sensitivity\n")
-        for ident, line_id, v in rows:
-            fh.write(f"{ident},{line_id},{fmt(v)}\n")
+    write_csv(out / "sensitivity.csv", ["source_id", "line_id", "sensitivity"],
+              [[ident, line.id, fit.S[i, l]]
+               for i, ident in enumerate(source_ids)
+               for l, line in enumerate(ds.lines)])
     write_csv(out / "fit_loss.csv", ["iteration", "loss"],
               [[i, v] for i, v in enumerate(fit.loss_trace)])
     _write_json(out / "fit.json", {
@@ -368,7 +369,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, data_mod.ParseError, data_mod.SchemaError,
             data_mod.BadLevelsError, FileNotFoundError,
-            InfeasibleBoundError, TooLargeError) as exc:
+            InfeasibleBoundError, NonFiniteError, TooLargeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -515,7 +515,6 @@ def synth_instance(
     T: int,
     L: int,
     seed: int = 0,
-    planted: np.ndarray | None = None,
     weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS,
 ) -> tuple[ProblemInstance, np.ndarray]:
     """Random feasible instance with a planted schedule.
@@ -533,16 +532,11 @@ def synth_instance(
         np.zeros((n, 1)),
         np.sort(rng.uniform(1.0, 10.0, size=(n, k - 1)), axis=1),
     ])
-    if planted is None:
-        planted = np.zeros((T, n), dtype=int)
-        planted[0] = rng.integers(1, k + 1, size=n)
-        for t in range(1, T):
-            moves = rng.integers(-1, 2, size=n)
-            planted[t] = np.clip(planted[t - 1] + moves, 1, k)
-    else:
-        planted = np.asarray(planted, dtype=int)
-        if planted.shape != (T, n):
-            raise ValueError(f"planted schedule has shape {planted.shape}, want {(T, n)}")
+    planted = np.zeros((T, n), dtype=int)
+    planted[0] = rng.integers(1, k + 1, size=n)
+    for t in range(1, T):
+        moves = rng.integers(-1, 2, size=n)
+        planted[t] = np.clip(planted[t - 1] + moves, 1, k)
     states = np.arange(1, k + 1)
     unit = rng.uniform(0.5, 1.5, size=(T, n))
     c = unit[:, :, None] * np.abs(states[None, None, :] - planted[:, :, None])

@@ -27,6 +27,7 @@ __all__ = [
     "Qubo",
     "DimensionMismatchError",
     "DegenerateRangeError",
+    "NonFiniteError",
     "weighted_sum",
     "normalize_range",
 ]
@@ -38,6 +39,10 @@ class DimensionMismatchError(ValueError):
 
 class DegenerateRangeError(ValueError):
     """Score range normalization was asked for an empty score range."""
+
+
+class NonFiniteError(ValueError):
+    """A coefficient or the offset is NaN or infinite, or a sum overflowed."""
 
 
 class Qubo:
@@ -251,7 +256,7 @@ def normalize_range(
 
 def _check_finite(vals: np.ndarray, offset: float) -> None:
     if not math.isfinite(offset) or not np.isfinite(vals).all():
-        raise ValueError("QUBO coefficients and offset must be finite")
+        raise NonFiniteError("QUBO coefficients and offset must be finite")
 
 
 def _merge(dim: int, parts, offset: float) -> Qubo:

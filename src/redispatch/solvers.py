@@ -115,15 +115,17 @@ def _initial_vector(req: SolveRequest, rng: np.random.Generator) -> np.ndarray:
 class _Walk:
     """Single-flip state shared by tabu search and annealing.
 
-    Holds the seeded generator, the current vector, the score change of
-    flipping each bit (kept current by flip), the running score, the
-    incumbent with its improvement trace, and the wall-clock deadline.
+    Holds the seeded generator, the current vector x with its signs
+    1 - 2 x (exactly +-1.0), the score change of flipping each bit, the
+    running score, the incumbent with its improvement trace, and the
+    wall-clock deadline.  flip keeps all of them current.
     """
 
     def __init__(self, req: SolveRequest):
         self.qubo = req.qubo
         self.rng = np.random.default_rng(req.seed)
         self.x = _initial_vector(req, self.rng)
+        self.sign = 1.0 - 2.0 * self.x
         self.started = time.monotonic()
         self.deadline = self.started + req.budget.time_limit
         _, self.neighbors, self.weights = req.qubo.adjacency()
@@ -135,13 +137,12 @@ class _Walk:
 
     def flip(self, i: int, it: int) -> None:
         """Flip bit i at iteration it, updating deltas, score and incumbent."""
-        x, deltas = self.x, self.deltas
+        x, deltas, sign = self.x, self.deltas, self.sign
         d = float(deltas[i])
-        sign = 1.0 - 2.0 * x[i]
         nb = self.neighbors[i]
-        if nb.size:
-            deltas[nb] += (1.0 - 2.0 * x[nb]) * self.weights[i] * sign
+        deltas[nb] += sign[nb] * self.weights[i] * sign[i]
         deltas[i] = -d
+        sign[i] = -sign[i]
         x[i] = 1 - x[i]
         self.score += d
         if self.score < self.best_score - 1e-12:
@@ -217,15 +218,11 @@ def tabu_search(req: SolveRequest) -> SolveResult:
 
 
 def _tabu_on_arrays(walk: _Walk, limit: int, tenure: int) -> int:
-    """The move rule over numpy arrays, with _Walk.flip inlined; sign[j] is
-    its 1 - 2 x[j] (exactly +-1.0), kept instead of recomputed each flip."""
-    x, deltas = walk.x, walk.deltas
-    neighbors, weights = walk.neighbors, walk.weights
-    sign = 1.0 - 2.0 * x
+    """The move rule over numpy arrays; _Walk.flip makes each move."""
+    deltas = walk.deltas
     tabu_until = np.zeros(walk.qubo.dim, dtype=np.int64)
     barred = np.full(walk.qubo.dim, -math.inf)  # +inf exactly while tabu
     masked = np.empty(walk.qubo.dim)
-    score, best_score, trace = walk.score, walk.best_score, walk.trace
     flips: list[int] = []
     it = 0
     while it < limit and time.monotonic() <= walk.deadline:
@@ -234,26 +231,16 @@ def _tabu_on_arrays(walk: _Walk, limit: int, tenure: int) -> int:
             barred[flips[-tenure - 1]] = -math.inf  # released this iteration
         # some bit aspires iff the lowest delta does: score + d rises with d
         flip = int(deltas.argmin())
-        if not (tabu_until[flip] < it or score + deltas[flip] < best_score - 1e-12):
+        if not (tabu_until[flip] < it
+                or walk.score + deltas[flip] < walk.best_score - 1e-12):
             np.maximum(deltas, barred, out=masked)
             flip = int(masked.argmin())
             if masked[flip] == math.inf:  # all tabu: the one released soonest
                 flip = int(tabu_until.argmin())
-        d = float(deltas[flip])
-        nb = neighbors[flip]
-        deltas[nb] += sign[nb] * weights[flip] * sign[flip]
-        deltas[flip] = -d
-        sign[flip] = -sign[flip]
-        x[flip] = 1 - x[flip]
-        score += d
-        if score < best_score - 1e-12:
-            best_score = score
-            walk.best = x.copy()
-            trace.append((it, score))
+        walk.flip(flip, it)
         tabu_until[flip] = it + tenure
         barred[flip] = math.inf
         flips.append(flip)
-    walk.score, walk.best_score = score, best_score
     return it
 
 
@@ -297,6 +284,7 @@ def _tabu_on_lists(walk: _Walk, limit: int, tenure: int) -> int:
             trace.append((it, score))
         tabu_until[flip] = it + tenure
     walk.x = np.array(x, dtype=np.int8)
+    walk.sign = 1.0 - 2.0 * walk.x
     walk.deltas = np.array(deltas)
     walk.score, walk.best_score = score, best_score
     if best is not None:

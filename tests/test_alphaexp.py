@@ -404,20 +404,22 @@ def test_alpha_expansion_rejects_empty_batches(batch_size):
         alpha_expansion(inst, build_objective(inst), x0, batch_size=batch_size)
 
 
-def test_alpha_expansion_deterministic_and_reports_epochs():
+def test_alpha_expansion_deterministic_and_stops_after_idle_epoch():
     rng = np.random.default_rng(9)
     inst = random_instance(rng, T=3, n=2, k=3, L=2)
     q = build_objective(inst)
     Z0 = np.full((inst.T, inst.n), 2)
     x0 = encode_one_hot(Z0, inst.T, inst.n, inst.k)
-    seen = []
-    a = alpha_expansion(inst, q, x0, seed=12,
-                        on_epoch=lambda e, m, s: seen.append((e, m)))
+    a = alpha_expansion(inst, q, x0, seed=12)
     b = alpha_expansion(inst, q, x0, seed=12)
     assert a.best.tolist() == b.best.tolist()
     assert a.score == b.score
-    assert seen and seen[-1][1] == 0  # final epoch accepted nothing
-    assert [e for e, _ in seen] == list(range(1, len(seen) + 1))
+    # an epoch that accepts nothing ends the run long before the default
+    # 1,000 epochs, so a budget of 2,000 runs the same steps
+    c = alpha_expansion(inst, q, x0, seed=12,
+                        budget=Budget(max_iterations=2000))
+    assert c.best.tolist() == a.best.tolist()
+    assert (c.score, c.trace, c.iterations) == (a.score, a.trace, a.iterations)
 
 
 def test_alpha_expansion_matches_brute_force_on_feasible_set():

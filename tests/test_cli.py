@@ -40,6 +40,16 @@ def test_build_instance_synthetic(tmp_path, capsys):
     assert "wrote instance" in capsys.readouterr().out
 
 
+def test_build_instance_synthetic_takes_shape_from_string(tmp_path):
+    out = tmp_path / "inst.json"
+    assert main(["build-instance", "--synthetic", "6,3,2,4",
+                 "--out", str(out)]) == 0
+    inst = load_instance(out)
+    assert (inst.n, inst.k, inst.T, inst.L) == (6, 3, 2, 4)
+    config = json.loads((tmp_path / "MANIFEST.json").read_text())["config"]
+    assert (config["T"], config["k"]) == (2, 3)
+
+
 def test_build_instance_from_dataset_with_preset(tmp_path, network_dir):
     out = tmp_path / "inst.json"
     code = main(["build-instance", "--data-dir", str(network_dir),
@@ -156,6 +166,8 @@ INSTANCE_EDITS = {
     "instance-weight-inf": {"weights": [float("inf"), 100.0, 20.0, 1e-4]},
     # no schedule reaches the target, so compute_bounds has no slack
     "instance-unreachable-target": {"tau": [1e9, 1e9]},
+    # finite levels whose squared penalties overflow the float range
+    "instance-huge-levels": {"p": [[0, 1e200, 1e200]] * 5},
 }
 
 
@@ -188,6 +200,9 @@ INSTANCE_EDITS = {
     ("instance-weight-inf", ()),
     ("instance-unreachable-target", ()),
     ("build-instance", ("--synthetic", "3,1,2,2", "--T", "2", "--k", "1")),
+    ("instance-huge-levels", ()),
+    ("build-instance", ("--synthetic", "6,3,2,4", "--T", "5", "--k", "7")),
+    ("build-instance", ("--synthetic", "6,3,2,4", "--size", "S")),
 ], ids=["time-limit-0", "time-limit-negative", "max-iterations-negative",
         "batch-size-0", "batch-size-negative", "brute-above-cap",
         "experiment-time-limit-0", "experiment-max-iterations-negative",
@@ -200,7 +215,8 @@ INSTANCE_EDITS = {
         "synthetic-zero-resources", "subproblem-size-0",
         "instance-gamma-nan", "instance-gamma-negative", "instance-weight-nan",
         "instance-weight-inf", "instance-unreachable-target",
-        "synthetic-one-state"])
+        "synthetic-one-state", "instance-huge-levels",
+        "synthetic-shape-mismatch", "synthetic-with-size"])
 def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
     if extra and isinstance(extra[0], dict):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used there or re-exported."""
+"""Every name a package module imports is used there or re-exported, and
+every parameter of a package function is read."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,29 @@ def test_no_unused_imports():
     assert modules
     unused = [hit for path in modules for hit in _unused_imports(path)]
     assert unused == []
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    unread = []
+    for fn in ast.walk(tree):
+        if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or (fn.name.startswith("__") and fn.name.endswith("__"))):
+            continue  # dunders keep the signature the protocol fixes
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *filter(None, [a.vararg, a.kwarg])]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{path.name}:{fn.lineno}: {fn.name}({p.arg})"
+                   for p in params if p.arg not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is a setting no caller can change the
+    # behaviour with: delete it, or use it
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    unread = [hit for path in modules for hit in _unread_parameters(path)]
+    assert unread == []

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from redispatch.qubo import (
     DegenerateRangeError,
     DimensionMismatchError,
+    NonFiniteError,
     Qubo,
     normalize_range,
     weighted_sum,
@@ -96,9 +97,9 @@ def test_non_finite_data_rejected(vals, offset):
 
 def test_sums_past_the_float_range_rejected():
     big = Qubo(1, [0], [0], [1e308])
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(NonFiniteError, match="finite"):
         Qubo(1, [0, 0], [0, 0], [1e308, 1e308])
-    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+    with pytest.raises(NonFiniteError, match="finite"), np.errstate(over="ignore"):
         weighted_sum([(1.0, big), (1.0, big)])
 
 

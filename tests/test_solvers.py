@@ -138,10 +138,12 @@ def test_flip_chain_stays_consistent():
     q = random_qubo(rng, 20)
     walk = _Walk(SolveRequest(qubo=q, initial=rng.integers(0, 2, 20)))
     assert_deltas_are_flip_differences(q, walk.x, walk.deltas)
+    assert np.array_equal(walk.sign, 1 - 2 * walk.x)
     for it in range(1, 10_001):
         walk.flip(int(rng.integers(20)), it)
         if it % 2500 == 0:
             assert_deltas_are_flip_differences(q, walk.x, walk.deltas)
+            assert np.array_equal(walk.sign, 1 - 2 * walk.x)
     assert walk.score == pytest.approx(q.evaluate(walk.x), rel=1e-9, abs=1e-9)
     assert np.allclose(walk.deltas, _all_deltas(q, walk.x), atol=1e-9)
 
@@ -315,10 +317,11 @@ def test_sampler_reports_exact_score_and_monotone_trace(name, q, seed, data):
 
 
 def run_tabu_path(path, req):
-    """Result of one tabu path plus the walk's final vector and deltas."""
+    """Result of one tabu path plus the walk's final vector, signs and deltas."""
     walk = _Walk(req)
     it = path(walk, req.budget.max_iterations, max(10, req.qubo.dim // 50))
-    return walk.result(it), (walk.x.tolist(), walk.deltas.tolist())
+    return walk.result(it), (walk.x.tolist(), walk.sign.tolist(),
+                             walk.deltas.tolist())
 
 
 def assert_same_result(a, b):
