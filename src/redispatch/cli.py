@@ -7,11 +7,11 @@ Subcommands:
 * experiment           one of the four desk-scale studies -> report CSVs
 * estimate-sensitivity dataset directory -> fitted sensitivity CSV
 
-Every command writes a MANIFEST.json recording the seed, the full effective
-configuration and its SHA-256 hash; repeating a command with the same
-manifest inputs and iteration-bounded budgets reproduces the CSV outputs
-byte for byte.  Exit codes: 0 success, 2 bad configuration or input, 3
-runtime failure.
+Every command writes a MANIFEST.json recording the full effective
+configuration, seeds included, and its SHA-256 hash; repeating a command
+with the same manifest inputs and iteration-bounded budgets reproduces the
+CSV outputs byte for byte.  A command rejects every flag it does not read.
+Exit codes: 0 success, 2 bad configuration or input, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -54,6 +54,15 @@ SIZE_PRESETS = {
     "L": {"T": 8, "k": 5, "promote_statics": True},
 }
 
+# study -> (runner, the budget flags it reads); an omitted budget takes its
+# ExperimentSettings default, and --max-iterations sets tabu_iterations
+STUDIES = {
+    "penalty-norm": (run_penalty_norm, ("max_iterations",)),
+    "score-norm": (run_score_norm, ("max_iterations",)),
+    "decomposers": (run_decomposers, ("max_steps", "time_limit")),
+    "timeseries": (run_timeseries, ("time_limit",)),
+}
+
 
 class ConfigError(Exception):
     """Bad flags, config file or input data; maps to exit code 2."""
@@ -88,7 +97,7 @@ def _apply_config_file(args, parser: argparse.ArgumentParser) -> None:
     """Values from --config take precedence over command line flags.
 
     Each value goes through its flag's type and choices, as if it had been
-    typed on the command line; null keeps flags whose default is None unset.
+    typed on the command line; null keeps the command line value.
     """
     if not getattr(args, "config", None):
         return
@@ -108,22 +117,17 @@ def _apply_config_file(args, parser: argparse.ArgumentParser) -> None:
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise ConfigError(f"config file {path}: unknown setting {key!r}")
-        if not (value is None and action.default is None):
-            text = value if isinstance(value, str) else json.dumps(value)
-            try:
-                value = (action.type or str)(text)
-            except ValueError as exc:
-                raise ConfigError(f"config file {path}: bad {key!r}: {exc}") from exc
-            if action.choices is not None and value not in action.choices:
-                raise ConfigError(f"config file {path}: {key!r} must be one of "
-                                  f"{list(action.choices)}, got {text}")
+        if value is None:
+            continue
+        text = value if isinstance(value, str) else json.dumps(value)
+        try:
+            value = (action.type or str)(text)
+        except ValueError as exc:
+            raise ConfigError(f"config file {path}: bad {key!r}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"config file {path}: {key!r} must be one of "
+                              f"{list(action.choices)}, got {text}")
         setattr(args, action.dest, value)
-
-
-def _load_dataset(args) -> data_mod.NetworkDataset:
-    if getattr(args, "data_dir", None):
-        return data_mod.load_network(args.data_dir)
-    raise ConfigError("a dataset directory is required (--data-dir)")
 
 
 def _shape_flags(args, size: str | None) -> list:
@@ -139,15 +143,14 @@ def _check_T(T: int, ds: data_mod.NetworkDataset) -> None:
         raise ConfigError(f"T must be in 1..{ds.raw_timepoints}, got {T}")
 
 
-def _time_limit(args, default: float) -> float:
-    """Validate the shared budget flags; return the time limit in seconds."""
-    if args.max_iterations < 0:
-        raise ConfigError("--max-iterations must be non-negative")
-    if args.time_limit is None:
-        return default
-    if not args.time_limit > 0:
-        raise ConfigError("--time-limit must be positive")
-    return args.time_limit
+def _check_budgets(args, dests) -> None:
+    """Reject a negative count or a non-positive time limit among dests."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if dest == "time_limit" and value is not None and not value > 0:
+            raise ConfigError("--time-limit must be positive")
+        if value is not None and value < 0:
+            raise ConfigError(f"--{dest.replace('_', '-')} must be non-negative")
 
 
 def _out_dir(args) -> Path:
@@ -195,13 +198,13 @@ def cmd_build_instance(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    time_limit = _time_limit(args, math.inf)
+    _check_budgets(args, ("max_iterations", "time_limit"))
     if args.batch_size < 1 or args.subproblem_size < 1:
         raise ConfigError("--batch-size and --subproblem-size must be at least 1")
     inst = data_mod.load_instance(args.instance)
     result = run_solver(args.solver, inst, composed_objective(inst), args.seed,
-                        args.max_iterations, time_limit, args.batch_size,
-                        args.subproblem_size)
+                        args.max_iterations, args.time_limit or math.inf,
+                        args.batch_size, args.subproblem_size)
     out = _out_dir(args)
     Z, feasible, report = read_out(inst, result.best)
     solution = {
@@ -235,30 +238,29 @@ def cmd_solve(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    time_limit = _time_limit(args, 60.0)
-    if args.max_steps < 0:
-        raise ConfigError("--max-steps must be non-negative")
-    ds = _load_dataset(args)
+    runner, reads = STUDIES[args.which]
+    given = {}
+    for dest, field in (("max_iterations", "tabu_iterations"),
+                        ("max_steps", "max_steps"), ("time_limit", "time_limit")):
+        if getattr(args, dest) is None:
+            continue
+        if dest not in reads:
+            raise ConfigError(f"--{dest.replace('_', '-')} does not apply to "
+                              f"experiment {args.which}")
+        given[field] = getattr(args, dest)
+    _check_budgets(args, reads)
+    ds = data_mod.load_network(args.data_dir)
     out = _out_dir(args)
-    try:
-        seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else tuple(range(10))
-    except ValueError as exc:
-        raise ConfigError(f"--seeds wants comma separated integers: {exc}") from exc
-    if min(seeds) < 0:
-        raise ConfigError("--seeds must be non-negative")
+    if args.seeds:
+        try:
+            given["seeds"] = tuple(int(s) for s in args.seeds.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"--seeds wants comma separated integers: {exc}") from exc
+        if min(given["seeds"]) < 0:
+            raise ConfigError("--seeds must be non-negative")
     T, k, promote = _shape_flags(args, args.size)
-    settings = ExperimentSettings(
-        T=T, k=k, seeds=seeds, tabu_iterations=args.max_iterations,
-        time_limit=time_limit, max_steps=args.max_steps,
-        promote_statics=promote,
-    )
+    settings = ExperimentSettings(T=T, k=k, promote_statics=promote, **given)
     _check_T(settings.T, ds)
-    runner = {
-        "penalty-norm": run_penalty_norm,
-        "score-norm": run_score_norm,
-        "decomposers": run_decomposers,
-        "timeseries": run_timeseries,
-    }[args.which]
     summary = runner(ds, settings, out)
     config = {
         "which": args.which, "data_dir": str(args.data_dir),
@@ -275,9 +277,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_estimate_sensitivity(args) -> int:
-    if args.max_iterations < 0:
-        raise ConfigError("--max-iterations must be non-negative")
-    ds = _load_dataset(args)
+    _check_budgets(args, ("max_iterations",))
+    ds = data_mod.load_network(args.data_dir)
     out = _out_dir(args)
     phi = np.hstack([ds.controllable_profiles, ds.fixed_profiles])
     fit = data_mod.estimate_sensitivity(phi, ds.flows, args.max_iterations)
@@ -308,12 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        # no abbreviations: `experiment --seed` must not mean --seeds
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="JSON file whose values override flags")
+        return p
 
-    p = sub.add_parser("build-instance", help="derive an instance file")
-    common(p)
+    p = command("build-instance", "derive an instance file")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data-dir", help="dataset directory of CSV files")
     p.add_argument("--synthetic", help="n,k,T,L for a planted synthetic instance")
     p.add_argument("--size", choices=list(SIZE_PRESETS), default=None)
@@ -323,35 +326,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="instance.json")
     p.set_defaults(func=cmd_build_instance)
 
-    p = sub.add_parser("solve", help="minimize the composite objective")
-    common(p)
+    p = command("solve", "minimize the composite objective")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instance", required=True)
     p.add_argument("--solver", default="alpha", choices=SOLVERS)
     p.add_argument("--max-iterations", type=int, default=10000)
     p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=12)
-    p.add_argument("--subproblem-size", type=int, default=40)
+    p.add_argument("--batch-size", type=int,
+                   default=ExperimentSettings.batch_size)
+    p.add_argument("--subproblem-size", type=int,
+                   default=ExperimentSettings.subproblem_size)
     p.add_argument("--out-dir", default="solve-out")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("experiment", help="run one desk-scale study")
-    common(p)
-    p.add_argument("which", choices=["penalty-norm", "score-norm",
-                                     "decomposers", "timeseries"])
+    p = command("experiment", "run one desk-scale study")
+    p.add_argument("which", choices=list(STUDIES))
     p.add_argument("--data-dir", required=True)
     p.add_argument("--size", choices=list(SIZE_PRESETS), default="S")
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--seeds", help="comma separated seed list, default 0..9")
-    p.add_argument("--max-iterations", type=int, default=4000)
-    p.add_argument("--max-steps", type=int, default=60)
+    p.add_argument("--max-iterations", type=int, default=None)
+    p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--promote-statics", type=int, choices=(0, 1), default=None)
     p.add_argument("--out-dir", default="experiment-out")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("estimate-sensitivity", help="fit line sensitivities")
-    common(p)
+    p = command("estimate-sensitivity", "fit line sensitivities")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--max-iterations", type=int, default=500)
     p.add_argument("--out-dir", default="sensitivity-out")
@@ -364,7 +366,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args, parser)
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise ConfigError("--seed must be non-negative")
         return args.func(args)
     except (ConfigError, data_mod.ParseError, data_mod.SchemaError,

@@ -32,6 +32,7 @@ from .model import (
     decode_one_hot,
     encode_one_hot,
     evaluate_schedule,
+    is_adjacent_feasible,
     line_loads,
     power_production,
     read_schedule,
@@ -121,8 +122,8 @@ def write_summary(path, key: str,
 
 
 def run_solver(name: str, inst: ProblemInstance, qubo: Qubo, seed: int,
-               max_iterations: int, time_limit: float, batch_size: int = 12,
-               subproblem_size: int = 40) -> SolveResult:
+               max_iterations: int, time_limit: float, batch_size: int,
+               subproblem_size: int) -> SolveResult:
     """Minimize qubo with solver `name` (one of SOLVERS) from all-state-1.
 
     max_iterations counts alpha epochs, decomposer steps or sampler flips.
@@ -145,9 +146,10 @@ def run_solver(name: str, inst: ProblemInstance, qubo: Qubo, seed: int,
 
 def read_out(inst: ProblemInstance,
              x: np.ndarray) -> tuple[np.ndarray, bool, SolutionReport]:
-    """(schedule, one-hot, report) of a solver's best bit vector."""
-    Z, feasible = read_schedule(x, inst.T, inst.n, inst.k)
-    return Z, feasible, evaluate_schedule(inst, Z)
+    """(schedule, feasible, report) of a solver's best bit vector; feasible
+    is one-hot with no jump of more than one state between timepoints."""
+    Z, one_hot = read_schedule(x, inst.T, inst.n, inst.k)
+    return Z, one_hot and is_adjacent_feasible(Z), evaluate_schedule(inst, Z)
 
 
 def report_cells(report: SolutionReport, feasible: bool) -> list:
@@ -308,7 +310,8 @@ def run_timeseries(ds: NetworkDataset, settings: ExperimentSettings,
     inst = build_instance(ds, settings.T, settings.k, seed=seed,
                           promote_statics=settings.promote_statics)
     result = run_solver("alpha", inst, composed_objective(inst), seed, 50,
-                        settings.time_limit, settings.batch_size)
+                        settings.time_limit, settings.batch_size,
+                        settings.subproblem_size)
     Z = decode_one_hot(result.best, inst.T, inst.n, inst.k)
     prod = power_production(inst, Z)
     loads = line_loads(inst, Z)

@@ -1,12 +1,14 @@
 """End-to-end command line tests (in-process via main)."""
 
+import argparse
 import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redispatch.cli import main
+from redispatch import cli
+from redispatch.cli import STUDIES, main
 from redispatch.data import load_instance, write_synthetic_network
 
 
@@ -178,7 +180,7 @@ INSTANCE_EDITS = {
     ("solve", ("--batch-size", "0")),
     ("solve", ("--batch-size", "-2")),
     ("solve", ("--solver", "brute")),
-    ("experiment", ("--time-limit", "0")),
+    ("experiment-decomposers", ("--time-limit", "0")),
     ("experiment", ("--max-iterations", "-1")),
     ("experiment-decomposers", ("--max-steps", "-1")),
     ("instance-missing-key", ()),
@@ -203,6 +205,11 @@ INSTANCE_EDITS = {
     ("instance-huge-levels", ()),
     ("build-instance", ("--synthetic", "6,3,2,4", "--T", "5", "--k", "7")),
     ("build-instance", ("--synthetic", "6,3,2,4", "--size", "S")),
+    ("experiment-timeseries", ("--max-iterations", "5")),
+    ("experiment-penalty-norm", ("--max-steps", "5")),
+    ("experiment-decomposers", ("--max-iterations", "5")),
+    ("experiment", ("--seed", "1")),
+    ("estimate-sensitivity", ("--seed", "1")),
 ], ids=["time-limit-0", "time-limit-negative", "max-iterations-negative",
         "batch-size-0", "batch-size-negative", "brute-above-cap",
         "experiment-time-limit-0", "experiment-max-iterations-negative",
@@ -216,7 +223,10 @@ INSTANCE_EDITS = {
         "instance-gamma-nan", "instance-gamma-negative", "instance-weight-nan",
         "instance-weight-inf", "instance-unreachable-target",
         "synthetic-one-state", "instance-huge-levels",
-        "synthetic-shape-mismatch", "synthetic-with-size"])
+        "synthetic-shape-mismatch", "synthetic-with-size",
+        "timeseries-max-iterations", "penalty-norm-max-steps",
+        "decomposers-max-iterations", "experiment-seed",
+        "sensitivity-seed"])
 def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
     if extra and isinstance(extra[0], dict):
         cfg = tmp_path / "cfg.json"
@@ -224,7 +234,7 @@ def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
         extra = ("--config", str(cfg))
     out = ["--out-dir", str(tmp_path / "out")]
     if command.startswith("experiment"):
-        which = "decomposers" if command.endswith("decomposers") else "penalty-norm"
+        which = command.partition("-")[2] or "penalty-norm"
         args = ["experiment", which, "--data-dir", str(network_dir),
                 "--seeds", "0"]
     elif command == "build-instance":
@@ -247,8 +257,12 @@ def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
             doc = json.loads(inst_path.read_text())
             doc.update(INSTANCE_EDITS[command])
             inst_path.write_text(json.dumps(doc))
-    assert main(args + [*extra, *out]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    try:
+        code, message = main(args + [*extra, *out]), "configuration error"
+    except SystemExit as exc:  # argparse rejects a flag the command lacks
+        code, message = exc.code, "unrecognized arguments"
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- config
@@ -290,6 +304,19 @@ def test_config_file_errors(tmp_path, capsys):
                  "--config", str(not_object)]) == 2
 
 
+@pytest.mark.parametrize("key", ["instance", "out_dir"])
+def test_config_null_keeps_command_line_value(tmp_path, capsys, key):
+    inst_path = build_synthetic_instance(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: None}))
+    out = tmp_path / "given-out"
+    assert main(["solve", "--instance", str(inst_path), "--solver", "tabu",
+                 "--max-iterations", "50", "--config", str(cfg),
+                 "--out-dir", str(out)]) == 0
+    config = json.loads((out / "MANIFEST.json").read_text())["config"]
+    assert config["instance"] == str(inst_path)
+
+
 # -------------------------------------------------------------- experiments
 
 
@@ -321,7 +348,7 @@ def test_experiment_score_norm_single_timepoint(tmp_path, network_dir, capsys):
 
 def test_experiment_timeseries_rerun_identical(tmp_path, network_dir, capsys):
     args = ["experiment", "timeseries", "--data-dir", str(network_dir),
-            "--seeds", "0", "--max-iterations", "200"]
+            "--seeds", "0"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out-dir", str(a)]) == 0
     assert main(args + ["--out-dir", str(b)]) == 0
@@ -352,15 +379,72 @@ def test_estimate_sensitivity_outputs(tmp_path, network_dir, capsys):
     assert "KKT residual" in capsys.readouterr().out
 
 
+# --------------------------------------------------------------- read guard
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# one run of each command; {net}, {inst} and {out} are filled in per test
+GUARDED_RUNS = {
+    "build-instance": ["build-instance", "--synthetic", "2,3,2,2",
+                       "--out", "{out}/i.json"],
+    "solve": ["solve", "--instance", "{inst}", "--solver", "tabu",
+              "--max-iterations", "50", "--out-dir", "{out}"],
+    "penalty-norm": ["experiment", "penalty-norm", "--data-dir", "{net}",
+                     "--seeds", "0", "--max-iterations", "50",
+                     "--out-dir", "{out}"],
+    "score-norm": ["experiment", "score-norm", "--data-dir", "{net}",
+                   "--seeds", "0", "--max-iterations", "50",
+                   "--out-dir", "{out}"],
+    "decomposers": ["experiment", "decomposers", "--data-dir", "{net}",
+                    "--seeds", "0", "--max-steps", "2", "--out-dir", "{out}"],
+    "timeseries": ["experiment", "timeseries", "--data-dir", "{net}",
+                   "--seeds", "0", "--out-dir", "{out}"],
+    "estimate-sensitivity": ["estimate-sensitivity", "--data-dir", "{net}",
+                             "--out-dir", "{out}"],
+}
+
+
+@pytest.mark.parametrize("label", list(GUARDED_RUNS))
+def test_every_flag_is_read(tmp_path, network_dir, capsys, label):
+    """Each flag a subcommand defines is read by the config layer or by the
+    command itself, so no accepted flag leaves the outputs unchanged."""
+    inst = build_synthetic_instance(tmp_path)
+    argv = [arg.format(net=network_dir, inst=inst, out=tmp_path / "out")
+            for arg in GUARDED_RUNS[label]]
+    parser = cli.build_parser()
+    args = parser.parse_args(argv, namespace=ReadRecorder())
+    args._reads.clear()  # argparse reads the namespace while it parses
+    cli._apply_config_file(args, parser)
+    assert args.func(args) == 0
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in commands.choices[argv[0]]._actions
+             if a.default != argparse.SUPPRESS}
+    assert dests - args._reads == set()
+
+
 # ------------------------------------------------------- exit-code property
 
 # (valid, bad) values per flag.  Valid budgets stay small (--max-iterations
-# <= 50, --max-steps <= 5, one seed), so a drawn command that runs to the end
-# takes under half a second, most of it the sensitivity fit.  Bad values
-# cover NaN, -1, 0 and non-numbers.
+# <= 50, --max-steps <= 5, --time-limit 0.5, one seed), so a drawn command
+# that runs to the end takes under half a second, most of it the
+# sensitivity fit.  Bad values cover NaN, -1, 0 and non-numbers.
 BUDGETS = {
     "--max-iterations": (["0", "1", "50"], ["-1", "nan", "x"]),
     "--max-steps": (["1", "5"], ["0", "-1", "x"]),
+    "--time-limit": (["0.5"], ["0", "-1", "nan", "x"]),
     "--seeds": (["0", "1"], ["-1", "x", "0,x"]),
 }
 OPTIONS = {
@@ -372,7 +456,6 @@ OPTIONS = {
     "--synthetic": (["2,3,2,2", "1,2,1,1"], ["0,2,1,1", "2,3", "a,b,c,d"]),
     "--solver": (["alpha", "tabu", "sa", "brute", "random-decomp",
                   "score-decomp"], ["bogus"]),
-    "--time-limit": (["0.5"], ["0", "-1", "nan", "x"]),
     "--batch-size": (["1", "3"], ["0", "-1", "x"]),
     "--subproblem-size": (["1", "4"], ["0", "-1", "x"]),
 }
@@ -381,16 +464,17 @@ COMMAND_FLAGS = {
                        "--synthetic"],
     "solve": ["--seed", "--solver", "--time-limit", "--batch-size",
               "--subproblem-size"],
-    "experiment": ["--seed", "--size", "--T", "--k", "--promote-statics",
-                   "--time-limit"],
-    "estimate-sensitivity": ["--seed"],
+    "experiment": ["--size", "--T", "--k", "--promote-statics"],
+    "estimate-sensitivity": [],
 }
 COMMAND_BUDGETS = {
     "build-instance": [],
     "solve": ["--max-iterations"],
-    "experiment": ["--max-iterations", "--max-steps", "--seeds"],
+    "experiment": ["--max-iterations", "--max-steps", "--time-limit",
+                   "--seeds"],
     "estimate-sensitivity": ["--max-iterations"],
 }
+FLAG_VALUES = {**BUDGETS, **OPTIONS}
 # --config values, valid or not for whichever key they land on; the
 # integers are small enough for any budget
 CONFIG_VALUES = st.sampled_from(
@@ -419,19 +503,28 @@ def cli_argv(draw, root, net, inst):
 
     command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
     argv = [command]
+    budgets = COMMAND_BUDGETS[command]
     if command == "experiment":
-        argv.append(value((["penalty-norm", "score-norm", "decomposers",
-                            "timeseries"], ["bogus"])))
+        which = value((list(STUDIES), ["bogus"]))
+        argv.append(which)
+        if which in STUDIES:
+            # the budgets the study reads, and w.p. 1/4 one that it rejects
+            reads = ["--seeds"] + [f"--{dest.replace('_', '-')}"
+                                   for dest in STUDIES[which][1]]
+            if draw(st.integers(0, 3)) == 0:
+                reads.append(draw(st.sampled_from(
+                    [flag for flag in budgets if flag not in reads])))
+            budgets = reads
     if command == "solve":
         argv += ["--instance",
                  str(value(([inst], [root / "bad.json", root / "absent"])))]
     elif command != "build-instance" or draw(st.booleans()):
         argv += ["--data-dir", str(value(([net], [root / "absent"])))]
-    for flag in COMMAND_BUDGETS[command]:
-        argv += [flag, value(BUDGETS[flag])]
+    for flag in budgets:
+        argv += [flag, value(FLAG_VALUES[flag])]
     for flag in COMMAND_FLAGS[command]:
         if draw(st.booleans()):
-            argv += [flag, value(OPTIONS[flag])]
+            argv += [flag, value(FLAG_VALUES[flag])]
     if draw(st.integers(0, 3)) == 0:
         flags = COMMAND_FLAGS[command] + COMMAND_BUDGETS[command]
         keys = [f[2:].replace("-", "_") for f in flags] + ["no_such_flag"]

@@ -10,10 +10,11 @@ from redispatch.experiments import (
     ExperimentSettings,
     composed_objective,
     fmt,
+    read_out,
     run_score_norm,
     write_csv,
 )
-from redispatch.model import encode_one_hot, read_schedule
+from redispatch.model import encode_one_hot, is_adjacent_feasible, read_schedule
 
 
 def test_fmt_rendering():
@@ -48,6 +49,16 @@ def test_project_feasible_rules():
     x_empty[x.nonzero()[0][0]] = 0
     projected, one_hot = read_schedule(x_empty, T, n, k)
     assert projected[0, 0] == 1 and not one_hot  # empty block: off state
+
+
+def test_read_out_flags_a_jump_of_two_states_infeasible():
+    inst, _ = synth_instance(3, 3, 2, 2, seed=0)
+    Z = np.array([[1, 1, 1], [3, 1, 1]])  # one-hot, but resource 0 jumps 1 -> 3
+    assert not is_adjacent_feasible(Z)
+    decoded, feasible, _ = read_out(inst, encode_one_hot(Z, 2, 3, 3))
+    assert np.array_equal(decoded, Z) and feasible is False
+    step = np.array([[1, 1, 1], [2, 1, 1]])
+    assert read_out(inst, encode_one_hot(step, 2, 3, 3))[1] is True
 
 
 def test_composed_objective_keeps_hard_floor_dominant():
