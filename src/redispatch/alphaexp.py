@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encodings import FactoredObjective
 from .model import (
     ProblemInstance,
     count_switches,
@@ -143,14 +144,11 @@ def sample_disjoint_changes(
     return accepted, skipped
 
 
-def build_alpha_qubo(qubo: Qubo, x: np.ndarray, cycles: list[CycleSet]) -> Qubo:
-    """Reduced QUBO over move-selection bits.
+def _swaps(x: np.ndarray, cycles: list[CycleSet]):
+    """(on, off, owner) of the swaps whose two bits differ.
 
-    Bit i of the reduced problem means "apply cycles[i]".  For any selection
-    alpha, reduced.evaluate(alpha) equals
-    qubo.evaluate(x with the selected cycles applied) - qubo.evaluate(x),
-    provided the cycles touch pairwise disjoint blocks and no bit is moved
-    twice (else NonDisjointCyclesError).
+    Swap i of cycle owner[i] exchanges bits on[i] and off[i].  Raises
+    NonDisjointCyclesError if two cycles share a block or a bit.
     """
     touched_sets = [c.touched for c in cycles]
     if sum(map(len, touched_sets)) != len(frozenset().union(*touched_sets)):
@@ -160,23 +158,49 @@ def build_alpha_qubo(qubo: Qubo, x: np.ndarray, cycles: list[CycleSet]) -> Qubo:
                     f"cycles {a} and {b} share blocks "
                     f"{sorted(cycles[a].touched & cycles[b].touched)}"
                 )
+    swaps = [v for a, cycle in enumerate(cycles)
+             for on, off in cycle.swaps for v in (a, on, off)]
+    owner, on, off = np.array(swaps, dtype=np.int64).reshape(-1, 3).T
+    x = np.asarray(x)
+    moved = x[on] != x[off]
+    on, off, owner = on[moved], off[moved], owner[moved]
+    bits = np.sort(np.concatenate([on, off]))
+    if (bits[1:] == bits[:-1]).any():
+        raise NonDisjointCyclesError("the cycles move one bit twice")
+    return on, off, owner
+
+
+def build_alpha_qubo(objective: Qubo | FactoredObjective, x: np.ndarray,
+                     cycles: list[CycleSet],
+                     fields: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> Qubo:
+    """Reduced QUBO over move-selection bits.
+
+    Bit i of the reduced problem means "apply cycles[i]".  For any selection
+    alpha, reduced.evaluate(alpha) equals
+    qubo.evaluate(x with the selected cycles applied) - qubo.evaluate(x),
+    provided the cycles touch pairwise disjoint blocks and no bit is moved
+    twice (else NonDisjointCyclesError).
+
+    The objective is that qubo, read entry by entry, or qubo.factored, the
+    FactoredObjective a build_objective result carries (equal up to
+    rounding).  That needs a one-hot x and cycles whose swaps stay inside
+    their blocks, as rectify makes them; fields are its fields at x's
+    schedule, computed here unless the caller keeps them.
+    """
+    if isinstance(objective, FactoredObjective):
+        return _factored_alpha_qubo(objective, x, cycles, fields)
+    qubo = objective
+    on, off, owner = _swaps(x, cycles)
     xf = np.asarray(x, dtype=float)
     m = len(cycles)
-    # sparse differences d_a with x + d_a = cycles[a].apply(x): the swaps
-    # whose two bits differ, each giving entries (on, off) with values
-    # (x[off] - x[on], x[on] - x[off]); owner[i] is the cycle of entry i
-    bits, vals, owner = [], [], []
-    for a, cycle in enumerate(cycles):
-        for on, off in cycle.swaps:
-            x_on, x_off = float(xf[on]), float(xf[off])
-            if x_on != x_off:
-                bits += (on, off)
-                vals += (x_off - x_on, x_on - x_off)
-                owner += (a, a)
-    if len(set(bits)) < len(bits):
-        raise NonDisjointCyclesError("the cycles move one bit twice")
-    bits, owner = np.array(bits, dtype=np.int64), np.array(owner, dtype=np.int64)
-    vals = np.array(vals)
+    # sparse differences d_a with x + d_a = cycles[a].apply(x): entries
+    # (on, off) with values (x[off] - x[on], x[on] - x[off]) per swap, owned
+    # by the swap's cycle
+    bits = np.stack([on, off], axis=1).ravel()
+    step = xf[off] - xf[on]
+    vals = np.stack([step, -step], axis=1).ravel()
+    owner = np.repeat(owner, 2)
     diag = qubo.adjacency()[0]
     indptr, indices, data = qubo.csr()
 
@@ -225,6 +249,51 @@ def build_alpha_qubo(qubo: Qubo, x: np.ndarray, cycles: list[CycleSet]) -> Qubo:
                 np.where(rows == cols, lin[rows] + upper, 2.0 * upper))
 
 
+def _factored_alpha_qubo(f: FactoredObjective, x: np.ndarray,
+                         cycles: list[CycleSet],
+                         fields: tuple[np.ndarray, np.ndarray] | None) -> Qubo:
+    """build_alpha_qubo on a FactoredObjective, from the moved blocks only.
+
+    A swap moves block (t, j) from state o to u, bit `old` to bit `new`, and
+    the penalty forms by d = V[new] - V[old]: alone it scores grad[t] . d +
+    quad[t] d . d + h[new] - h[old].  With another swap at t it adds
+    2 quad[t] d . d'; with one at t + 1 on j, W[u, u'] - W[u, o'] - W[o, u']
+    + W[o, o'].  No sum is a BLAS product, whose rounding, and so the ties
+    the scores break, would depend on the BLAS thread count.
+    """
+    on, off, owner = _swaps(x, cycles)
+    x = np.asarray(x)
+    m = len(cycles)
+    n, k = f.transition.shape[:2]
+    if fields is None:
+        fields = f.fields(decode_one_hot(x, x.size // (n * k), n, k))
+    grad, h = fields
+    old = np.where(x[on] > x[off], on, off)  # the set bit of the swap
+    new = on + off - old
+    quad, V = f.penalty.quad, f.penalty.V
+    t = old // (n * k)
+    d = V[new % (n * k)] - V[old % (n * k)]  # swaps x R
+    e, g = np.nonzero(t[:, None] == t)  # swap pairs at one timepoint
+    blocks = old // k  # t * n + j
+    lo, hi = np.nonzero(blocks[:, None] + n == blocks)  # at t and t + 1
+    # flat index of W[j, i, i'] at the lower and upper swap of each pair
+    o, u = old % k, new % k
+    j = (blocks[lo] % n) * (k * k)
+    o_lo, u_lo, o_hi, u_hi = j + k * o[lo], j + k * u[lo], o[hi], u[hi]
+    W = f.transition.ravel()
+
+    # a term of cycles a and b lands on P[min(a, b), max(a, b)]: the
+    # reduced QUBO's diagonal for one cycle, a coupling for two
+    a = np.concatenate([owner, owner[e], owner[lo]])
+    b = np.concatenate([owner, owner[g], owner[hi]])
+    P = np.bincount(m * np.minimum(a, b) + np.maximum(a, b), np.concatenate([
+        (grad[t] * d).sum(axis=1) + h[new] - h[old],
+        np.einsum("er,er->e", (quad[t] * d)[e], d[g]),
+        (W[u_lo + u_hi] - W[u_lo + o_hi]) - (W[o_lo + u_hi] - W[o_lo + o_hi])
+    ]), minlength=m * m)
+    return Qubo.from_upper(P.reshape(m, m))
+
+
 def _enumerate_members(T: int, n: int, k: int) -> list[StateChange]:
     return [
         StateChange(t, j, i)
@@ -247,12 +316,13 @@ def alpha_expansion(
     Every candidate state change of every resource is proposed at least once
     per epoch, in a seeded random order.  Batches of rectified, pairwise
     disjoint moves (at most batch_size, which must be at least 1) are scored
-    through build_alpha_qubo and solved exactly, or by tabu search above 20
-    moves; a combination is applied only if its exact score delta is
-    negative, or zero while strictly reducing the switch count during the
-    first epoch.  Stops after an epoch without any accepted move, or when
-    the budget (max_iterations counts epochs) runs out.
-    budget.max_iterations = 0 returns the start point.
+    through build_alpha_qubo, from qubo.factored when build_objective set it,
+    and solved exactly, or by tabu search above 20 moves; a combination is
+    applied only if its exact score delta is negative, or zero while
+    strictly reducing the switch count during the first epoch.  Stops after
+    an epoch without any accepted move, or when the budget (max_iterations
+    counts epochs) runs out.  budget.max_iterations = 0 returns the start
+    point.
     """
     if budget is None:
         budget = Budget(max_iterations=1000)
@@ -269,6 +339,12 @@ def alpha_expansion(
     if violation is not None:
         raise InfeasibleStartError(f"start schedule jumps >1 state at {violation}")
 
+    # moves are scored from the factored form when the objective has one
+    # for this instance's layout; its fields change only with accepted moves
+    objective = qubo.factored
+    if objective is None or objective.transition.shape[:2] != (inst.n, inst.k):
+        objective = qubo
+    fields = None if objective is qubo else objective.fields(Z)
     rng = np.random.default_rng(seed)
     started = time.monotonic()
     deadline = started + budget.time_limit
@@ -302,7 +378,7 @@ def alpha_expansion(
             pool.extend(requeue)
             if not cycles:
                 continue
-            reduced = build_alpha_qubo(qubo, x, cycles)
+            reduced = build_alpha_qubo(objective, x, cycles, fields)
             sub_req = SolveRequest(
                 qubo=reduced,
                 seed=int(rng.integers(2**31)),
@@ -327,6 +403,8 @@ def alpha_expansion(
             )
             if take:
                 x, Z = x_new, Z_new
+                if fields is not None:
+                    fields = objective.fields(Z)
                 score += delta
                 accepted_moves += int(alpha.sum())
                 trace.append((steps, score))

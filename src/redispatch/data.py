@@ -472,6 +472,8 @@ def build_instance(
     per promote_statics, kept read-only on `ds` and shared by every later
     instance built from that dataset.
     """
+    if k < 2:  # checked before any array of k states is allocated
+        raise BadLevelsError(f"need at least 2 states, got {k}")
     fits = ds._fits
     if promote_statics:
         ds = _promote_statics(ds)

@@ -14,7 +14,8 @@ feasible schedules.  Each h is affine in s_tr = V[:, r] . x_t, a linear form
 of timepoint t's bits, so one builder materializes both: rank 1 for power
 (V = p), rank L for load (V = p * S).  penalty_scalar / power_penalty /
 load_penalty re-compute the penalties as scalars: the reference the matrix
-builders are tested against.
+builders are tested against.  build_objective also keeps its composite in
+factored form (FactoredObjective), from which alpha expansion scores moves.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ __all__ = [
     "normalized_term",
     "add_hard_terms",
     "build_objective",
+    "Factors",
+    "FactoredObjective",
 ]
 
 
@@ -172,14 +175,24 @@ def _transition_qubo(T: int, n: int, k: int, weight: np.ndarray) -> Qubo:
     return Qubo(T * n * k, rows, cols, np.broadcast_to(weight, rows.shape))
 
 
+def _jumps(k: int) -> np.ndarray:
+    """k x k indicator of state pairs more than one state apart."""
+    i, j = np.indices((k, k))
+    return (np.abs(i - j) > 1).astype(float)
+
+
+def _switch_table(inst: ProblemInstance) -> np.ndarray:
+    """n x k x k MW change |p[a, i] - p[a, j]| between states i and j."""
+    return np.abs(inst.p[:, :, None] - inst.p[:, None, :])
+
+
 def build_adjacency_qubo(T: int, n: int, k: int) -> Qubo:
     """Hard constraint counting state jumps of more than 1 between timepoints.
 
     Couples bit (t, a, i) with (t+1, a, i') whenever |i - i'| > 1; on one-hot
     vectors the score is exactly the number of violating transitions.
     """
-    i, j = np.indices((k, k))
-    return _transition_qubo(T, n, k, (np.abs(i - j) > 1).astype(float))
+    return _transition_qubo(T, n, k, _jumps(k))
 
 
 def build_cost_qubo(inst: ProblemInstance) -> Qubo:
@@ -194,20 +207,29 @@ def build_switch_qubo(inst: ProblemInstance) -> Qubo:
     On one-hot vectors this scores sum_t sum_a |p(state at t+1) - p(state at t)|
     before the gamma weight.
     """
-    diff = np.abs(inst.p[:, :, None] - inst.p[:, None, :])
-    return _transition_qubo(inst.T, inst.n, inst.k, diff)
+    return _transition_qubo(inst.T, inst.n, inst.k, _switch_table(inst))
 
 
-def _factored_qubo(V: np.ndarray, const: np.ndarray, lin: np.ndarray,
-                   quad: np.ndarray) -> Qubo:
-    """Qubo of sum_{t,r} const[t,r] + lin[t,r] s_tr + quad[t,r] s_tr^2, where
-    s_tr = V[:, r] . x_t is the r-th linear form of timepoint t's nk bits.
+@dataclass(frozen=True)
+class Factors:
+    """sum_{t,r} const[t,r] + lin[t,r] s_tr + quad[t,r] s_tr^2, where
+    s_tr = V[:, r] . x_t is the r-th linear form of timepoint t's nk bits."""
+
+    V: np.ndarray
+    const: np.ndarray
+    lin: np.ndarray
+    quad: np.ndarray
+
+
+def _factored_qubo(f: Factors) -> Qubo:
+    """The Qubo of f.
 
     Timepoint t's nk x nk block holds the x_j coefficients on its diagonal
     and the j < j2 cross terms above it.  Every sum over r runs in order
     (a C-order reduction; np.einsum without optimize) and none uses BLAS,
     so the bits do not depend on the BLAS thread count.
     """
+    V, lin, quad = f.V, f.lin, f.quad
     T, nk = lin.shape[0], V.shape[0]
     iu, ju = np.triu_indices(nk)
     Vt = np.ascontiguousarray(V.T)
@@ -218,8 +240,31 @@ def _factored_qubo(V: np.ndarray, const: np.ndarray, lin: np.ndarray,
         np.fill_diagonal(block, diag[t])
         vals[t] = block[iu, ju]
     base = (np.arange(T) * nk)[:, None]
-    offset = float(np.cumsum(const)[-1])  # a running sum in (t, r) order
+    offset = float(np.cumsum(f.const)[-1])  # a running sum in (t, r) order
     return Qubo(T * nk, base + iu, base + ju, vals, offset)
+
+
+def _power_factors(inst: ProblemInstance, bounds: PenaltyBounds | None,
+                   normalized: bool = True) -> Factors:
+    if normalized and bounds is None:
+        bounds = compute_bounds(inst)
+    f = 1.0 / bounds.power if normalized else np.ones(inst.T)
+    tau = inst.tau
+    # zeta(f*(w.x - tau)) = const + (-f - f^2 tau)(w.x) + (f^2/2)(w.x)^2
+    return Factors(inst.p.reshape(-1, 1),
+                   (1.0 + f * tau + 0.5 * (f * tau) ** 2)[:, None],
+                   (-f - f * f * tau)[:, None], (0.5 * f * f)[:, None])
+
+
+def _load_factors(inst: ProblemInstance, bounds: PenaltyBounds | None,
+                  normalized: bool = True) -> Factors:
+    if normalized and bounds is None:
+        bounds = compute_bounds(inst)
+    f = 1.0 / bounds.load if normalized else np.ones((inst.T, inst.L))
+    m = inst.M
+    # zeta(f*(m - v.x)) = const + (f - f^2 m)(v.x) + (f^2/2)(v.x)^2
+    return Factors(_line_factor(inst), 1.0 - f * m + 0.5 * (f * m) ** 2,
+                   f - f * f * m, 0.5 * f * f)
 
 
 def build_power_qubo(
@@ -232,14 +277,7 @@ def build_power_qubo(
     Expands sum_t zeta(f_t * (P_t(x) - tau_t)) with f_t the reciprocal power
     bound (1 when unnormalized); constants land in the offset.
     """
-    if normalized and bounds is None:
-        bounds = compute_bounds(inst)
-    f = 1.0 / bounds.power if normalized else np.ones(inst.T)
-    tau = inst.tau
-    # zeta(f*(w.x - tau)) = const + (-f - f^2 tau)(w.x) + (f^2/2)(w.x)^2
-    return _factored_qubo(inst.p.reshape(-1, 1),
-                          (1.0 + f * tau + 0.5 * (f * tau) ** 2)[:, None],
-                          (-f - f * f * tau)[:, None], (0.5 * f * f)[:, None])
+    return _factored_qubo(_power_factors(inst, bounds, normalized))
 
 
 def build_load_qubo(
@@ -252,14 +290,37 @@ def build_load_qubo(
     Expands sum_{t,l} zeta(f_{t,l} * (M_{t,l} - flow_{t,l}(x))) with f the
     reciprocal headroom bound (1 when unnormalized).
     """
-    if normalized and bounds is None:
-        bounds = compute_bounds(inst)
-    f = 1.0 / bounds.load if normalized else np.ones((inst.T, inst.L))
-    m = inst.M
-    # zeta(f*(m - v.x)) = const + (f - f^2 m)(v.x) + (f^2/2)(v.x)^2
-    return _factored_qubo(_line_factor(inst),
-                          1.0 - f * m + 0.5 * (f * m) ** 2,
-                          f - f * f * m, 0.5 * f * f)
+    return _factored_qubo(_load_factors(inst, bounds, normalized))
+
+
+@dataclass(frozen=True)
+class FactoredObjective:
+    """A build_objective composite on one-hot schedules, in the form alpha
+    expansion scores moves from: the power and load penalties as Factors
+    with V = [p | p*S], plus linear[j] per set bit j (cost), plus
+    transition[a, i, i'] per resource a in state i at t and i' at t + 1
+    (switch and adjacency), each with its weight and 1/span folded in.  The
+    one-hot constraint and the normalization shifts add the same to every
+    bit of a block, so they cancel on every move and are left out.
+    """
+
+    penalty: Factors
+    linear: np.ndarray      # (T*n*k,)
+    transition: np.ndarray  # (n, k, k), states 0-based
+
+    def fields(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(grad, h) at the schedule Z (T x n, states 1..k): grad[t, r] =
+        lin + 2 quad s_tr, the penalty's slope in s_tr, and h[j], bit j's
+        cost plus its transition weights to its resource's states in Z at
+        the neighbouring timepoints."""
+        pen, (n, k) = self.penalty, self.transition.shape[:2]
+        Z = np.asarray(Z) - 1
+        a = np.arange(n)
+        s = np.einsum("tar->tr", pen.V[a * k + Z])  # in order over a, no BLAS
+        h = self.linear.reshape(len(Z), n, k).copy()
+        h[1:] += self.transition[a, Z[:-1]]  # W[a, Z[t-1, a], i]
+        h[:-1] += self.transition[a, :, Z[1:]]  # W[a, i, Z[t+1, a]]
+        return pen.lin + 2.0 * pen.quad * s, h.ravel()
 
 
 def extremal_schedules(inst: ProblemInstance, which: str) -> tuple[np.ndarray, np.ndarray]:
@@ -338,23 +399,41 @@ def build_objective(
     one-hot and adjacency constraints always enter, scaled by
     extra_hard_weight (1 reproduces the plain formulation).  With
     score_normalized each soft term goes through normalized_term, which
-    rescales it or leaves it out.
+    rescales it or leaves it out.  The result carries the same objective as
+    a FactoredObjective in its `factored` slot.
     """
     w_power, w_load, w_cost, w_switch = inst.weights
     bounds = compute_bounds(inst) if w_power > 0 or w_load > 0 else None
     terms: list[tuple[float, Qubo]] = []
+    # The record's arrays are made before the terms' large temporaries and
+    # scaled in place: made after them, they kept about 50 MB of freed heap
+    # from going back to the system, and peak RSS over repeated ladder
+    # builds rose by 5%.
+    factors = [make(inst, bounds) for make, w in
+               ((_power_factors, w_power), (_load_factors, w_load)) if w > 0]
+    V = np.hstack([np.empty((inst.n * inst.k, 0))] + [f.V for f in factors])
+    linear = inst.c.ravel().copy()
+    transition = _switch_table(inst)
 
-    def add(weight: float, which: str, q: Qubo):
-        scaled = normalized_term(inst, which, q) if score_normalized else (q,)
-        if scaled is not None:
-            terms.append((weight, scaled[0]))
+    def add(weight: float, which: str, q: Qubo) -> float:
+        """Adds the term; returns its factor weight / span, 0 if left out."""
+        scaled = normalized_term(inst, which, q) if score_normalized else (q, 1.0)
+        if scaled is None:
+            return 0.0
+        terms.append((weight, scaled[0]))
+        return weight / scaled[1]
 
+    scales = []
     if w_power > 0:
-        add(w_power, "power", build_power_qubo(inst, bounds))
+        scales.append(add(w_power, "power", build_power_qubo(inst, bounds)))
     if w_load > 0:
-        add(w_load, "load", build_load_qubo(inst, bounds))
-    if w_cost > 0:
-        add(w_cost, "cost", build_cost_qubo(inst))
-    if w_switch > 0:
-        add(w_switch * inst.gamma, "switch", build_switch_qubo(inst))
-    return add_hard_terms(inst, terms, extra_hard_weight)
+        scales.append(add(w_load, "load", build_load_qubo(inst, bounds)))
+    linear *= add(w_cost, "cost", build_cost_qubo(inst)) if w_cost > 0 else 0.0
+    transition *= (add(w_switch * inst.gamma, "switch", build_switch_qubo(inst))
+                   if w_switch > 0 else 0.0)
+    transition += extra_hard_weight * _jumps(inst.k)
+    penalty = Factors(V, *(np.hstack([np.empty((inst.T, 0))] + [
+        w * getattr(f, name) for w, f in zip(scales, factors)])
+        for name in ("const", "lin", "quad")))
+    return add_hard_terms(inst, terms, extra_hard_weight).with_factored(
+        FactoredObjective(penalty, linear, transition))

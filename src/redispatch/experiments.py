@@ -64,6 +64,9 @@ __all__ = [
 
 
 SOLVERS = ("alpha", "tabu", "sa", "brute", "random-decomp", "score-decomp")
+# alpha's epoch budget in the decomposers and timeseries studies; no flag
+# sets it, and alpha stops earlier after an epoch without an accepted move
+ALPHA_EPOCHS = 50
 
 # metric columns of report.csv, decomposers.csv and score_norm_solutions.csv
 REPORT_COLUMNS = ["overloaded_lines", "production_cost",
@@ -279,7 +282,7 @@ def run_decomposers(ds: NetworkDataset, settings: ExperimentSettings,
                     out_dir) -> dict:
     """Cycle-move expansion against the clamping baselines on one composite."""
     # (row label, solver, budget): alpha epochs or decomposer steps
-    runs = (("alpha", "alpha", 50),
+    runs = (("alpha", "alpha", ALPHA_EPOCHS),
             ("random", "random-decomp", settings.max_steps),
             ("score", "score-decomp", settings.max_steps))
     rows = []
@@ -309,9 +312,9 @@ def run_timeseries(ds: NetworkDataset, settings: ExperimentSettings,
     seed = settings.seeds[0]
     inst = build_instance(ds, settings.T, settings.k, seed=seed,
                           promote_statics=settings.promote_statics)
-    result = run_solver("alpha", inst, composed_objective(inst), seed, 50,
-                        settings.time_limit, settings.batch_size,
-                        settings.subproblem_size)
+    result = run_solver("alpha", inst, composed_objective(inst), seed,
+                        ALPHA_EPOCHS, settings.time_limit,
+                        settings.batch_size, settings.subproblem_size)
     Z = decode_one_hot(result.best, inst.T, inst.n, inst.k)
     prod = power_production(inst, Z)
     loads = line_loads(inst, Z)

@@ -48,7 +48,11 @@ class NonFiniteError(ValueError):
 class Qubo:
     """Immutable sparse QUBO with an explicit constant offset."""
 
-    __slots__ = ("dim", "offset", "rows", "cols", "vals", "_adjacency")
+    # factored: None, or this objective as alpha expansion scores moves from
+    # it (encodings.FactoredObjective); ==, pickling, clamp and weighted_sum
+    # ignore it
+    __slots__ = ("dim", "offset", "rows", "cols", "vals", "_adjacency",
+                 "factored")
 
     def __init__(self, dim: int, rows=(), cols=(), vals=(), offset: float = 0.0):
         if int(dim) != dim or dim < 0:
@@ -89,12 +93,32 @@ class Qubo:
         _check_finite(vals, offset)  # after summing: sums can overflow
         self._adopt(dim, rows[pick], cols[pick], vals, offset)
 
-    def _adopt(self, dim, rows, cols, vals, offset):
+    def _adopt(self, dim, rows, cols, vals, offset, factored=None):
         """Take arrays already in canonical form, without copying them."""
         for a in (rows, cols, vals):
             a.flags.writeable = False
-        for name, value in zip(self.__slots__, (dim, offset, rows, cols, vals, None)):
+        for name, value in zip(self.__slots__,
+                               (dim, offset, rows, cols, vals, None, factored)):
             object.__setattr__(self, name, value)
+
+    def with_factored(self, factored) -> "Qubo":
+        """This Qubo, sharing its arrays, with `factored` in that slot."""
+        out = object.__new__(Qubo)
+        out._adopt(self.dim, self.rows, self.cols, self.vals, self.offset, factored)
+        return out
+
+    @classmethod
+    def from_upper(cls, U: np.ndarray) -> "Qubo":
+        """Qubo with coefficient U[i, j] on x_i x_j of a square matrix U that
+        is zero below its diagonal."""
+        flat = np.flatnonzero(U)  # row-major: the canonical order
+        rows, cols = np.divmod(flat, len(U))
+        if (rows > cols).any():
+            raise ValueError("U has entries below its diagonal")
+        out = object.__new__(cls)
+        out._adopt(len(U), rows, cols, np.asarray(U, dtype=float).ravel()[flat], 0.0)
+        _check_finite(out.vals, 0.0)
+        return out
 
     def __reduce__(self):
         return Qubo, (self.dim, self.rows, self.cols, self.vals, self.offset)

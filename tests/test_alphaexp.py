@@ -1,11 +1,16 @@
 """Tests for the feasibility-preserving batched move search."""
 
+import ast
+import dataclasses
+import inspect
 import itertools
+import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from redispatch import alphaexp
 from redispatch.alphaexp import (
     CycleSet,
     InfeasibleStartError,
@@ -18,14 +23,21 @@ from redispatch.alphaexp import (
     sample_disjoint_changes,
 )
 from redispatch.data import synth_instance
-from redispatch.encodings import build_objective
+from redispatch.encodings import (
+    Factors,
+    FactoredObjective,
+    _factored_qubo,
+    _transition_qubo,
+    build_objective,
+)
+from redispatch.experiments import composed_objective
 from redispatch.model import (
     ProblemInstance,
     decode_one_hot,
     encode_one_hot,
     first_adjacency_violation,
 )
-from redispatch.qubo import Qubo
+from redispatch.qubo import Qubo, weighted_sum
 from redispatch.solvers import Budget
 
 from test_encodings import random_instance
@@ -329,6 +341,94 @@ def test_alpha_qubo_equals_scalar_loops_on_arbitrary_bits():
         assert build_alpha_qubo(q, x, cycles) == loop_alpha_qubo(q, x, cycles)
 
 
+def alpha_batches(rng, T, n, k, Z):
+    """Batches of cycles drawn as alpha_expansion draws them at schedule Z."""
+    members = _enumerate_members(T, n, k)
+    pool = [members[i] for i in rng.permutation(len(members))]
+    while pool:
+        batch, pool = sample_disjoint_changes(pool, int(rng.integers(1, 7)), k)
+        cycles = []
+        for ch in batch:
+            cand = rectify(Z, ch, k)
+            if all(cand.disjoint_from(c) for c in cycles):
+                cycles.append(cand)
+        yield cycles
+
+
+def asymmetric_objective(rng, T, n, k):
+    """Qubo of a FactoredObjective with random factors and a random
+    asymmetric transition table, with that record in its factored slot."""
+    R = int(rng.integers(1, 3))
+    f = FactoredObjective(
+        Factors(rng.normal(size=(n * k, R)), *rng.normal(size=(3, T, R))),
+        rng.normal(size=T * n * k), rng.normal(size=(n, k, k)))
+    idx = np.arange(T * n * k)
+    terms = [Qubo(T * n * k, idx, idx, f.linear),
+             _transition_qubo(T, n, k, f.transition), _factored_qubo(f.penalty)]
+    return weighted_sum([(1.0, q) for q in terms]).with_factored(f)
+
+
+@settings(max_examples=60, deadline=None)
+@example(T=1, n=2, k=3, L=1, seed=0, objective="composed", repeat=True,
+         zero=[False] * 4)
+@example(T=3, n=2, k=2, L=2, seed=1, objective="normalized", repeat=False,
+         zero=[True, False, True, False])
+@example(T=3, n=2, k=3, L=1, seed=2, objective="plain", repeat=True,
+         zero=[True] * 4)
+@given(T=st.integers(1, 4), n=st.integers(1, 3), k=st.integers(2, 4),
+       L=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       objective=st.sampled_from(["plain", "normalized", "composed",
+                                  "asymmetric"]),
+       repeat=st.booleans(), zero=st.lists(st.booleans(), min_size=4,
+                                           max_size=4))
+def test_factored_alpha_qubo_matches_qubo_path(T, n, k, L, seed, objective,
+                                               repeat, zero):
+    # every selection of every batch scores the same from the factored
+    # record as from the materialized objective it came with
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, T=T, n=n, k=k, L=L)
+    p = inst.p.copy()
+    if repeat and k > 2:
+        # two equal levels below the top one, which the bounds read: moves
+        # between them are exactly neutral
+        i = int(rng.integers(k - 2))
+        p[:, i + 1] = p[:, i]
+    weights = tuple(0.0 if z else w for z, w in zip(zero, inst.weights))
+    inst = dataclasses.replace(inst, p=p, weights=weights)
+    q = {"plain": lambda: build_objective(inst),
+         "normalized": lambda: build_objective(inst, score_normalized=True),
+         "composed": lambda: composed_objective(inst),
+         "asymmetric": lambda: asymmetric_objective(rng, T, n, k)}[objective]()
+    assert isinstance(q.factored, FactoredObjective)
+    Z = random_feasible_schedule(rng, T, n, k)
+    x = encode_one_hot(Z, T, n, k)
+    for cycles in itertools.islice(alpha_batches(rng, T, n, k, Z), 4):
+        reference = build_alpha_qubo(q, x, cycles)
+        factored = build_alpha_qubo(q.factored, x, cycles)
+        for bits in itertools.product((0, 1), repeat=len(cycles)):
+            delta = reference.evaluate(np.array(bits))
+            assert abs(factored.evaluate(np.array(bits)) - delta) <= 1e-9 * (
+                1.0 + abs(delta))
+
+
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "outer"}
+
+
+@pytest.mark.parametrize("scorer", [alphaexp._factored_alpha_qubo,
+                                    FactoredObjective.fields])
+def test_factored_scorer_uses_no_blas_product(scorer):
+    # a BLAS product's rounding can depend on the thread count, and the move
+    # scores break ties; at the sizes the scorer sees OpenBLAS stays on one
+    # thread, so test_alpha_schedule_ignores_blas_threads cannot catch one
+    tree = ast.parse(textwrap.dedent(inspect.getsource(scorer)))
+    products = [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                or isinstance(node, ast.Call) and (
+                    getattr(node.func, "attr", None) in BLAS_CALLS
+                    or any(kw.arg == "optimize" for kw in node.keywords))]
+    assert products == []
+
+
 # ------------------------------------------------------------- full search
 
 
@@ -378,6 +478,21 @@ def test_alpha_expansion_zero_budget_returns_start():
     res = alpha_expansion(inst, q, x0, budget=Budget(max_iterations=0))
     assert res.best.tolist() == x0.tolist()
     assert res.score == pytest.approx(q.evaluate(x0))
+
+
+def test_alpha_expansion_reads_a_composite_of_another_layout_as_a_qubo():
+    # same dim, other (n, k): the factored record does not describe this
+    # instance's bits, so the moves are scored from the matrix
+    rng = np.random.default_rng(13)
+    inst = random_instance(rng, T=2, n=3, k=2, L=1)
+    other = random_instance(rng, T=3, n=2, k=2, L=1)
+    q = build_objective(other)
+    x0 = encode_one_hot(np.ones((inst.T, inst.n), dtype=int),
+                        inst.T, inst.n, inst.k)
+    a = alpha_expansion(inst, q, x0, seed=3)
+    b = alpha_expansion(inst, q.with_factored(None), x0, seed=3)
+    assert (a.best.tolist(), a.score, a.trace) == (b.best.tolist(), b.score,
+                                                   b.trace)
 
 
 def test_alpha_expansion_rejects_infeasible_start():

@@ -16,7 +16,7 @@ import numpy as np
 
 from redispatch import alphaexp, experiments
 from redispatch.data import synth_instance
-from redispatch.encodings import build_objective
+from redispatch.encodings import FactoredObjective, build_objective
 from redispatch.model import encode_one_hot
 from redispatch.solvers import Budget
 
@@ -79,6 +79,29 @@ def test_alpha_expansion_calls_each_traced_alphaexp_name(monkeypatch):
     # tabu search only takes over above 20 moves in one batch
     assert [name for name, n in calls.items()
             if n == 0 and name != "tabu_search"] == []
+
+
+def test_alpha_scores_every_move_of_the_composite_from_its_factors(monkeypatch):
+    # the ladder workload's alphaexp.move_qubo span times build_alpha_qubo;
+    # on composed_objective each call must take the factored record, so the
+    # span measures that path and not a materialized-QUBO fallback
+    objectives = []
+
+    def recording(objective, *args, **kwargs):
+        objectives.append(objective)
+        return real(objective, *args, **kwargs)
+
+    real = alphaexp.build_alpha_qubo
+    monkeypatch.setattr(alphaexp, "build_alpha_qubo", recording)
+    inst, _ = synth_instance(4, 4, 5, 2, seed=1)
+    qubo = experiments.composed_objective(inst)
+    x0 = encode_one_hot(np.ones((inst.T, inst.n), dtype=int),
+                        inst.T, inst.n, inst.k)
+    alphaexp.alpha_expansion(inst, qubo, x0, batch_size=12,
+                             budget=Budget(max_iterations=3))
+    assert objectives
+    assert all(obj is qubo.factored for obj in objectives)
+    assert isinstance(qubo.factored, FactoredObjective)
 
 
 def test_workload_captured_names_resolve_on_experiments():

@@ -210,6 +210,8 @@ INSTANCE_EDITS = {
     ("experiment-decomposers", ("--max-iterations", "5")),
     ("experiment", ("--seed", "1")),
     ("estimate-sensitivity", ("--seed", "1")),
+    ("build-instance-net", ("--T", "2", "--k", "-1")),
+    ("experiment", ("--k", "-1")),
 ], ids=["time-limit-0", "time-limit-negative", "max-iterations-negative",
         "batch-size-0", "batch-size-negative", "brute-above-cap",
         "experiment-time-limit-0", "experiment-max-iterations-negative",
@@ -226,7 +228,8 @@ INSTANCE_EDITS = {
         "synthetic-shape-mismatch", "synthetic-with-size",
         "timeseries-max-iterations", "penalty-norm-max-steps",
         "decomposers-max-iterations", "experiment-seed",
-        "sensitivity-seed"])
+        "sensitivity-seed", "build-instance-k-negative",
+        "experiment-k-negative"])
 def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
     if extra and isinstance(extra[0], dict):
         cfg = tmp_path / "cfg.json"
@@ -237,8 +240,10 @@ def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
         which = command.partition("-")[2] or "penalty-norm"
         args = ["experiment", which, "--data-dir", str(network_dir),
                 "--seeds", "0"]
-    elif command == "build-instance":
+    elif command.startswith("build-instance"):
         args, out = ["build-instance"], ["--out", str(tmp_path / "i.json")]
+        if command == "build-instance-net":
+            args += ["--data-dir", str(network_dir)]
     elif command == "estimate-sensitivity":
         args = ["estimate-sensitivity", "--data-dir", str(network_dir)]
     else:
@@ -494,48 +499,56 @@ def exit_code_inputs(tmp_path_factory):
 
 
 @st.composite
-def cli_argv(draw, root, net, inst):
-    """argv of one command; each flag value is bad with probability 1/4."""
-    def value(pools):
-        valid, bad = pools
-        return draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 0
-                                    else valid))
-
-    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
-    argv = [command]
-    budgets = COMMAND_BUDGETS[command]
+def cli_argv(draw, root, net, inst, command=None):
+    """argv of one command (drawn unless given): valid with probability 1/2,
+    else with one bad part, which is a flag value, a config file of random
+    keys and values, or, for an experiment, a budget its study does not read.
+    Valid values can still clash (say, --size with --synthetic)."""
+    bad = draw(st.booleans())
+    command = command or draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    slots = []  # (flag, or None for the study, (valid values, bad values))
+    budgets = unread = COMMAND_BUDGETS[command]
     if command == "experiment":
-        which = value((list(STUDIES), ["bogus"]))
-        argv.append(which)
-        if which in STUDIES:
-            # the budgets the study reads, and w.p. 1/4 one that it rejects
-            reads = ["--seeds"] + [f"--{dest.replace('_', '-')}"
-                                   for dest in STUDIES[which][1]]
-            if draw(st.integers(0, 3)) == 0:
-                reads.append(draw(st.sampled_from(
-                    [flag for flag in budgets if flag not in reads])))
-            budgets = reads
+        which = draw(st.sampled_from(sorted(STUDIES)))
+        slots.append((None, ([which], ["bogus"])))
+        budgets = ["--seeds"] + [f"--{dest.replace('_', '-')}"
+                                 for dest in STUDIES[which][1]]
+        unread = [flag for flag in unread if flag not in budgets]
     if command == "solve":
-        argv += ["--instance",
-                 str(value(([inst], [root / "bad.json", root / "absent"])))]
+        slots.append(("--instance", ([inst], [root / "bad.json", root / "absent"])))
     elif command != "build-instance" or draw(st.booleans()):
-        argv += ["--data-dir", str(value(([net], [root / "absent"])))]
-    for flag in budgets:
-        argv += [flag, value(FLAG_VALUES[flag])]
-    for flag in COMMAND_FLAGS[command]:
-        if draw(st.booleans()):
-            argv += [flag, value(FLAG_VALUES[flag])]
-    if draw(st.integers(0, 3)) == 0:
+        slots.append(("--data-dir", ([net], [root / "absent"])))
+    slots += [(flag, FLAG_VALUES[flag]) for flag in budgets]
+    slots += [(flag, FLAG_VALUES[flag]) for flag in COMMAND_FLAGS[command]
+              if draw(st.booleans())]
+    # the bad part: slot `wrong`, else the config file, else an unread budget
+    wrong = draw(st.integers(0, len(slots) + bool(unread))) if bad else None
+    argv = [command]
+    for i, (flag, (valid, invalid)) in enumerate(slots):
+        value = str(draw(st.sampled_from(invalid if i == wrong else valid)))
+        argv += [value] if flag is None else [flag, value]
+    if wrong == len(slots):
         flags = COMMAND_FLAGS[command] + COMMAND_BUDGETS[command]
         keys = [f[2:].replace("-", "_") for f in flags] + ["no_such_flag"]
         config = draw(st.dictionaries(st.sampled_from(keys), CONFIG_VALUES,
-                                      max_size=2))
+                                      min_size=1, max_size=2))
         path = root / "config.json"
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
+    elif wrong == len(slots) + 1:
+        flag = draw(st.sampled_from(unread))
+        argv += [flag, draw(st.sampled_from(FLAG_VALUES[flag][0]))]
     out = root / "out"
     return argv + (["--out", str(out / "inst.json")]
                    if command == "build-instance" else ["--out-dir", str(out)])
+
+
+def exit_code(argv: list[str]) -> int:
+    """main's exit code, counting argparse's SystemExit code as one."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @given(data=st.data())
@@ -546,8 +559,19 @@ def test_cli_exits_only_with_0_2_or_3(exit_code_inputs, data):
     Runs in-process; argparse's SystemExit code counts as the exit code.
     """
     argv = data.draw(cli_argv(*exit_code_inputs))
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    assert code in (0, 2, 3), argv
+    assert exit_code(argv) in (0, 2, 3), argv
+
+
+def test_exit_code_draws_often_run_an_experiment(exit_code_inputs):
+    # the property above only reaches a study's own exit codes through
+    # draws that pass every check; at least a quarter of experiments must
+    codes = []
+
+    @given(data=st.data())
+    @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    def sample(data):
+        codes.append(exit_code(data.draw(cli_argv(*exit_code_inputs,
+                                                  command="experiment"))))
+
+    sample()
+    assert codes.count(0) >= 0.25 * len(codes), codes

@@ -10,8 +10,9 @@ where and from what the command ran.
 The commands run in one child process with BLAS pinned to one thread, so
 that a BLAS product whose sums split by thread count cannot move a pinned
 digest.  QUBO scores do not use one: `test_scores_ignore_blas_threads`
-checks that `solve --solver random-decomp` writes the same bytes with one
-and two BLAS threads.  `python tests/test_pinned_outputs.py DIR` is the
+and `test_alpha_schedule_ignores_blas_threads` check that `solve --solver
+random-decomp` and `--solver alpha` write the same bytes with one and two
+BLAS threads.  `python tests/test_pinned_outputs.py DIR` is the
 pinned child: it runs every command under DIR and writes DIR/digests.json.
 
 The hashes were recorded with Python 3.11.7 and numpy 2.4.6 (OpenBLAS
@@ -91,7 +92,7 @@ PINNED = {
         "MANIFEST.json":
             "9a1ae71c5c97c21e943e455338dca783e01694d8fda0ef1aa60b0f9127d26e54",
         "decomposers.csv":
-            "a61dd39f48b33a9299f2b19de380eecbc6d250114448e7d5fef998942569755d",
+            "20361219f9e68782cb128d46011f6b2c9ca7b67a4d290d9e41658bbca131b61b",
         "decomposers_summary.csv":
             "7eacdfb1b70445bf88f7a4fb85df9718bbbe7f4d44e97898931f3fa5975e5486",
     },
@@ -115,9 +116,9 @@ PINNED = {
         "MANIFEST.json":
             "12073a0063893a43c0223a68e1deb439fc2c1e0ffa56bcae16a5892976ed73f3",
         "report.csv":
-            "4c12cec328ac2e690e89de00d85da59fb75638892c7e28e341f47d1a563f448c",
+            "96aa8bca5ffa7c314b8bd09d2619a2b2565704abd2cc837b4193387ad2763598",
         "solution.json":
-            "f3dc484b82026e6fe710c32801159c55df7c32417b601b38657eb1fe78c30eb4",
+            "0a770f82298bbccf6c9a14101bf052a0af5de7731dc7d34ddee763ca5778fd90",
         "trace.csv":
             "681e5cb4fec03da320115f10813356fab301d0d01a9f4720e70628fd47d5489b",
     },
@@ -236,10 +237,8 @@ def digests(tmp_path_factory):
     return json.loads((root / "digests.json").read_text())
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_scores_ignore_blas_threads(tmp_path, seed):
-    # the desk L objective has 15,204 terms; a BLAS dot over them splits its
-    # sum by thread count, which moves the objective at seed 1
+def solutions_by_blas_threads(tmp_path, solve_args: list[str]) -> list[bytes]:
+    """solution.json of `solve` on desk L with one, then two BLAS threads."""
     net = write_synthetic_network(tmp_path / "net", 12, 20, 16, n_fixed=6,
                                   seed=0)
     instance = tmp_path / "desk-L.json"
@@ -250,13 +249,30 @@ def test_scores_ignore_blas_threads(tmp_path, seed):
         out = tmp_path / f"threads-{threads}"
         child = subprocess.run(
             [sys.executable, "-m", "redispatch.cli", "solve", "--instance",
-             str(instance), "--solver", "random-decomp", "--max-iterations",
-             "20", "--seed", str(seed), "--out-dir", str(out)],
+             str(instance), *solve_args, "--out-dir", str(out)],
             env=_child_env(threads), capture_output=True, text=True,
             timeout=600)
         assert child.returncode == 0, child.stderr
         solutions.append((out / "solution.json").read_bytes())
-    assert solutions[0] == solutions[1]
+    return solutions
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_scores_ignore_blas_threads(tmp_path, seed):
+    # the desk L objective has 15,204 terms; a BLAS dot over them splits its
+    # sum by thread count, which moves the objective at seed 1
+    first, second = solutions_by_blas_threads(tmp_path, [
+        "--solver", "random-decomp", "--max-iterations", "20",
+        "--seed", str(seed)])
+    assert first == second
+
+
+def test_alpha_schedule_ignores_blas_threads(tmp_path):
+    # alpha's move scores break ties between equal-scoring selections, so a
+    # scorer whose sums split by BLAS thread count could change its schedule
+    first, second = solutions_by_blas_threads(tmp_path, [
+        "--solver", "alpha", "--max-iterations", "5"])
+    assert first == second
 
 
 @pytest.mark.parametrize("label", list(COMMANDS))

@@ -127,6 +127,32 @@ def test_pickle_and_copy_round_trip():
         assert all(np.array_equal(a, b) for a, b in zip(twin.csr(), q.csr()))
 
 
+def test_factored_slot_is_shared_and_dropped():
+    # with_factored shares the arrays; ==, pickling, weighted_sum, clamp and
+    # normalize_range ignore or drop the slot
+    q = Qubo(3, [0, 2, 1], [1, 0, 1], [1.0, -2.5, 4.0], offset=0.5)
+    record = object()
+    tagged = q.with_factored(record)
+    assert tagged.factored is record and q.factored is None
+    assert tagged.vals is q.vals and tagged == q
+    for derived in (pickle.loads(pickle.dumps(tagged)),
+                    weighted_sum([(1.0, tagged)]), tagged.clamp({0: 1})[0],
+                    normalize_range(tagged, -1.0, 1.0, 1)):
+        assert derived.factored is None
+
+
+def test_from_upper_equals_constructor():
+    rng = np.random.default_rng(3)
+    U = np.triu(rng.normal(size=(5, 5)))
+    U[1, 3] = U[2, 2] = 0.0
+    i, j = np.triu_indices(5)
+    assert Qubo.from_upper(U) == Qubo(5, i, j, U[i, j])
+    with pytest.raises(ValueError, match="below its diagonal"):
+        Qubo.from_upper(U.T)
+    with pytest.raises(NonFiniteError):
+        Qubo.from_upper(np.diag([1.0, np.inf]))
+
+
 def test_clamp_exhaustive_score_equality():
     # clamping must preserve scores for every completion of the free bits
     rng = np.random.default_rng(3)
