@@ -174,85 +174,18 @@ def build_alpha_qubo(objective: Qubo | FactoredObjective, x: np.ndarray,
                      cycles: list[CycleSet],
                      fields: tuple[np.ndarray, np.ndarray] | None = None
                      ) -> Qubo:
-    """Reduced QUBO over move-selection bits.
+    """Reduced QUBO over move-selection bits, from the moved blocks only.
 
     Bit i of the reduced problem means "apply cycles[i]".  For any selection
-    alpha, reduced.evaluate(alpha) equals
-    qubo.evaluate(x with the selected cycles applied) - qubo.evaluate(x),
-    provided the cycles touch pairwise disjoint blocks and no bit is moved
-    twice (else NonDisjointCyclesError).
-
-    The objective is that qubo, read entry by entry, or qubo.factored, the
-    FactoredObjective a build_objective result carries (equal up to
-    rounding).  That needs a one-hot x and cycles whose swaps stay inside
-    their blocks, as rectify makes them; fields are its fields at x's
-    schedule, computed here unless the caller keeps them.
-    """
-    if isinstance(objective, FactoredObjective):
-        return _factored_alpha_qubo(objective, x, cycles, fields)
-    qubo = objective
-    on, off, owner = _swaps(x, cycles)
-    xf = np.asarray(x, dtype=float)
-    m = len(cycles)
-    # sparse differences d_a with x + d_a = cycles[a].apply(x): entries
-    # (on, off) with values (x[off] - x[on], x[on] - x[off]) per swap, owned
-    # by the swap's cycle
-    bits = np.stack([on, off], axis=1).ravel()
-    step = xf[off] - xf[on]
-    vals = np.stack([step, -step], axis=1).ravel()
-    owner = np.repeat(owner, 2)
-    diag = qubo.adjacency()[0]
-    indptr, indices, data = qubo.csr()
-
-    # one gather of the moved bits' CSR rows, shortest first, gives the
-    # symmetric block over the entries (block[i, i] is Q[u, u] and
-    # block[i, j] is Q[u, v] / 2) and row[i] = (Q_sym x)[u]
-    starts = indptr[bits]
-    counts = indptr[bits + 1] - starts
-    by_len = np.argsort(counts, kind="stable")
-    lens = counts[by_len]
-    stops = np.cumsum(lens)  # where each row ends in the gather
-    gather = (np.repeat(starts[by_len] + lens - stops, lens)
-              + np.arange(lens.sum()))
-    nbr, w_rows = indices[gather], data[gather]
-    at = np.full(qubo.dim, -1)
-    at[bits] = np.arange(bits.size)
-    inside = np.flatnonzero(at[nbr] >= 0)
-    block = np.diag(diag[bits])
-    block[by_len[np.searchsorted(stops, inside, side="right")],
-          at[nbr[inside]]] = 0.5 * w_rows[inside]
-
-    # one dot per row (a matmul over equally long rows is one dot per row)
-    # sums in the order of the reference loops; a bincount would not
-    row = diag[bits] * xf[bits]
-    lengths, firsts = np.unique(lens, return_index=True)
-    for c, a, b in zip(lengths.tolist(), firsts.tolist(),
-                       [*firsts[1:].tolist(), lens.size]):
-        if c:
-            run = slice(stops[a] - c, stops[b - 1])
-            row[by_len[a:b]] += 0.5 * np.matmul(
-                w_rows[run].reshape(-1, 1, c), xf[nbr[run]].reshape(-1, c, 1)
-            ).ravel()
-
-    # lin[a] = 2 x' Q_sym d_a and pair[a, b] = d_a' Q_sym d_b.  bincount adds
-    # each cycle's (pair's) terms one by one from 0.0 in input order, the
-    # (pa, pb) order of the reference loops, so the reduced QUBO equals
-    # theirs bit for bit.  A D B D' matmul rounds differently, and that
-    # moves brute force's tie-break between equal-scoring selections.
-    lin = np.bincount(owner, weights=2.0 * vals * row, minlength=m)
-    terms = vals[:, None] * vals[None, :] * block
-    pair = np.bincount((owner[:, None] * m + owner[None, :]).ravel(),
-                       weights=terms.ravel(), minlength=m * m).reshape(m, m)
-    rows, cols = np.nonzero(~np.tri(m, k=-1, dtype=bool))  # upper triangle
-    upper = pair[rows, cols]
-    return Qubo(m, rows, cols,
-                np.where(rows == cols, lin[rows] + upper, 2.0 * upper))
-
-
-def _factored_alpha_qubo(f: FactoredObjective, x: np.ndarray,
-                         cycles: list[CycleSet],
-                         fields: tuple[np.ndarray, np.ndarray] | None) -> Qubo:
-    """build_alpha_qubo on a FactoredObjective, from the moved blocks only.
+    alpha, reduced.evaluate(alpha) equals, up to rounding,
+    qubo.evaluate(x with the selected cycles applied) - qubo.evaluate(x) for
+    the objective's Qubo.  objective is a FactoredObjective or a Qubo that
+    carries one in qubo.factored, as build_objective's results do (else
+    ValueError).  x is one-hot; fields are the record's fields at x's
+    schedule, computed here unless the caller keeps them.  The cycles must
+    touch pairwise disjoint blocks and move no bit twice (else
+    NonDisjointCyclesError), and each swap must stay inside its (timepoint,
+    resource) block (else ValueError), as rectify makes them.
 
     A swap moves block (t, j) from state o to u, bit `old` to bit `new`, and
     the penalty forms by d = V[new] - V[old]: alone it scores grad[t] . d +
@@ -261,20 +194,27 @@ def _factored_alpha_qubo(f: FactoredObjective, x: np.ndarray,
     + W[o, o'].  No sum is a BLAS product, whose rounding, and so the ties
     the scores break, would depend on the BLAS thread count.
     """
+    f = getattr(objective, "factored", objective)
+    if f is None:
+        raise ValueError("the Qubo carries no factored record to score moves "
+                         "from (build_objective attaches one)")
     on, off, owner = _swaps(x, cycles)
     x = np.asarray(x)
     m = len(cycles)
     n, k = f.transition.shape[:2]
+    old = np.where(x[on] > x[off], on, off)  # the set bit of the swap
+    new = on + off - old
+    blocks = old // k  # t * n + j
+    if (new // k != blocks).any():
+        raise ValueError("a swap moves a bit out of its (timepoint, resource) "
+                         "block")
     if fields is None:
         fields = f.fields(decode_one_hot(x, x.size // (n * k), n, k))
     grad, h = fields
-    old = np.where(x[on] > x[off], on, off)  # the set bit of the swap
-    new = on + off - old
     quad, V = f.penalty.quad, f.penalty.V
     t = old // (n * k)
     d = V[new % (n * k)] - V[old % (n * k)]  # swaps x R
     e, g = np.nonzero(t[:, None] == t)  # swap pairs at one timepoint
-    blocks = old // k  # t * n + j
     lo, hi = np.nonzero(blocks[:, None] + n == blocks)  # at t and t + 1
     # flat index of W[j, i, i'] at the lower and upper swap of each pair
     o, u = old % k, new % k
@@ -316,8 +256,9 @@ def alpha_expansion(
     Every candidate state change of every resource is proposed at least once
     per epoch, in a seeded random order.  Batches of rectified, pairwise
     disjoint moves (at most batch_size, which must be at least 1) are scored
-    through build_alpha_qubo, from qubo.factored when build_objective set it,
-    and solved exactly, or by tabu search above 20 moves; a combination is
+    through build_alpha_qubo from qubo.factored, the record build_objective
+    attaches (ValueError if it is missing or of another (n, k)), and solved
+    exactly, or by tabu search above 20 moves; a combination is
     applied only if its exact score delta is negative, or zero while
     strictly reducing the switch count during the first epoch.  Stops after
     an epoch without any accepted move, or when the budget (max_iterations
@@ -331,6 +272,10 @@ def alpha_expansion(
     x = np.asarray(x0).astype(np.int8).copy()
     if qubo.dim != inst.dim or x.shape != (inst.dim,):
         raise ValueError("qubo/x0 dimensions do not match the instance")
+    objective = qubo.factored
+    if objective is None or objective.transition.shape[:2] != (inst.n, inst.k):
+        raise ValueError("qubo carries no factored record of this instance's "
+                         "(n, k) layout (build_objective attaches one)")
     try:
         Z = decode_one_hot(x, inst.T, inst.n, inst.k)
     except ValueError as exc:
@@ -339,12 +284,7 @@ def alpha_expansion(
     if violation is not None:
         raise InfeasibleStartError(f"start schedule jumps >1 state at {violation}")
 
-    # moves are scored from the factored form when the objective has one
-    # for this instance's layout; its fields change only with accepted moves
-    objective = qubo.factored
-    if objective is None or objective.transition.shape[:2] != (inst.n, inst.k):
-        objective = qubo
-    fields = None if objective is qubo else objective.fields(Z)
+    fields = objective.fields(Z)  # they change only with accepted moves
     rng = np.random.default_rng(seed)
     started = time.monotonic()
     deadline = started + budget.time_limit
@@ -403,8 +343,7 @@ def alpha_expansion(
             )
             if take:
                 x, Z = x_new, Z_new
-                if fields is not None:
-                    fields = objective.fields(Z)
+                fields = objective.fields(Z)
                 score += delta
                 accepted_moves += int(alpha.sum())
                 trace.append((steps, score))

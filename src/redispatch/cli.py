@@ -63,6 +63,11 @@ STUDIES = {
     "timeseries": (run_timeseries, ("time_limit",)),
 }
 
+# solve's size flags and the solvers that read them; an omitted one takes
+# its ExperimentSettings default
+SOLVER_SIZES = {"batch_size": ("alpha",),
+                "subproblem_size": ("random-decomp", "score-decomp")}
+
 
 class ConfigError(Exception):
     """Bad flags, config file or input data; maps to exit code 2."""
@@ -199,12 +204,20 @@ def cmd_build_instance(args) -> int:
 
 def cmd_solve(args) -> int:
     _check_budgets(args, ("max_iterations", "time_limit"))
-    if args.batch_size < 1 or args.subproblem_size < 1:
-        raise ConfigError("--batch-size and --subproblem-size must be at least 1")
+    sizes = {}
+    for dest, readers in SOLVER_SIZES.items():
+        flag, value = f"--{dest.replace('_', '-')}", getattr(args, dest)
+        if value is None:
+            value = getattr(ExperimentSettings, dest)
+        elif args.solver not in readers:
+            raise ConfigError(f"{flag} does not apply to solver {args.solver}")
+        elif value < 1:
+            raise ConfigError(f"{flag} must be at least 1")
+        sizes[dest] = value
     inst = data_mod.load_instance(args.instance)
     result = run_solver(args.solver, inst, composed_objective(inst), args.seed,
                         args.max_iterations, args.time_limit or math.inf,
-                        args.batch_size, args.subproblem_size)
+                        **sizes)
     out = _out_dir(args)
     Z, feasible, report = read_out(inst, result.best)
     solution = {
@@ -228,8 +241,7 @@ def cmd_solve(args) -> int:
     config = {
         "instance": str(args.instance), "solver": args.solver,
         "seed": args.seed, "max_iterations": args.max_iterations,
-        "time_limit": args.time_limit, "batch_size": args.batch_size,
-        "subproblem_size": args.subproblem_size,
+        "time_limit": args.time_limit, **sizes,
     }
     _write_manifest(out, "solve", config)
     print(f"{args.solver}: objective {fmt(result.score)}, "
@@ -332,10 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", default="alpha", choices=SOLVERS)
     p.add_argument("--max-iterations", type=int, default=10000)
     p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--batch-size", type=int,
-                   default=ExperimentSettings.batch_size)
-    p.add_argument("--subproblem-size", type=int,
-                   default=ExperimentSettings.subproblem_size)
+    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--subproblem-size", type=int, default=None)
     p.add_argument("--out-dir", default="solve-out")
     p.set_defaults(func=cmd_solve)
 

@@ -135,20 +135,10 @@ class Qubo:
 
         diag[i] is the coefficient of the diagonal term (i, i).  neighbors[i]
         and weights[i] list every j != i coupled to i with the stored
-        off-diagonal coefficient.  They are read-only slices of csr().
+        off-diagonal coefficient: first the entries (i, j), then the entries
+        (j, i), each in stored order.  They are read-only, consecutive slices
+        of one flat neighbour array and one flat weight array.
         """
-        return self._couplings()[:3]
-
-    def csr(self):
-        """Off-diagonal couplings in compressed sparse row form: (indptr, indices, data).
-
-        Row i holds indices[indptr[i]:indptr[i + 1]] with weights
-        data[indptr[i]:indptr[i + 1]], in the order of adjacency().
-        """
-        return self._couplings()[3:]
-
-    def _couplings(self):
-        # one cached structure: the CSR arrays and the per-variable views of them
         cached = self._adjacency
         if cached is None:
             rows, cols, vals = self.rows, self.cols, self.vals
@@ -157,8 +147,6 @@ class Qubo:
             diag[rows[on_diag]] = vals[on_diag]
             r, c, v = rows[~on_diag], cols[~on_diag], vals[~on_diag]
             del on_diag
-            # row i lists its upper neighbours (entries (i, j), in stored
-            # order), then its lower ones (entries (j, i), in stored order)
             upper = np.bincount(r, minlength=self.dim)
             lower = np.bincount(c, minlength=self.dim)
             bounds = np.zeros(self.dim + 1, dtype=np.int64)
@@ -173,11 +161,11 @@ class Qubo:
             del c
             at += np.arange(r.size)
             dst[at], w[at] = r[order], v[order]
-            for a in (diag, dst, w, bounds):
+            for a in (diag, dst, w):
                 a.flags.writeable = False
             neighbors = [dst[bounds[i] : bounds[i + 1]] for i in range(self.dim)]
             weights = [w[bounds[i] : bounds[i + 1]] for i in range(self.dim)]
-            cached = (diag, neighbors, weights, bounds, dst, w)
+            cached = (diag, neighbors, weights)
             object.__setattr__(self, "_adjacency", cached)
         return cached
 

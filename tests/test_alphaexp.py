@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import inspect
 import itertools
+import pickle
 import textwrap
 
 import numpy as np
@@ -46,18 +47,6 @@ from test_encodings import random_instance
 def apply_to_schedule(Z, cycle, T, n, k):
     x = encode_one_hot(np.asarray(Z), T, n, k)
     return decode_one_hot(cycle.apply(x), T, n, k)
-
-
-def random_qubo(rng, dim):
-    rows, cols = list(range(dim)), list(range(dim))
-    vals = [rng.normal() for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if rng.random() < 0.6:
-                rows.append(i)
-                cols.append(j)
-                vals.append(rng.normal())
-    return Qubo(dim, rows, cols, vals, offset=rng.normal())
 
 
 # ----------------------------------------------------------------- cycles
@@ -192,101 +181,74 @@ def test_alpha_qubo_exact_delta_exhaustive():
             q.evaluate(moved) - base, rel=1e-9, abs=1e-9)
 
 
-def test_alpha_qubo_exact_delta_on_arbitrary_bits():
-    rng = np.random.default_rng(2)
-    q = random_qubo(rng, 12)
-    x = rng.integers(0, 2, 12).astype(np.int8)
-    cycles = [
-        CycleSet(swaps=((0, 1),), touched=frozenset([(0, 0)])),
-        CycleSet(swaps=((4, 5), (6, 7)), touched=frozenset([(0, 1), (0, 2)])),
-        CycleSet(swaps=((9, 11),), touched=frozenset([(0, 3)])),
-    ]
-    reduced = build_alpha_qubo(q, x, cycles)
+def moved_deltas(q, x, cycles):
+    """True score delta of every selection of cycles, in encoding order."""
     base = q.evaluate(x)
-    for bits in itertools.product((0, 1), repeat=3):
+    for bits in itertools.product((0, 1), repeat=len(cycles)):
         moved = x
         for sel, cyc in zip(bits, cycles):
             if sel:
                 moved = cyc.apply(moved)
-        assert reduced.evaluate(np.array(bits)) == pytest.approx(
-            q.evaluate(moved) - base, rel=1e-9, abs=1e-9)
+        yield np.array(bits), q.evaluate(moved) - base
+
+
+def assert_exact(q, x, cycles):
+    """build_alpha_qubo scores every selection as Qubo.evaluate does."""
+    reduced = build_alpha_qubo(q, x, cycles)
+    assert reduced == build_alpha_qubo(q.factored, x, cycles)
+    for bits, delta in moved_deltas(q, x, cycles):
+        assert abs(reduced.evaluate(bits) - delta) <= 1e-9 * (1.0 + abs(delta))
+
+
+def one_hot_start(seed, T=1, n=2, k=3):
+    """(instance, build_objective of it, one-hot x of all-state-1)."""
+    inst = random_instance(np.random.default_rng(seed), T=T, n=n, k=k, L=1)
+    x = encode_one_hot(np.ones((T, n), dtype=int), T, n, k)
+    return inst, build_objective(inst), x
 
 
 def test_alpha_qubo_rejects_overlapping_cycles():
-    rng = np.random.default_rng(3)
-    q = random_qubo(rng, 6)
+    _, q, x = one_hot_start(3)  # blocks (0, 0) and (0, 1): bits 0-2, 3-5
     shared = frozenset([(0, 0)])
     cycles = [
         CycleSet(swaps=((0, 1),), touched=shared),
-        CycleSet(swaps=((1, 2),), touched=shared),
+        CycleSet(swaps=((0, 2),), touched=shared),
     ]
     with pytest.raises(NonDisjointCyclesError, match="cycles 0 and 1"):
-        build_alpha_qubo(q, np.zeros(6, dtype=np.int8), cycles)
-    # blocks apart, but both cycles move bit 1
+        build_alpha_qubo(q, x, cycles)
+    # blocks apart, but both cycles move bit 0
     cycles = [
         CycleSet(swaps=((0, 1),), touched=frozenset([(0, 0)])),
-        CycleSet(swaps=((1, 2),), touched=frozenset([(0, 1)])),
+        CycleSet(swaps=((0, 2),), touched=frozenset([(0, 1)])),
     ]
     with pytest.raises(NonDisjointCyclesError, match="bit"):
-        build_alpha_qubo(q, np.array([1, 0, 1, 0, 0, 0], dtype=np.int8), cycles)
+        build_alpha_qubo(q, x, cycles)
+
+
+def test_alpha_qubo_rejects_a_swap_out_of_its_block():
+    # bit 1 is state 2 of block (0, 0), bit 3 state 1 of block (0, 1): the
+    # record would score this swap as a move inside one block
+    inst, _ = synth_instance(3, 3, 4, 2, seed=0)
+    q = build_objective(inst)
+    x = encode_one_hot(np.full((inst.T, inst.n), 2), inst.T, inst.n, inst.k)
+    cycles = [CycleSet(swaps=((1, 3),), touched=frozenset([(0, 0)]))]
+    with pytest.raises(ValueError, match="out of its"):
+        build_alpha_qubo(q, x, cycles)
+
+
+def test_alpha_qubo_rejects_a_qubo_without_a_record():
+    _, q, x = one_hot_start(4)
+    cycles = [CycleSet(swaps=((0, 1),), touched=frozenset([(0, 0)]))]
+    for bare in (q.with_factored(None), pickle.loads(pickle.dumps(q))):
+        with pytest.raises(ValueError, match="no factored record"):
+            build_alpha_qubo(bare, x, cycles)
 
 
 def test_alpha_qubo_empty_cycle_contributes_nothing():
-    rng = np.random.default_rng(4)
-    q = random_qubo(rng, 6)
-    x = np.array([1, 0, 1, 0, 1, 0], dtype=np.int8)
+    _, q, x = one_hot_start(4)
     cycles = [CycleSet(swaps=(), touched=frozenset())]
     reduced = build_alpha_qubo(q, x, cycles)
     assert reduced.evaluate(np.array([1])) == 0.0
-
-
-def loop_alpha_qubo(qubo, x, cycles):
-    """Reference: the scalar nested-loop move QUBO the array form replaced."""
-    diag, neighbors, weights = qubo.adjacency()
-    diffs = []
-    for cycle in cycles:
-        idx, val = [], []
-        for on, off in cycle.swaps:
-            if x[on] != x[off]:
-                idx.extend((on, off))
-                val.extend((float(x[off]) - float(x[on]),
-                            float(x[on]) - float(x[off])))
-        diffs.append((np.asarray(idx, dtype=np.int64), np.asarray(val)))
-    xf = x.astype(float)
-    touched = np.unique(np.concatenate([np.zeros(0, np.int64),
-                                        *(d for d, _ in diffs)]))
-    at = np.full(qubo.dim, -1)
-    at[touched] = np.arange(touched.size)
-    block = np.diag(diag[touched])
-    for p_u, u in enumerate(touched.tolist()):
-        p_v = at[neighbors[u]]
-        block[p_u, p_v[p_v >= 0]] = 0.5 * weights[u][p_v >= 0]
-    sym = block.tolist()
-    positions = [at[idx].tolist() for idx, _ in diffs]
-    reduced = np.zeros((len(cycles), len(cycles)))
-    for a, (idx_a, val_a) in enumerate(diffs):
-        if idx_a.size == 0:
-            continue
-        lin = 0.0
-        for pos, u in enumerate(idx_a.tolist()):
-            row = diag[u] * xf[u]
-            if neighbors[u].size:
-                row += 0.5 * float(weights[u] @ xf[neighbors[u]])
-            lin += 2.0 * val_a[pos] * row
-        quad = 0.0
-        for pa, i in enumerate(positions[a]):
-            for pb, j in enumerate(positions[a]):
-                quad += val_a[pa] * val_a[pb] * sym[i][j]
-        reduced[a, a] = lin + quad
-        for b in range(a + 1, len(cycles)):
-            _, val_b = diffs[b]
-            cross = 0.0
-            for pa, i in enumerate(positions[a]):
-                for pb, j in enumerate(positions[b]):
-                    cross += val_a[pa] * val_b[pb] * sym[i][j]
-            reduced[a, b] = 2.0 * cross
-    rows, cols = np.triu_indices(len(cycles))
-    return Qubo(len(cycles), rows, cols, reduced[rows, cols])
 
 
 def random_feasible_schedule(rng, T, n, k):
@@ -297,48 +259,20 @@ def random_feasible_schedule(rng, T, n, k):
     return Z
 
 
-def test_alpha_qubo_equals_scalar_loops_on_instances():
-    # batches drawn as alpha_expansion draws them, keeping the changes that
-    # are already in place, so some cycles have no swaps at all
+def test_alpha_qubo_is_exact_with_empty_cycles():
+    # changes already in place rectify to cycles with no swaps, which alpha
+    # keeps in its batches; they score 0 and leave the others exact
     rng = np.random.default_rng(11)
-    empty = 0
-    for trial in range(30):
-        inst = random_instance(rng, T=int(rng.integers(1, 6)),
-                               n=int(rng.integers(1, 5)),
-                               k=int(rng.integers(2, 6)))
+    for trial in range(10):
+        inst = random_instance(rng, T=3, n=3, k=int(rng.integers(2, 5)))
         q = build_objective(inst)
         Z = random_feasible_schedule(rng, inst.T, inst.n, inst.k)
         x = encode_one_hot(Z, inst.T, inst.n, inst.k)
-        members = _enumerate_members(inst.T, inst.n, inst.k)
-        pool = [members[i] for i in rng.permutation(len(members))]
-        while pool:
-            batch, pool = sample_disjoint_changes(
-                pool, int(rng.integers(1, 9)), inst.k)
-            cycles = []
-            for ch in batch:
-                cand = rectify(Z, ch, inst.k)
-                if all(cand.disjoint_from(c) for c in cycles):
-                    cycles.append(cand)
-            empty += sum(not c.swaps for c in cycles)
-            assert build_alpha_qubo(q, x, cycles) == loop_alpha_qubo(q, x, cycles)
-    assert empty > 0
-
-
-def test_alpha_qubo_equals_scalar_loops_on_arbitrary_bits():
-    # swaps between equal bits leave a cycle with an empty difference
-    rng = np.random.default_rng(12)
-    for trial in range(40):
-        dim = int(rng.integers(2, 25))
-        q = random_qubo(rng, dim)
-        x = rng.integers(0, 2, dim).astype(np.int8)
-        order = rng.permutation(dim).tolist()
-        cycles = []
-        while len(order) >= 2:
-            size = int(rng.integers(0, min(3, len(order) // 2) + 1))
-            swaps = tuple((order.pop(), order.pop()) for _ in range(size))
-            cycles.append(CycleSet(swaps=swaps,
-                                   touched=frozenset([(0, len(cycles))])))
-        assert build_alpha_qubo(q, x, cycles) == loop_alpha_qubo(q, x, cycles)
+        changes = [StateChange(0, 0, int(Z[0, 0])), StateChange(2, 1, 1),
+                   StateChange(1, 2, int(Z[1, 2])), StateChange(0, 2, inst.k)]
+        cycles = [rectify(Z, ch, inst.k) for ch in changes]
+        assert cycles[0].swaps == cycles[2].swaps == ()
+        assert_exact(q, x, cycles)
 
 
 def alpha_batches(rng, T, n, k, Z):
@@ -383,8 +317,8 @@ def asymmetric_objective(rng, T, n, k):
                                            max_size=4))
 def test_factored_alpha_qubo_matches_qubo_path(T, n, k, L, seed, objective,
                                                repeat, zero):
-    # every selection of every batch scores the same from the factored
-    # record as from the materialized objective it came with
+    # every selection of every batch scores the true delta of the
+    # materialized objective the record came with
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, T=T, n=n, k=k, L=L)
     p = inst.p.copy()
@@ -403,18 +337,13 @@ def test_factored_alpha_qubo_matches_qubo_path(T, n, k, L, seed, objective,
     Z = random_feasible_schedule(rng, T, n, k)
     x = encode_one_hot(Z, T, n, k)
     for cycles in itertools.islice(alpha_batches(rng, T, n, k, Z), 4):
-        reference = build_alpha_qubo(q, x, cycles)
-        factored = build_alpha_qubo(q.factored, x, cycles)
-        for bits in itertools.product((0, 1), repeat=len(cycles)):
-            delta = reference.evaluate(np.array(bits))
-            assert abs(factored.evaluate(np.array(bits)) - delta) <= 1e-9 * (
-                1.0 + abs(delta))
+        assert_exact(q, x, cycles)
 
 
 BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "outer"}
 
 
-@pytest.mark.parametrize("scorer", [alphaexp._factored_alpha_qubo,
+@pytest.mark.parametrize("scorer", [build_alpha_qubo,
                                     FactoredObjective.fields])
 def test_factored_scorer_uses_no_blas_product(scorer):
     # a BLAS product's rounding can depend on the thread count, and the move
@@ -480,19 +409,21 @@ def test_alpha_expansion_zero_budget_returns_start():
     assert res.score == pytest.approx(q.evaluate(x0))
 
 
-def test_alpha_expansion_reads_a_composite_of_another_layout_as_a_qubo():
-    # same dim, other (n, k): the factored record does not describe this
-    # instance's bits, so the moves are scored from the matrix
+@pytest.mark.parametrize("objective", ["no-record", "pickled", "other-layout"])
+def test_alpha_expansion_rejects_a_qubo_without_its_record(objective):
+    # moves are scored from the record alone: a Qubo without one, and one
+    # whose record describes another (n, k) at the same dim, are refused
     rng = np.random.default_rng(13)
     inst = random_instance(rng, T=2, n=3, k=2, L=1)
-    other = random_instance(rng, T=3, n=2, k=2, L=1)
-    q = build_objective(other)
+    q = build_objective(inst)
+    q = {"no-record": lambda: q.with_factored(None),
+         "pickled": lambda: pickle.loads(pickle.dumps(q)),
+         "other-layout": lambda: build_objective(
+             random_instance(rng, T=3, n=2, k=2, L=1))}[objective]()
     x0 = encode_one_hot(np.ones((inst.T, inst.n), dtype=int),
                         inst.T, inst.n, inst.k)
-    a = alpha_expansion(inst, q, x0, seed=3)
-    b = alpha_expansion(inst, q.with_factored(None), x0, seed=3)
-    assert (a.best.tolist(), a.score, a.trace) == (b.best.tolist(), b.score,
-                                                   b.trace)
+    with pytest.raises(ValueError, match="no factored record"):
+        alpha_expansion(inst, q, x0, seed=3)
 
 
 def test_alpha_expansion_rejects_infeasible_start():
@@ -580,3 +511,40 @@ def test_alpha_output_feasible_and_trace_never_rises(n, k, T, L, seed,
     assert all(b <= a + 1e-9 for a, b in zip(scores, scores[1:]))
     # the summed move-QUBO deltas land on the exact score of the result
     assert abs(scores[-1] - res.score) <= 1e-9 * (1.0 + abs(res.score))
+
+
+@settings(max_examples=150, deadline=None)
+@example(T=1, n=2, k=2, L=1, seed=0, objective="normalized", repeat=False,
+         batch_size=1)
+@example(T=1, n=2, k=3, L=2, seed=0, objective="plain", repeat=False,
+         batch_size=1)
+@given(T=st.integers(1, 3), n=st.integers(1, 3), k=st.integers(2, 4),
+       L=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       objective=st.sampled_from(["plain", "normalized", "composed"]),
+       repeat=st.booleans(), batch_size=st.integers(1, 20))
+def test_alpha_result_is_one_optimal(T, n, k, L, seed, objective, repeat,
+                                     batch_size):
+    # alpha ends on an epoch that proposed every change and took none, so
+    # no single rectified change lowers the true score; Qubo.evaluate, not
+    # the move scorer, gives each delta
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, T=T, n=n, k=k, L=L)
+    if repeat and k > 2:
+        # two equal levels below the top one, as in the exactness property
+        p = inst.p.copy()
+        i = int(rng.integers(k - 2))
+        p[:, i + 1] = p[:, i]
+        inst = dataclasses.replace(inst, p=p)
+    q = {"plain": lambda: build_objective(inst),
+         "normalized": lambda: build_objective(inst, score_normalized=True),
+         "composed": lambda: composed_objective(inst)}[objective]()
+    Z0 = random_feasible_schedule(rng, T, n, k)
+    res = alpha_expansion(inst, q, encode_one_hot(Z0, T, n, k),
+                          batch_size=batch_size, seed=seed,
+                          budget=Budget(max_iterations=10**6))
+    Z = decode_one_hot(res.best, T, n, k)
+    score = q.evaluate(res.best)
+    for change in _enumerate_members(T, n, k):
+        if Z[change.t, change.j] != change.i_new:
+            moved = rectify(Z, change, k).apply(res.best)
+            assert q.evaluate(moved) - score >= -1e-9 * (1.0 + abs(score))

@@ -212,6 +212,10 @@ INSTANCE_EDITS = {
     ("estimate-sensitivity", ("--seed", "1")),
     ("build-instance-net", ("--T", "2", "--k", "-1")),
     ("experiment", ("--k", "-1")),
+    ("solve", ("--solver", "tabu", "--batch-size", "5")),
+    ("solve", ("--subproblem-size", "40")),
+    ("solve", ("--solver", "score-decomp", "--batch-size", "12")),
+    ("config", ({"solver": "sa", "subproblem_size": 4},)),
 ], ids=["time-limit-0", "time-limit-negative", "max-iterations-negative",
         "batch-size-0", "batch-size-negative", "brute-above-cap",
         "experiment-time-limit-0", "experiment-max-iterations-negative",
@@ -229,7 +233,9 @@ INSTANCE_EDITS = {
         "timeseries-max-iterations", "penalty-norm-max-steps",
         "decomposers-max-iterations", "experiment-seed",
         "sensitivity-seed", "build-instance-k-negative",
-        "experiment-k-negative"])
+        "experiment-k-negative", "batch-size-unread-by-tabu",
+        "subproblem-size-unread-by-alpha", "batch-size-unread-by-decomp",
+        "config-subproblem-size-unread-by-sa"])
 def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
     if extra and isinstance(extra[0], dict):
         cfg = tmp_path / "cfg.json"

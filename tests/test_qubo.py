@@ -120,11 +120,12 @@ def test_immutable_after_construction():
 
 def test_pickle_and_copy_round_trip():
     q = Qubo(3, [0, 2, 1], [1, 0, 1], [1.0, -2.5, 4.0], offset=0.5)
-    q.csr()  # a filled cache travels as nothing: the copy rebuilds it
+    q.adjacency()  # a filled cache travels as nothing: the copy rebuilds it
     for twin in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q), copy.copy(q)):
         assert twin == q
         assert not twin.rows.flags.writeable
-        assert all(np.array_equal(a, b) for a, b in zip(twin.csr(), q.csr()))
+        assert all(np.array_equal(a, b) for a, b in zip(
+            flat_adjacency(twin), flat_adjacency(q)))
 
 
 def test_factored_slot_is_shared_and_dropped():
@@ -450,11 +451,24 @@ def reference_csr(q: Qubo):
             np.concatenate([v, v])[order], diag)
 
 
+def flat_adjacency(q: Qubo):
+    """(indptr, indices, data, diag): adjacency()'s per-variable lists as
+    the flat neighbour and weight arrays they are slices of."""
+    diag, neighbors, weights = q.adjacency()
+    if q.dim:  # one flat array under each list
+        assert all(a.base is neighbors[0].base for a in neighbors)
+        assert all(a.base is weights[0].base for a in weights)
+    indptr = np.zeros(q.dim + 1, dtype=np.int64)
+    np.cumsum([a.size for a in neighbors], out=indptr[1:])
+    return (indptr, np.concatenate([np.empty(0, np.int64), *neighbors]),
+            np.concatenate([np.empty(0), *weights]), diag)
+
+
 def assert_same_bytes(q: Qubo, ref: Qubo):
-    """Equal bits in the triplets, the offset, the CSR arrays and diag."""
+    """Equal bits in the triplets, the offset, the flat adjacency and diag."""
     assert q.dim == ref.dim
     assert np.float64(q.offset).tobytes() == np.float64(ref.offset).tobytes()
-    got = (q.rows, q.cols, q.vals, *q.csr(), q.adjacency()[0])
+    got = (q.rows, q.cols, q.vals, *flat_adjacency(q))
     want = (ref.rows, ref.cols, ref.vals, *reference_csr(ref))
     for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -541,7 +555,7 @@ def test_canonicalizations_stay_in_bounded_memory():
 
     The concatenate-and-sort versions measured, as ratios of the output:
     constructor on canonical-order input 3.42, weighted_sum of three such
-    terms 5.26, csr() 3.78.  The key-by-key versions measured 1.04, 2.16 and
+    terms 5.26, adjacency() 3.78.  The key-by-key versions measured 1.04, 2.16 and
     2.75.  Each bound sits between the two.
     """
     rng = np.random.default_rng(0)
@@ -558,5 +572,5 @@ def test_canonicalizations_stay_in_bounded_memory():
     q, peak = traced_peak(lambda: weighted_sum(terms))
     assert peak <= 3.5 * nbytes(q.rows, q.cols, q.vals)
     fresh = Qubo(dim, q.rows, q.cols, q.vals)
-    csr, peak = traced_peak(fresh.csr)
-    assert peak <= 3.2 * nbytes(*csr)
+    _, peak = traced_peak(fresh.adjacency)
+    assert peak <= 3.2 * nbytes(*flat_adjacency(fresh)[:3])
