@@ -31,7 +31,8 @@ from .model import (
     flat_index,
 )
 from .qubo import Qubo
-from .solvers import Budget, SolveRequest, SolveResult, brute_force, tabu_search
+from .solvers import (Budget, SolveRequest, SolveResult, _bit_vector,
+                      brute_force, tabu_search)
 
 __all__ = [
     "NonDisjointCyclesError",
@@ -257,8 +258,8 @@ def alpha_expansion(
     per epoch, in a seeded random order.  Batches of rectified, pairwise
     disjoint moves (at most batch_size, which must be at least 1) are scored
     through build_alpha_qubo from qubo.factored, the record build_objective
-    attaches (ValueError if it is missing or of another (n, k)), and solved
-    exactly, or by tabu search above 20 moves; a combination is
+    attaches and all alpha reads (ValueError if missing or of another layout),
+    and solved exactly, or by tabu search above 20 moves; a combination is
     applied only if its exact score delta is negative, or zero while
     strictly reducing the switch count during the first epoch.  Stops after
     an epoch without any accepted move, or when the budget (max_iterations
@@ -269,13 +270,12 @@ def alpha_expansion(
         budget = Budget(max_iterations=1000)
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-    x = np.asarray(x0).astype(np.int8).copy()
-    if qubo.dim != inst.dim or x.shape != (inst.dim,):
-        raise ValueError("qubo/x0 dimensions do not match the instance")
+    x = _bit_vector(x0, inst.dim, "x0")
     objective = qubo.factored
-    if objective is None or objective.transition.shape[:2] != (inst.n, inst.k):
+    if objective is None or objective.linear.size != inst.dim or (
+            objective.transition.shape[:2] != (inst.n, inst.k)):
         raise ValueError("qubo carries no factored record of this instance's "
-                         "(n, k) layout (build_objective attaches one)")
+                         "layout (build_objective attaches one)")
     try:
         Z = decode_one_hot(x, inst.T, inst.n, inst.k)
     except ValueError as exc:
@@ -288,7 +288,7 @@ def alpha_expansion(
     rng = np.random.default_rng(seed)
     started = time.monotonic()
     deadline = started + budget.time_limit
-    score = qubo.evaluate(x)
+    score = objective.evaluate(x)
     members = _enumerate_members(inst.T, inst.n, inst.k)
     trace: list[tuple[int, float]] = [(0, score)]
     steps = 0
@@ -349,8 +349,6 @@ def alpha_expansion(
                 trace.append((steps, score))
         if pool or accepted_moves == 0:  # out of time, or nothing accepted
             break
-    # re-anchor the arithmetic so the reported score is exact, not summed deltas
-    score = qubo.evaluate(x)
-    wall = time.monotonic() - started
-    return SolveResult(best=x, score=float(score), iterations=steps,
-                       wall_seconds=wall, trace=trace)
+    # re-anchor: report the exact score of x, not summed deltas
+    return SolveResult(best=x, score=objective.evaluate(x), iterations=steps,
+                       wall_seconds=time.monotonic() - started, trace=trace)

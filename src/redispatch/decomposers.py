@@ -23,6 +23,7 @@ from .solvers import (
     brute_force,
     tabu_search,
     _all_deltas,
+    _bit_vector,
 )
 
 __all__ = [
@@ -96,9 +97,7 @@ def decompose_loop(
     strategy stops after a step that leaves x unchanged: its selection and
     sub-solve depend on x alone, so every later step would repeat it.
     """
-    x = np.asarray(x0).astype(np.int8).copy()
-    if x.shape != (qubo.dim,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({qubo.dim},)")
+    x = _bit_vector(x0, qubo.dim, "x0")
     rng = np.random.default_rng(config.seed)
     started = time.monotonic()
     deadline = started + config.time_limit

@@ -14,8 +14,8 @@ feasible schedules.  Each h is affine in s_tr = V[:, r] . x_t, a linear form
 of timepoint t's bits, so one builder materializes both: rank 1 for power
 (V = p), rank L for load (V = p * S).  penalty_scalar / power_penalty /
 load_penalty re-compute the penalties as scalars: the reference the matrix
-builders are tested against.  build_objective also keeps its composite in
-factored form (FactoredObjective), from which alpha expansion scores moves.
+builders are tested against.  build_objective assembles its composite once,
+as a FactoredObjective, materializes the Qubo from it and keeps it for alpha.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemInstance, encode_one_hot
-from .qubo import Qubo, normalize_range, weighted_sum
+from .qubo import Qubo, weighted_sum
+from .qubo import normalize_range  # noqa: F401 - perfbench/spans.py wraps it here
 
 __all__ = [
     "InfeasibleBoundError",
@@ -42,7 +43,7 @@ __all__ = [
     "build_load_qubo",
     "extremal_schedules",
     "extremal_scores",
-    "normalized_term",
+    "term_range",
     "add_hard_terms",
     "build_objective",
     "Factors",
@@ -233,22 +234,21 @@ def _factored_qubo(f: Factors) -> Qubo:
     T, nk = lin.shape[0], V.shape[0]
     iu, ju = np.triu_indices(nk)
     Vt = np.ascontiguousarray(V.T)
-    diag = (lin[:, :, None] * Vt + quad[:, :, None] * Vt * Vt).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # Qubo rejects inf, nan
+        diag = (lin[:, :, None] * Vt + quad[:, :, None] * Vt * Vt).sum(axis=1)
     vals = np.empty((T, iu.size))  # one block at a time, not T
     for t in range(T):
         block = np.einsum("ir,jr,r->ij", V, V, 2.0 * quad[t])
         np.fill_diagonal(block, diag[t])
         vals[t] = block[iu, ju]
     base = (np.arange(T) * nk)[:, None]
-    offset = float(np.cumsum(f.const)[-1])  # a running sum in (t, r) order
+    offset = float(np.cumsum(np.append(0.0, f.const))[-1])  # in (t, r) order
     return Qubo(T * nk, base + iu, base + ju, vals, offset)
 
 
 def _power_factors(inst: ProblemInstance, bounds: PenaltyBounds | None,
                    normalized: bool = True) -> Factors:
-    if normalized and bounds is None:
-        bounds = compute_bounds(inst)
-    f = 1.0 / bounds.power if normalized else np.ones(inst.T)
+    f = 1.0 / (bounds or compute_bounds(inst)).power if normalized else np.ones(inst.T)
     tau = inst.tau
     # zeta(f*(w.x - tau)) = const + (-f - f^2 tau)(w.x) + (f^2/2)(w.x)^2
     return Factors(inst.p.reshape(-1, 1),
@@ -258,9 +258,8 @@ def _power_factors(inst: ProblemInstance, bounds: PenaltyBounds | None,
 
 def _load_factors(inst: ProblemInstance, bounds: PenaltyBounds | None,
                   normalized: bool = True) -> Factors:
-    if normalized and bounds is None:
-        bounds = compute_bounds(inst)
-    f = 1.0 / bounds.load if normalized else np.ones((inst.T, inst.L))
+    f = (1.0 / (bounds or compute_bounds(inst)).load if normalized
+         else np.ones((inst.T, inst.L)))
     m = inst.M
     # zeta(f*(m - v.x)) = const + (f - f^2 m)(v.x) + (f^2/2)(v.x)^2
     return Factors(_line_factor(inst), 1.0 - f * m + 0.5 * (f * m) ** 2,
@@ -295,18 +294,18 @@ def build_load_qubo(
 
 @dataclass(frozen=True)
 class FactoredObjective:
-    """A build_objective composite on one-hot schedules, in the form alpha
-    expansion scores moves from: the power and load penalties as Factors
-    with V = [p | p*S], plus linear[j] per set bit j (cost), plus
-    transition[a, i, i'] per resource a in state i at t and i' at t + 1
-    (switch and adjacency), each with its weight and 1/span folded in.  The
-    one-hot constraint and the normalization shifts add the same to every
-    bit of a block, so they cancel on every move and are left out.
-    """
+    """A build_objective composite, weights and 1/spans folded in: the
+    penalties as Factors with V = [p | p*S], plus linear[j] + shift per set
+    bit j (cost, normalization shifts), plus transition[a, i, i'] per
+    resource a in state i at t and i' at t + 1 (switch, adjacency), plus
+    hard times build_onehot_qubo.  shift and hard add the same to every bit
+    of a block, so they cancel on every move and fields omits them."""
 
     penalty: Factors
     linear: np.ndarray      # (T*n*k,)
     transition: np.ndarray  # (n, k, k), states 0-based
+    hard: float = 0.0
+    shift: float = 0.0
 
     def fields(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(grad, h) at the schedule Z (T x n, states 1..k): grad[t, r] =
@@ -321,6 +320,29 @@ class FactoredObjective:
         h[1:] += self.transition[a, Z[:-1]]  # W[a, Z[t-1, a], i]
         h[:-1] += self.transition[a, :, Z[1:]]  # W[a, i, Z[t+1, a]]
         return pen.lin + 2.0 * pen.quad * s, h.ravel()
+
+    def evaluate(self, x: np.ndarray) -> float:
+        """Score of the bit vector x, qubo().evaluate(x) up to rounding; no
+        sum is a BLAS product.  An overflow scores inf or nan, unwarned."""
+        pen, (n, k) = self.penalty, self.transition.shape[:2]
+        X = np.asarray(x, dtype=float).reshape(-1, n, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.einsum("tj,jr->tr", X.reshape(len(X), -1), pen.V)
+            return float(
+                np.sum(pen.const + pen.lin * s + pen.quad * s * s)
+                + np.einsum("tai,taj,aij->", X[:-1], X[1:], self.transition)
+                + self.hard * np.sum((X.sum(axis=2) - 1.0) ** 2 - 1.0)
+                + np.sum((self.linear + self.shift) * X.ravel()))
+
+    def qubo(self) -> Qubo:
+        """This polynomial as a Qubo, with this record in its factored slot."""
+        (n, k), dim = self.transition.shape[:2], self.linear.size
+        return weighted_sum([
+            (1.0, _factored_qubo(self.penalty)),
+            (1.0, Qubo(dim, *np.diag_indices(dim), self.linear + self.shift)),
+            (1.0, _transition_qubo(dim // (n * k), n, k, self.transition)),
+            (self.hard, build_onehot_qubo(dim // (n * k), n, k)),
+        ]).with_factored(self)
 
 
 def extremal_schedules(inst: ProblemInstance, which: str) -> tuple[np.ndarray, np.ndarray]:
@@ -350,36 +372,24 @@ def extremal_schedules(inst: ProblemInstance, which: str) -> tuple[np.ndarray, n
 
 
 def extremal_scores(inst: ProblemInstance, which: str,
-                    qubo: Qubo) -> tuple[float, float]:
-    """Score range (lo, hi) of the term qubo over its extreme schedules."""
-    z_lo, z_hi = extremal_schedules(inst, which)
-    lo = qubo.evaluate(encode_one_hot(z_lo, inst.T, inst.n, inst.k))
-    hi = qubo.evaluate(encode_one_hot(z_hi, inst.T, inst.n, inst.k))
-    return lo, hi
+                    term: Qubo | FactoredObjective) -> tuple[float, float]:
+    """Score range (lo, hi) of a term over its extreme schedules."""
+    return tuple(term.evaluate(encode_one_hot(z, inst.T, inst.n, inst.k))
+                 for z in extremal_schedules(inst, which))
 
 
-def normalized_term(inst: ProblemInstance, which: str,
-                    qubo: Qubo) -> tuple[Qubo, float] | None:
-    """(qubo rescaled so its extreme schedules score 0 and 1, raw span hi - lo).
-
-    None for a term whose extremes score the same: it is constant on every
-    one-hot schedule (switch at T=1), so it is left out, not rescaled.
-    """
-    lo, hi = extremal_scores(inst, which, qubo=qubo)
-    if hi == lo:
-        return None
-    return normalize_range(qubo, lo, hi, inst.T * inst.n), hi - lo
+def term_range(inst: ProblemInstance, which: str,
+               term: Qubo | FactoredObjective) -> tuple[float, float] | None:
+    """extremal_scores of a term, or None if they are equal: the term is
+    constant on one-hot schedules (switch at T=1), so it is left out."""
+    lo, hi = extremal_scores(inst, which, term)
+    return None if hi == lo else (lo, hi)
 
 
 def add_hard_terms(
     inst: ProblemInstance, soft_terms: list[tuple[float, Qubo]], weight: float
 ) -> Qubo:
-    """Weighted sum of the soft terms plus the hard constraints times weight.
-
-    The soft terms are summed in the same pass as the one-hot and adjacency
-    blocks; summing them into one Qubo first would hold an extra copy of the
-    objective and walk it twice.
-    """
+    """soft_terms plus the hard constraints times weight, in one weighted_sum."""
     return weighted_sum([
         *soft_terms,
         (weight, build_onehot_qubo(inst.T, inst.n, inst.k)),
@@ -392,48 +402,43 @@ def build_objective(
     score_normalized: bool = False,
     extra_hard_weight: float = 1.0,
 ) -> Qubo:
-    """Compose the full objective from soft terms and hard constraints.
+    """Compose the objective as one FactoredObjective and return its qubo().
 
     The soft side is weights[0] * power + weights[1] * load + weights[2] * cost
     + weights[3] * gamma * switch; soft terms with weight 0 are skipped.  The
     one-hot and adjacency constraints always enter, scaled by
     extra_hard_weight (1 reproduces the plain formulation).  With
-    score_normalized each soft term goes through normalized_term, which
-    rescales it or leaves it out.  The result carries the same objective as
-    a FactoredObjective in its `factored` slot.
+    score_normalized each soft term is shifted and scaled so the extremes of
+    its term_range score 0 and 1, or left out.
     """
     w_power, w_load, w_cost, w_switch = inst.weights
     bounds = compute_bounds(inst) if w_power > 0 or w_load > 0 else None
-    terms: list[tuple[float, Qubo]] = []
-    # The record's arrays are made before the terms' large temporaries and
-    # scaled in place: made after them, they kept about 50 MB of freed heap
-    # from going back to the system, and peak RSS over repeated ladder
-    # builds rose by 5%.
-    factors = [make(inst, bounds) for make, w in
-               ((_power_factors, w_power), (_load_factors, w_load)) if w > 0]
-    V = np.hstack([np.empty((inst.n * inst.k, 0))] + [f.V for f in factors])
-    linear = inst.c.ravel().copy()
-    transition = _switch_table(inst)
-
-    def add(weight: float, which: str, q: Qubo) -> float:
-        """Adds the term; returns its factor weight / span, 0 if left out."""
-        scaled = normalized_term(inst, which, q) if score_normalized else (q, 1.0)
-        if scaled is None:
-            return 0.0
-        terms.append((weight, scaled[0]))
-        return weight / scaled[1]
-
-    scales = []
-    if w_power > 0:
-        scales.append(add(w_power, "power", build_power_qubo(inst, bounds)))
-    if w_load > 0:
-        scales.append(add(w_load, "load", build_load_qubo(inst, bounds)))
-    linear *= add(w_cost, "cost", build_cost_qubo(inst)) if w_cost > 0 else 0.0
-    transition *= (add(w_switch * inst.gamma, "switch", build_switch_qubo(inst))
-                   if w_switch > 0 else 0.0)
-    transition += extra_hard_weight * _jumps(inst.k)
-    penalty = Factors(V, *(np.hstack([np.empty((inst.T, 0))] + [
-        w * getattr(f, name) for w, f in zip(scales, factors)])
+    none = Factors(np.empty((inst.n * inst.k, 0)), *np.empty((3, inst.T, 0)))
+    zeros, still = np.zeros(inst.dim), np.zeros((inst.n, inst.k, inst.k))
+    # (term, weight, maker of the term's penalty, linear and transition)
+    parts = (("power", w_power, lambda: (_power_factors(inst, bounds), zeros, still)),
+             ("load", w_load, lambda: (_load_factors(inst, bounds), zeros, still)),
+             ("cost", w_cost, lambda: (none, inst.c.ravel(), still)),
+             ("switch", w_switch * inst.gamma,
+              lambda: (none, zeros, _switch_table(inst))))
+    scaled, shift = [], 0.0
+    for which, weight, make in parts:
+        if weight <= 0:
+            continue
+        term = FactoredObjective(*make())
+        if score_normalized:
+            lo_hi = term_range(inst, which, term)
+            if lo_hi is None:
+                continue
+            weight /= lo_hi[1] - lo_hi[0]
+            shift -= weight * lo_hi[0] / (inst.T * inst.n)
+        scaled.append((weight, term))
+    penalty = Factors(np.hstack([none.V] + [f.penalty.V for _, f in scaled]), *(
+        np.hstack([getattr(none, name)] + [w * getattr(f.penalty, name)
+                                           for w, f in scaled])
         for name in ("const", "lin", "quad")))
-    return add_hard_terms(inst, terms, extra_hard_weight).with_factored(
-        FactoredObjective(penalty, linear, transition))
+    return FactoredObjective(
+        penalty, sum((w * f.linear for w, f in scaled), zeros),
+        sum((w * f.transition for w, f in scaled),
+            still + extra_hard_weight * _jumps(inst.k)),
+        extra_hard_weight, shift).qubo()

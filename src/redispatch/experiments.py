@@ -24,7 +24,7 @@ from .encodings import (
     build_switch_qubo,
     compute_bounds,
     extremal_scores,
-    normalized_term,
+    term_range,
 )
 from .model import (
     ProblemInstance,
@@ -37,7 +37,7 @@ from .model import (
     power_production,
     read_schedule,
 )
-from .qubo import Qubo
+from .qubo import Qubo, normalize_range
 from .solvers import (
     Budget,
     SolveRequest,
@@ -49,7 +49,7 @@ from .solvers import (
 
 # Not called here: the tracer in perfbench/spans.py wraps them on this module.
 from .encodings import build_adjacency_qubo, build_onehot_qubo  # noqa: F401
-from .qubo import normalize_range, weighted_sum  # noqa: F401
+from .qubo import weighted_sum  # noqa: F401
 
 __all__ = [
     "SOLVERS",
@@ -202,8 +202,8 @@ def run_penalty_norm(ds: NetworkDataset, settings: ExperimentSettings,
             normalized = variant == "normalized"
             power = build_power_qubo(inst, bounds, normalized=normalized)
             load = build_load_qubo(inst, bounds, normalized=normalized)
-            p_lo, p_hi = extremal_scores(inst, "power", qubo=power)
-            l_lo, l_hi = extremal_scores(inst, "load", qubo=load)
+            p_lo, p_hi = extremal_scores(inst, "power", power)
+            l_lo, l_hi = extremal_scores(inst, "load", load)
             span = abs(p_hi - p_lo) + abs(l_hi - l_lo)
             qubo = add_hard_terms(inst, [(1.0, power), (1.0, load)],
                                   _hard_weight(span))
@@ -249,13 +249,14 @@ def run_score_norm(ds: NetworkDataset, settings: ExperimentSettings,
     ])
     spread_rows, solve_rows, kept = [], [], []
     for name, raw in terms.items():
-        scaled = normalized_term(inst, name, raw)
-        if scaled is None:
+        lo_hi = term_range(inst, name, raw)
+        if lo_hi is None:
             continue
         kept.append(name)
+        normalized = normalize_range(raw, *lo_hi, inst.T * inst.n)
         # the hard weight dominates the raw span, or 1 once normalized
-        for label, q, span in (("raw", raw, scaled[1]),
-                               ("normalized", scaled[0], 1.0)):
+        for label, q, span in (("raw", raw, lo_hi[1] - lo_hi[0]),
+                               ("normalized", normalized, 1.0)):
             scores = q.evaluate_many(sample)
             spread_rows.append([name, label, float(scores.min()),
                                 float(np.median(scores)), float(scores.max())])

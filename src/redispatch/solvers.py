@@ -99,17 +99,12 @@ def _all_deltas(qubo: Qubo, x: np.ndarray) -> np.ndarray:
     return (1.0 - 2.0 * xf) * inner
 
 
-def _initial_vector(req: SolveRequest, rng: np.random.Generator) -> np.ndarray:
-    if req.initial is not None:
-        x = np.asarray(req.initial).astype(np.int8)
-        if x.shape != (req.qubo.dim,):
-            raise ValueError(
-                f"initial vector has shape {x.shape}, expected ({req.qubo.dim},)"
-            )
-        if np.any((x != 0) & (x != 1)):
-            raise ValueError("initial vector must be 0/1")
-        return x.copy()
-    return rng.integers(0, 2, size=req.qubo.dim).astype(np.int8)
+def _bit_vector(x, dim: int, name: str) -> np.ndarray:
+    """An int8 copy of x, checked before the cast to be 0/1 of shape (dim,)."""
+    x = np.asarray(x)
+    if x.shape != (dim,) or not ((x == 0) | (x == 1)).all():
+        raise ValueError(f"{name} must be a 0/1 vector of shape ({dim},)")
+    return x.astype(np.int8)
 
 
 class _Walk:
@@ -124,7 +119,9 @@ class _Walk:
     def __init__(self, req: SolveRequest):
         self.qubo = req.qubo
         self.rng = np.random.default_rng(req.seed)
-        self.x = _initial_vector(req, self.rng)
+        self.x = (self.rng.integers(0, 2, size=req.qubo.dim).astype(np.int8)
+                  if req.initial is None else
+                  _bit_vector(req.initial, req.qubo.dim, "initial vector"))
         self.sign = 1.0 - 2.0 * self.x
         self.started = time.monotonic()
         self.deadline = self.started + req.budget.time_limit

@@ -124,7 +124,7 @@ def test_criterion_3_planted_recovery():
         inst, planted = synth_instance(n=n, k=k, T=T, L=2, seed=100 + idx,
                                        weights=(0.0, 0.0, 1.0, 0.0))
         cost = build_cost_qubo(inst)
-        lo, hi = extremal_scores(inst, "cost", qubo=cost)
+        lo, hi = extremal_scores(inst, "cost", cost)
         guard = 10.0 * max(1.0, abs(hi - lo))
         q = build_objective(inst, extra_hard_weight=guard)
         res = brute_force(SolveRequest(qubo=q))
@@ -245,7 +245,7 @@ def test_criterion_6_score_normalization_ranges(desk_dir):
     ])
     ones = inst.T * inst.n
     for name, q in terms.items():
-        lo, hi = extremal_scores(inst, name, qubo=q)
+        lo, hi = extremal_scores(inst, name, q)
         nq = normalize_range(q, lo, hi, ones)
         scores = nq.evaluate_many(sample)
         assert scores.min() >= -1e-9 and scores.max() <= 1 + 1e-9

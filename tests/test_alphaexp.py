@@ -27,8 +27,6 @@ from redispatch.data import synth_instance
 from redispatch.encodings import (
     Factors,
     FactoredObjective,
-    _factored_qubo,
-    _transition_qubo,
     build_objective,
 )
 from redispatch.experiments import composed_objective
@@ -38,7 +36,7 @@ from redispatch.model import (
     encode_one_hot,
     first_adjacency_violation,
 )
-from redispatch.qubo import Qubo, weighted_sum
+from redispatch.qubo import Qubo
 from redispatch.solvers import Budget
 
 from test_encodings import random_instance
@@ -290,16 +288,13 @@ def alpha_batches(rng, T, n, k, Z):
 
 
 def asymmetric_objective(rng, T, n, k):
-    """Qubo of a FactoredObjective with random factors and a random
-    asymmetric transition table, with that record in its factored slot."""
+    """qubo() of a FactoredObjective with random factors, a random
+    asymmetric transition table and a random hard weight and shift."""
     R = int(rng.integers(1, 3))
-    f = FactoredObjective(
+    return FactoredObjective(
         Factors(rng.normal(size=(n * k, R)), *rng.normal(size=(3, T, R))),
-        rng.normal(size=T * n * k), rng.normal(size=(n, k, k)))
-    idx = np.arange(T * n * k)
-    terms = [Qubo(T * n * k, idx, idx, f.linear),
-             _transition_qubo(T, n, k, f.transition), _factored_qubo(f.penalty)]
-    return weighted_sum([(1.0, q) for q in terms]).with_factored(f)
+        rng.normal(size=T * n * k), rng.normal(size=(n, k, k)),
+        *rng.normal(size=2)).qubo()
 
 
 @settings(max_examples=60, deadline=None)
@@ -344,7 +339,8 @@ BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "outer"}
 
 
 @pytest.mark.parametrize("scorer", [build_alpha_qubo,
-                                    FactoredObjective.fields])
+                                    FactoredObjective.fields,
+                                    FactoredObjective.evaluate])
 def test_factored_scorer_uses_no_blas_product(scorer):
     # a BLAS product's rounding can depend on the thread count, and the move
     # scores break ties; at the sizes the scorer sees OpenBLAS stays on one
@@ -424,6 +420,25 @@ def test_alpha_expansion_rejects_a_qubo_without_its_record(objective):
                         inst.T, inst.n, inst.k)
     with pytest.raises(ValueError, match="no factored record"):
         alpha_expansion(inst, q, x0, seed=3)
+
+
+def test_alpha_expansion_reads_no_score_from_the_qubo(monkeypatch):
+    # alpha scores moves, the start and the result from the record, and
+    # reads nothing else from the Qubo
+    rng = np.random.default_rng(14)
+    inst = random_instance(rng, T=3, n=2, k=3, L=2)
+    q = composed_objective(inst)
+    evaluate = Qubo.evaluate
+
+    def guarded(self, x):
+        assert self is not q, "alpha scored a vector on the full Qubo"
+        return evaluate(self, x)
+
+    monkeypatch.setattr(Qubo, "evaluate", guarded)
+    x0 = encode_one_hot(np.ones((inst.T, inst.n), dtype=int),
+                        inst.T, inst.n, inst.k)
+    res = alpha_expansion(inst, q, x0, seed=2)
+    assert res.score == pytest.approx(evaluate(q, res.best), rel=1e-12)
 
 
 def test_alpha_expansion_rejects_infeasible_start():

@@ -21,6 +21,15 @@ from redispatch.model import encode_one_hot
 from redispatch.solvers import Budget
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "redispatch"
+
+# (module, name) imported only so that the tracer can wrap the name there
+TRACER_ONLY_IMPORTS = {
+    ("redispatch.encodings", "normalize_range"),
+    ("redispatch.experiments", "build_adjacency_qubo"),
+    ("redispatch.experiments", "build_onehot_qubo"),
+    ("redispatch.experiments", "weighted_sum"),
+}
 
 
 def load_spans():
@@ -52,6 +61,24 @@ def test_every_traced_name_resolves():
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing
+
+
+def test_tracer_only_imports_are_wrapped_there():
+    # an import the module never calls (noqa: F401) is dead unless the
+    # tracer wraps that name on that module
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, ast.ImportFrom) and any(
+                    "# noqa: F401" in line
+                    for line in lines[node.lineno - 1:node.end_lineno]):
+                found |= {(f"redispatch.{path.stem}", alias.asname or alias.name)
+                          for alias in node.names}
+    wrapped = {(owner.__name__, attr) for owners, attr, *_ in load_spans().TARGETS
+               for owner in owners}
+    assert found == TRACER_ONLY_IMPORTS
+    assert found <= wrapped
 
 
 def test_alpha_expansion_calls_each_traced_alphaexp_name(monkeypatch):

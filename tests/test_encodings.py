@@ -1,5 +1,6 @@
 """Encoding tests: every matrix builder against an independent scalar oracle."""
 
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -11,9 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from redispatch import encodings
 from redispatch.data import synth_instance
 from redispatch.encodings import (
     InfeasibleBoundError,
+    add_hard_terms,
     build_adjacency_qubo,
     build_cost_qubo,
     build_load_qubo,
@@ -28,6 +31,7 @@ from redispatch.encodings import (
     penalty_scalar,
     power_penalty,
 )
+from redispatch.experiments import _hard_weight, composed_objective
 from redispatch.model import (
     ProblemInstance,
     encode_one_hot,
@@ -273,7 +277,7 @@ def test_extremal_scores_match_exhaustive_min_max():
                                         repeat=inst.T * inst.n):
             Z = np.array(states).reshape(inst.T, inst.n)
             scores.append(q.evaluate(encode_one_hot(Z, inst.T, inst.n, inst.k)))
-        lo, hi = extremal_scores(inst, which, qubo=q)
+        lo, hi = extremal_scores(inst, which, q)
         assert lo == pytest.approx(min(scores), rel=1e-9, abs=1e-12)
         assert hi == pytest.approx(max(scores), rel=1e-9, abs=1e-12)
 
@@ -289,7 +293,7 @@ def test_extremal_cost_scores_exact_for_nonmonotone_costs():
                                         repeat=inst.T * inst.n):
             Z = np.array(states).reshape(inst.T, inst.n)
             scores.append(q.evaluate(encode_one_hot(Z, inst.T, inst.n, inst.k)))
-        lo, hi = extremal_scores(inst, "cost", qubo=q)
+        lo, hi = extremal_scores(inst, "cost", q)
         assert lo == pytest.approx(min(scores), rel=1e-9, abs=1e-12)
         assert hi == pytest.approx(max(scores), rel=1e-9, abs=1e-12)
         assert lo <= hi
@@ -310,7 +314,7 @@ def test_normalized_terms_lie_in_unit_interval(n, k, T, L, seed):
     for name, term in terms.items():
         try:
             normalized = normalize_range(
-                term, *extremal_scores(inst, name, qubo=term), T * n)
+                term, *extremal_scores(inst, name, term), T * n)
         except DegenerateRangeError:  # e.g. switch at T=1
             continue
         scores = normalized.evaluate_many(sample)
@@ -377,31 +381,99 @@ def test_objective_cost_only_scores_cost_minus_floor():
 
 
 def test_objective_matches_manual_weighted_sum():
+    # the reference is the per-term chain: each builder's Qubo, normalized
+    # from its materialized extremes, summed with the hard blocks
     rng = np.random.default_rng(11)
     inst = random_instance(rng, T=2, n=2, k=3, L=2)
     bounds = compute_bounds(inst)
-    manual = weighted_sum([
-        (inst.weights[0], build_power_qubo(inst, bounds)),
-        (inst.weights[1], build_load_qubo(inst, bounds)),
-        (inst.weights[2], build_cost_qubo(inst)),
-        (inst.weights[3] * inst.gamma, build_switch_qubo(inst)),
-        (1.0, build_onehot_qubo(inst.T, inst.n, inst.k)),
-        (1.0, build_adjacency_qubo(inst.T, inst.n, inst.k)),
-    ])
-    q = build_objective(inst)
-    assert q.dim == manual.dim
-    assert q.offset == pytest.approx(manual.offset, rel=1e-12)
-    assert q.rows.tolist() == manual.rows.tolist()
-    assert q.cols.tolist() == manual.cols.tolist()
-    assert q.vals == pytest.approx(manual.vals, rel=1e-12)
+    terms = {"power": build_power_qubo(inst, bounds),
+             "load": build_load_qubo(inst, bounds),
+             "cost": build_cost_qubo(inst), "switch": build_switch_qubo(inst)}
+    weights = (*inst.weights[:3], inst.weights[3] * inst.gamma)
+    for objective, q in (
+            ("plain", build_objective(inst)),
+            ("normalized", build_objective(inst, score_normalized=True)),
+            ("composed", composed_objective(inst))):
+        soft = [(w, term if objective == "plain" else normalize_range(
+                    term, *extremal_scores(inst, which, term), inst.T * inst.n))
+                for w, (which, term) in zip(weights, terms.items())]
+        manual = add_hard_terms(inst, soft, _hard_weight(sum(inst.weights))
+                                if objective == "composed" else 1.0)
+        assert q.dim == manual.dim
+        assert q.offset == pytest.approx(manual.offset, rel=1e-12), objective
+        assert q.rows.tolist() == manual.rows.tolist(), objective
+        assert q.cols.tolist() == manual.cols.tolist(), objective
+        assert q.vals == pytest.approx(manual.vals, rel=1e-12), objective
+
+
+def test_objective_is_assembled_from_the_record_only(monkeypatch):
+    # build_objective sums FactoredObjective records and materializes the
+    # sum once; the per-term Qubo chain above is a test reference only
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_objective went through a per-term Qubo")
+
+    for name in ("build_power_qubo", "build_load_qubo", "build_cost_qubo",
+                 "build_switch_qubo", "normalize_range", "add_hard_terms"):
+        monkeypatch.setattr(encodings, name, refuse)
+    inst = random_instance(np.random.default_rng(12), T=2, n=2, k=3, L=2)
+    for normalized in (False, True):
+        assert build_objective(inst, normalized).factored is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.integers(1, 3), n=st.integers(1, 3), k=st.integers(2, 4),
+       L=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       objective=st.sampled_from(["plain", "normalized", "composed"]),
+       repeat=st.booleans(), zero=st.lists(st.booleans(), min_size=4,
+                                           max_size=4))
+def test_record_scores_as_its_qubo(T, n, k, L, seed, objective, repeat,
+                                   zero):
+    # the record build_objective assembles and the Qubo it materializes are
+    # one polynomial: the same score on a one-hot schedule and on any bits
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, T=T, n=n, k=k, L=L)
+    p = inst.p.copy()
+    if repeat and k > 2:  # two equal levels below the top one
+        i = int(rng.integers(k - 2))
+        p[:, i + 1] = p[:, i]
+    inst = dataclasses.replace(inst, p=p, weights=tuple(
+        0.0 if z else w for z, w in zip(zero, inst.weights)))
+    q = {"plain": lambda: build_objective(inst),
+         "normalized": lambda: build_objective(inst, score_normalized=True),
+         "composed": lambda: composed_objective(inst)}[objective]()
+    Z = rng.integers(1, k + 1, size=(T, n))
+    for x in (encode_one_hot(Z, T, n, k), rng.integers(0, 2, size=q.dim)):
+        score = q.evaluate(x)
+        assert abs(q.factored.evaluate(x) - score) <= 1e-9 * (1.0 + abs(score))
+
+
+@pytest.mark.parametrize("j", [-2, 1, 3])
+@pytest.mark.parametrize("seed", range(10))
+def test_power_of_two_units_leave_the_objective_bits(seed, j):
+    # penalties divide by their bounds and soft terms by their spans, so MW
+    # (p, tau, M) times 2^j and cost times 2^-j, both exact, change no bit
+    inst = random_instance(np.random.default_rng(seed))
+    scaled = dataclasses.replace(inst, p=inst.p * 2.0**j, tau=inst.tau * 2.0**j,
+                                 M=inst.M * 2.0**j, c=inst.c * 2.0**-j)
+    q, q2 = composed_objective(inst), composed_objective(scaled)
+    assert q == q2  # dim, offset, rows, cols and vals, bit for bit
+    f, g = q.factored, q2.factored
+    for name in ("linear", "transition", "hard", "shift"):
+        assert np.array_equal(getattr(f, name), getattr(g, name)), name
+    # each penalty column s = V . x scales by 2^j, its slope and curvature
+    # by 2^-j and 2^-2j
+    for name, power in (("V", j), ("const", 0), ("lin", -j), ("quad", -2 * j)):
+        assert np.array_equal(getattr(f.penalty, name) * 2.0**power,
+                              getattr(g.penalty, name)), name
 
 
 # SHA-256 over rows, cols, vals (little-endian int64/int64/float64 bytes) and
-# repr(offset) of build_objective(inst, score_normalized=False); recorded
-# before the coefficient storage moved from a dict to triplet arrays.
+# repr(offset) of build_objective(inst, score_normalized=False); re-recorded
+# when the coefficients came to be summed from the FactoredObjective record
+# (FactoredObjective.qubo) instead of from one Qubo per term.
 OBJECTIVE_DIGESTS = {
-    0: "8ea4e68887c68b114e7c5dfc34a1f068478d46b6e75ba7d857dd4b2ea116aa49",
-    1: "8679f81bcb6042caf01ddc242c258ba1c7c0ab982bd4cf8a55290240af82bad2",
+    0: "7340ae81f1a03c469252ab3eb053d57f096dc03631e4fcfb04e903dfde40a953",
+    1: "5e5b1f3d2b174d47ef4030741fa694e1be449533f4701d6d02fd9c6e26c2621a",
 }
 
 

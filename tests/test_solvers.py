@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from redispatch.alphaexp import alpha_expansion
+from redispatch.data import synth_instance
 from redispatch.decomposers import DecomposeConfig, decompose_loop
+from redispatch.encodings import build_objective
+from redispatch.model import encode_one_hot
 from redispatch.qubo import Qubo
 from redispatch.solvers import (
     BRUTE_FORCE_LIMIT,
@@ -366,3 +370,22 @@ def test_tabu_list_kernel_matches_array_path_around_cutoff(dim):
     reference = assert_paths_agree(SolveRequest(
         qubo=q, seed=dim, budget=Budget(max_iterations=400)))
     assert len(reference.trace) > 1  # the runs improved, so traces were compared
+
+
+@pytest.mark.parametrize("value, at", [(256, 1), (0.5, 1), (257, 0), (1.5, 0),
+                                       (2, 0), (-1, 1)])
+@pytest.mark.parametrize("entry", ["tabu", "sa", "alpha", "decompose"])
+def test_start_values_are_checked_before_the_cast(entry, value, at):
+    # an int8 cast reads 256 and 0.5 as 0, 257 and 1.5 as 1: put where a
+    # start holds that bit (bit 0 is set, bit 1 clear), each would pass
+    inst, _ = synth_instance(2, 3, 2, 1, seed=0)
+    q = build_objective(inst)
+    x0 = encode_one_hot(np.ones((inst.T, inst.n), dtype=int),
+                        inst.T, inst.n, inst.k).astype(float)
+    x0[at] = value
+    run = {"tabu": lambda: tabu_search(SolveRequest(qubo=q, initial=x0)),
+           "sa": lambda: simulated_annealing(SolveRequest(qubo=q, initial=x0)),
+           "alpha": lambda: alpha_expansion(inst, q, x0),
+           "decompose": lambda: decompose_loop(q, x0, DecomposeConfig())}
+    with pytest.raises(ValueError, match="must be a 0/1 vector"):
+        run[entry]()
