@@ -137,34 +137,38 @@ class Qubo:
         and weights[i] list every j != i coupled to i with the stored
         off-diagonal coefficient: first the entries (i, j), then the entries
         (j, i), each in stored order.  They are read-only, consecutive slices
-        of one flat neighbour array and one flat weight array.
+        of one flat neighbour array and one flat weight array, whose last slot
+        is in no list.
         """
         cached = self._adjacency
         if cached is None:
-            rows, cols, vals = self.rows, self.cols, self.vals
-            on_diag = rows == cols
-            diag = np.zeros(self.dim)
-            diag[rows[on_diag]] = vals[on_diag]
-            r, c, v = rows[~on_diag], cols[~on_diag], vals[~on_diag]
-            del on_diag
-            upper = np.bincount(r, minlength=self.dim)
-            lower = np.bincount(c, minlength=self.dim)
-            bounds = np.zeros(self.dim + 1, dtype=np.int64)
+            dim, rows, cols, vals = self.dim, self.rows, self.cols, self.vals
+            by_row = np.bincount(rows, minlength=dim)
+            by_col = np.bincount(cols, minlength=dim)
+            first = np.cumsum(by_row) - by_row  # row i's run starts here
+            # a stored diagonal is the first entry of its row's run
+            has = np.zeros(dim, dtype=bool)
+            nonempty = np.flatnonzero(by_row)
+            has[nonempty] = cols[first[nonempty]] == nonempty
+            diag = np.zeros(dim)
+            diag[has] = vals[first[has]]
+            upper, lower = by_row - has, by_col - has
+            bounds = np.zeros(dim + 1, dtype=np.int64)
             np.cumsum(upper + lower, out=bounds[1:])
-            dst = np.empty(2 * r.size, dtype=np.int64)
-            w = np.empty(2 * r.size)
-            at = (np.cumsum(lower) - lower)[r]  # lower entries of earlier rows
-            at += np.arange(r.size)
-            dst[at], w[at] = c, v
-            order = np.argsort(c, kind="stable")
-            at = np.cumsum(upper)[c[order]]  # upper entries up to that row
-            del c
-            at += np.arange(r.size)
-            dst[at], w[at] = r[order], v[order]
+            # one spare slot past the lists takes the diagonal entries' writes
+            dst = np.empty(bounds[-1] + 1, dtype=np.int64)
+            w = np.empty(bounds[-1] + 1)
+            # entry k = (i, j), j > i, goes to bounds[i] + k - first[i] - has[i]
+            _scatter(dst, w, bounds[:-1] - first - has, None, rows, cols, vals)
+            # place p of the column order holds some (j, i), j < i, bound for
+            # bounds[i] + upper[i] + p - (start of column i's run); a stored
+            # diagonal comes last in its run
+            _scatter(dst, w, bounds[:-1] + upper - (np.cumsum(by_col) - by_col),
+                     np.argsort(cols, kind="stable"), cols, rows, vals)
             for a in (diag, dst, w):
                 a.flags.writeable = False
-            neighbors = [dst[bounds[i] : bounds[i + 1]] for i in range(self.dim)]
-            weights = [w[bounds[i] : bounds[i + 1]] for i in range(self.dim)]
+            neighbors = [dst[bounds[i] : bounds[i + 1]] for i in range(dim)]
+            weights = [w[bounds[i] : bounds[i + 1]] for i in range(dim)]
             cached = (diag, neighbors, weights)
             object.__setattr__(self, "_adjacency", cached)
         return cached
@@ -179,12 +183,18 @@ class Qubo:
         return float(self.offset + (self.vals * xf[self.rows] * xf[self.cols]).sum())
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
-        """Score a (batch, dim) matrix of bit vectors at once."""
+        """Score a (batch, dim) matrix of bit vectors at once.
+
+        Each row's terms are added one by one in stored order, whatever the
+        batch size (numpy's sum would add a lone row pairwise)."""
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"expected shape (batch, {self.dim}), got {X.shape}")
+        if not self.num_terms:
+            return self.offset + np.zeros(len(X))
         Xf = X.astype(float, copy=False)
-        return self.offset + (Xf[:, self.rows] * Xf[:, self.cols] * self.vals).sum(axis=1)
+        terms = Xf[:, self.rows] * Xf[:, self.cols] * self.vals
+        return self.offset + np.cumsum(terms, axis=1, out=terms)[:, -1]
 
     def clamp(self, fixed: Mapping[int, int]) -> tuple["Qubo", np.ndarray]:
         """Fix a subset of variables to constants and shrink the problem.
@@ -269,6 +279,26 @@ def normalize_range(
 def _check_finite(vals: np.ndarray, offset: float) -> None:
     if not math.isfinite(offset) or not np.isfinite(vals).all():
         raise NonFiniteError("QUBO coefficients and offset must be finite")
+
+
+_CHUNK = 1 << 16  # entries per step of _scatter
+
+
+def _scatter(dst, w, shift, order, src, other, vals) -> None:
+    """dst[shift[s] + p], w[shift[s] + p] = t, v for every entry at place p of
+    `order` (None: stored order), where s = src[k], t = other[k] and
+    v = vals[k] of the entry k there; a diagonal entry (s == t) writes to the
+    spare last slot instead.  Chunk-sized temporaries only."""
+    spare = dst.size - 1
+    for start in range(0, src.size, _CHUNK):
+        stop = min(start + _CHUNK, src.size)
+        k = slice(start, stop) if order is None else order[start:stop]
+        s, t = src[k], other[k]
+        at = shift[s]
+        at += np.arange(start, stop)
+        at[s == t] = spare
+        dst[at] = t
+        w[at] = vals[k]
 
 
 def _merge(dim: int, parts, offset: float) -> Qubo:

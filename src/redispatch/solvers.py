@@ -157,8 +157,12 @@ class _Walk:
 
 @functools.cache
 def _bit_table() -> np.ndarray:
-    """table[i, v] is bit i of v, for the 2^16 values v of 16 bits (1 MB)."""
-    return ((np.arange(1 << 16) >> np.arange(16)[:, None]) & 1).astype(bool)
+    """table[i, v] is bit i of v, for the 2^16 values v of 16 bits (1 MB,
+    built through one 2 MB uint16 temporary)."""
+    shifts = np.arange(16, dtype=np.uint16)[:, None]
+    table = np.arange(1 << 16, dtype=np.uint16) >> shifts
+    table &= 1
+    return table.astype(bool)
 
 
 def brute_force(req: SolveRequest) -> SolveResult:

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import pickle
 import textwrap
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -179,19 +180,60 @@ def test_alpha_qubo_exact_delta_exhaustive():
             q.evaluate(moved) - base, rel=1e-9, abs=1e-9)
 
 
+def exact_score(f, x):
+    """f's score of the bit vector x in exact rationals: the polynomial that
+    FactoredObjective.evaluate and f.qubo() round, each in its own way."""
+    (n, k), F = f.transition.shape[:2], Fraction
+    pen, X = f.penalty, np.asarray(x).reshape(-1, n, k)
+    total = F(0)
+    for t, blocks in enumerate(X):
+        on = np.flatnonzero(blocks.ravel())
+        for r in range(pen.V.shape[1]):
+            s = sum((F(float(v)) for v in pen.V[on, r]), F(0))
+            total += (F(float(pen.const[t, r])) + F(float(pen.lin[t, r])) * s
+                      + F(float(pen.quad[t, r])) * s * s)
+        total += sum(F(float(f.linear[t * n * k + j])) + F(float(f.shift))
+                     for j in on)
+        total += F(float(f.hard)) * sum(
+            (int(c) - 1) ** 2 - 1 for c in blocks.sum(axis=1))
+        if t + 1 < len(X):
+            for a in range(n):
+                for i, i2 in itertools.product(np.flatnonzero(blocks[a]),
+                                               np.flatnonzero(X[t + 1, a])):
+                    total += F(float(f.transition[a, i, i2]))
+    return total
+
+
 def moved_deltas(q, x, cycles):
-    """True score delta of every selection of cycles, in encoding order."""
-    base = q.evaluate(x)
+    """True score delta of every selection of cycles, in encoding order, of
+    the record q carries, computed exactly.  q.evaluate's delta is off by
+    the rounding of q's coefficients, up to an ulp of the largest: on an
+    ill-conditioned normalized objective (coefficients near 1.9e8) that is
+    6e-8 on a delta of 50, which the record itself scores to 1e-11."""
+    base = exact_score(q.factored, x)
     for bits in itertools.product((0, 1), repeat=len(cycles)):
         moved = x
         for sel, cyc in zip(bits, cycles):
             if sel:
                 moved = cyc.apply(moved)
-        yield np.array(bits), q.evaluate(moved) - base
+        yield np.array(bits), float(exact_score(q.factored, moved) - base)
+
+
+def test_exact_score_is_what_the_record_and_its_qubo_round():
+    rng = np.random.default_rng(5)
+    for objective in ("plain", "normalized"):
+        inst = random_instance(rng, T=3, n=2, k=3, L=2)
+        q = build_objective(inst, score_normalized=objective == "normalized")
+        for _ in range(5):
+            x = rng.integers(0, 2, q.dim)
+            exact = float(exact_score(q.factored, x))
+            for score in (q.evaluate(x), q.factored.evaluate(x)):
+                assert score == pytest.approx(exact, rel=1e-9, abs=1e-6)
 
 
 def assert_exact(q, x, cycles):
-    """build_alpha_qubo scores every selection as Qubo.evaluate does."""
+    """build_alpha_qubo scores every selection as the exact delta of the
+    record it reads."""
     reduced = build_alpha_qubo(q, x, cycles)
     assert reduced == build_alpha_qubo(q.factored, x, cycles)
     for bits, delta in moved_deltas(q, x, cycles):
@@ -304,6 +346,8 @@ def asymmetric_objective(rng, T, n, k):
          zero=[True, False, True, False])
 @example(T=3, n=2, k=3, L=1, seed=2, objective="plain", repeat=True,
          zero=[True] * 4)
+@example(T=1, n=1, k=2, L=1, seed=3799308, objective="normalized",
+         repeat=False, zero=[False] * 4)  # coefficients near 1.9e8
 @given(T=st.integers(1, 4), n=st.integers(1, 3), k=st.integers(2, 4),
        L=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
        objective=st.sampled_from(["plain", "normalized", "composed",
@@ -312,8 +356,8 @@ def asymmetric_objective(rng, T, n, k):
                                            max_size=4))
 def test_factored_alpha_qubo_matches_qubo_path(T, n, k, L, seed, objective,
                                                repeat, zero):
-    # every selection of every batch scores the true delta of the
-    # materialized objective the record came with
+    # every selection of every batch scores the exact delta of the record
+    # the materialized objective came with
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, T=T, n=n, k=k, L=L)
     p = inst.p.copy()
