@@ -30,9 +30,9 @@ from .model import (
     first_adjacency_violation,
     flat_index,
 )
-from .qubo import Qubo
-from .solvers import (Budget, SolveRequest, SolveResult, _bit_vector,
-                      brute_force, tabu_search)
+from .qubo import Qubo, _bit_vector
+from .solvers import (Budget, SolveRequest, SolveResult, brute_force,
+                      tabu_search)
 
 __all__ = [
     "NonDisjointCyclesError",
@@ -232,7 +232,8 @@ def build_alpha_qubo(objective: Qubo | FactoredObjective, x: np.ndarray,
         np.einsum("er,er->e", (quad[t] * d)[e], d[g]),
         (W[u_lo + u_hi] - W[u_lo + o_hi]) - (W[o_lo + u_hi] - W[o_lo + o_hi])
     ]), minlength=m * m)
-    return Qubo.from_upper(P.reshape(m, m))
+    flat = np.flatnonzero(P)  # row-major over the upper triangle: canonical
+    return Qubo(m, *np.divmod(flat, m), P[flat])
 
 
 def _enumerate_members(T: int, n: int, k: int) -> list[StateChange]:

@@ -21,12 +21,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .model import ProblemInstance, DEFAULT_WEIGHTS
+from .qubo import NonFiniteError
 
 __all__ = [
     "ParseError",
@@ -270,15 +271,9 @@ def aggregate_time(ds: NetworkDataset, T: int) -> NetworkDataset:
             series[bounds[i] : bounds[i + 1]].mean(axis=0) for i in range(T)
         ])
 
-    return NetworkDataset(
-        controllables=ds.controllables,
-        controllable_profiles=pool(ds.controllable_profiles),
-        fixed_ids=ds.fixed_ids,
-        fixed_profiles=pool(ds.fixed_profiles),
-        lines=ds.lines,
-        flows=pool(ds.flows),
-        raw_timepoints=T,
-    )
+    return replace(ds, controllable_profiles=pool(ds.controllable_profiles),
+                   fixed_profiles=pool(ds.fixed_profiles), flows=pool(ds.flows),
+                   raw_timepoints=T)
 
 
 def discretize_levels(min_mw: float, max_mw: float, k: int) -> np.ndarray:
@@ -343,6 +338,7 @@ def estimate_sensitivity(
     Lipschitz constant, is at most 1e-10 (converged, with kkt_residual as the
     certificate), or after max_iterations Newton steps.  Of equally good fits
     it returns the one the minimum-norm Newton path from S0 = eye reaches.
+    Injections so large that lip overflows raise NonFiniteError.
     """
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
@@ -353,7 +349,10 @@ def estimate_sensitivity(
                          "need matching rows")
     tol = 1e-10
     S = np.eye(phi.shape[1], psi.shape[1])
-    lip = 2.0 * float(np.linalg.norm(phi, 2)) ** 2 or 1.0
+    norm = float(np.linalg.norm(phi, 2))
+    lip = 2.0 * (norm * norm) or 1.0
+    if not math.isfinite(lip):
+        raise NonFiniteError(f"squaring the injections' norm {norm:g} overflowed")
     curvature = 2.0 * (phi * phi).sum(axis=0)[:, None]  # Hessian diagonal
     residual = phi @ S - psi
     col_loss = (residual * residual).sum(axis=0)
@@ -442,16 +441,12 @@ def _promote_statics(ds: NetworkDataset) -> NetworkDataset:
         new_controllables.append(Controllable(ident, "static", 0.0, peak))
         new_ctrl_cols.append(ds.fixed_profiles[:, col : col + 1])
     fixed_cols = [col for _, col in keep_fixed]
-    return NetworkDataset(
-        controllables=new_controllables,
+    return replace(
+        ds, controllables=new_controllables,
         controllable_profiles=np.hstack(new_ctrl_cols),
         fixed_ids=[ident for ident, _ in keep_fixed],
         fixed_profiles=ds.fixed_profiles[:, fixed_cols]
-        if fixed_cols else np.zeros((ds.raw_timepoints, 0)),
-        lines=ds.lines,
-        flows=ds.flows,
-        raw_timepoints=ds.raw_timepoints,
-    )
+        if fixed_cols else np.zeros((ds.raw_timepoints, 0)))
 
 
 def build_instance(

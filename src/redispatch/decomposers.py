@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import Qubo
+from .qubo import Qubo, _bit_vector
 from .solvers import (
     Budget,
     SolveRequest,
@@ -23,7 +23,6 @@ from .solvers import (
     brute_force,
     tabu_search,
     _all_deltas,
-    _bit_vector,
 )
 
 __all__ = [
@@ -63,11 +62,8 @@ def random_subproblem(
     rng: np.random.Generator, qubo: Qubo, x: np.ndarray, size: int
 ) -> tuple[Qubo, np.ndarray]:
     """Clamp all but `size` uniformly chosen variables at their current bits."""
-    size = min(size, qubo.dim)
-    free = rng.choice(qubo.dim, size=size, replace=False)
-    free_set = set(free.tolist())
-    fixed = {i: int(x[i]) for i in range(qubo.dim) if i not in free_set}
-    return qubo.clamp(fixed)
+    return qubo.clamp(x, rng.choice(qubo.dim, size=min(size, qubo.dim),
+                                    replace=False))
 
 
 def score_subproblem(qubo: Qubo, x: np.ndarray, size: int) -> tuple[Qubo, np.ndarray]:
@@ -76,13 +72,10 @@ def score_subproblem(qubo: Qubo, x: np.ndarray, size: int) -> tuple[Qubo, np.nda
     Ties break toward the lower variable index, so the selection is
     deterministic.
     """
-    size = min(size, qubo.dim)
     deltas = np.abs(_all_deltas(qubo, np.asarray(x)))
     # stable sort on (-|delta|, index)
     order = np.lexsort((np.arange(qubo.dim), -deltas))
-    free_set = set(order[:size].tolist())
-    fixed = {i: int(x[i]) for i in range(qubo.dim) if i not in free_set}
-    return qubo.clamp(fixed)
+    return qubo.clamp(x, order[:size])
 
 
 def decompose_loop(

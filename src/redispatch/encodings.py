@@ -44,7 +44,6 @@ __all__ = [
     "extremal_schedules",
     "extremal_scores",
     "term_range",
-    "add_hard_terms",
     "build_objective",
     "Factors",
     "FactoredObjective",
@@ -108,12 +107,8 @@ def penalty_scalar(h: float) -> float:
     return 1.0 - h + 0.5 * h * h
 
 
-def power_penalty(
-    inst: ProblemInstance,
-    x: np.ndarray,
-    bounds: PenaltyBounds | None = None,
-    normalized: bool = True,
-) -> float:
+def power_penalty(inst: ProblemInstance, x: np.ndarray, *,
+                  normalized: bool = True) -> float:
     """Scalar power-target penalty of a bit vector, summed over timepoints.
 
     Works on any bit vector, feasible or not.  Reference implementation for
@@ -121,38 +116,26 @@ def power_penalty(
     """
     x = np.asarray(x, dtype=float).reshape(inst.T, inst.n * inst.k)
     w = inst.p.ravel()
-    if normalized and bounds is None:
-        bounds = compute_bounds(inst)
+    bound = compute_bounds(inst).power if normalized else np.ones(inst.T)
     total = 0.0
     for t in range(inst.T):
-        slack = float(w @ x[t]) - inst.tau[t]
-        if normalized:
-            slack /= bounds.power[t]
-        total += penalty_scalar(slack)
+        total += penalty_scalar((float(w @ x[t]) - inst.tau[t]) / bound[t])
     return total
 
 
-def load_penalty(
-    inst: ProblemInstance,
-    x: np.ndarray,
-    bounds: PenaltyBounds | None = None,
-    normalized: bool = True,
-) -> float:
+def load_penalty(inst: ProblemInstance, x: np.ndarray, *,
+                 normalized: bool = True) -> float:
     """Scalar line-load penalty of a bit vector, summed over (t, line) pairs.
 
     Reference implementation for build_load_qubo.
     """
     x = np.asarray(x, dtype=float).reshape(inst.T, inst.n * inst.k)
-    if normalized and bounds is None:
-        bounds = compute_bounds(inst)
+    bound = compute_bounds(inst).load if normalized else np.ones((inst.T, inst.L))
     total = 0.0
     for t in range(inst.T):
         for l in range(inst.L):
             v = (inst.p * inst.S[:, l : l + 1]).ravel()
-            headroom = inst.M[t, l] - float(v @ x[t])
-            if normalized:
-                headroom /= bounds.load[t, l]
-            total += penalty_scalar(headroom)
+            total += penalty_scalar((inst.M[t, l] - float(v @ x[t])) / bound[t, l])
     return total
 
 
@@ -246,9 +229,8 @@ def _factored_qubo(f: Factors) -> Qubo:
     return Qubo(T * nk, base + iu, base + ju, vals, offset)
 
 
-def _power_factors(inst: ProblemInstance, bounds: PenaltyBounds | None,
-                   normalized: bool = True) -> Factors:
-    f = 1.0 / (bounds or compute_bounds(inst)).power if normalized else np.ones(inst.T)
+def _power_factors(inst: ProblemInstance, *, normalized: bool = True) -> Factors:
+    f = 1.0 / compute_bounds(inst).power if normalized else np.ones(inst.T)
     tau = inst.tau
     # zeta(f*(w.x - tau)) = const + (-f - f^2 tau)(w.x) + (f^2/2)(w.x)^2
     return Factors(inst.p.reshape(-1, 1),
@@ -256,40 +238,31 @@ def _power_factors(inst: ProblemInstance, bounds: PenaltyBounds | None,
                    (-f - f * f * tau)[:, None], (0.5 * f * f)[:, None])
 
 
-def _load_factors(inst: ProblemInstance, bounds: PenaltyBounds | None,
-                  normalized: bool = True) -> Factors:
-    f = (1.0 / (bounds or compute_bounds(inst)).load if normalized
-         else np.ones((inst.T, inst.L)))
+def _load_factors(inst: ProblemInstance, *, normalized: bool = True) -> Factors:
+    f = 1.0 / compute_bounds(inst).load if normalized else np.ones((inst.T, inst.L))
     m = inst.M
     # zeta(f*(m - v.x)) = const + (f - f^2 m)(v.x) + (f^2/2)(v.x)^2
     return Factors(_line_factor(inst), 1.0 - f * m + 0.5 * (f * m) ** 2,
                    f - f * f * m, 0.5 * f * f)
 
 
-def build_power_qubo(
-    inst: ProblemInstance,
-    bounds: PenaltyBounds | None = None,
-    normalized: bool = True,
-) -> Qubo:
+def build_power_qubo(inst: ProblemInstance, *, normalized: bool = True) -> Qubo:
     """Quadratic penalty steering total production above the target.
 
     Expands sum_t zeta(f_t * (P_t(x) - tau_t)) with f_t the reciprocal power
-    bound (1 when unnormalized); constants land in the offset.
+    bound of compute_bounds(inst) (1 when unnormalized); constants land in
+    the offset.
     """
-    return _factored_qubo(_power_factors(inst, bounds, normalized))
+    return _factored_qubo(_power_factors(inst, normalized=normalized))
 
 
-def build_load_qubo(
-    inst: ProblemInstance,
-    bounds: PenaltyBounds | None = None,
-    normalized: bool = True,
-) -> Qubo:
+def build_load_qubo(inst: ProblemInstance, *, normalized: bool = True) -> Qubo:
     """Quadratic penalty steering every line load below its limit.
 
     Expands sum_{t,l} zeta(f_{t,l} * (M_{t,l} - flow_{t,l}(x))) with f the
-    reciprocal headroom bound (1 when unnormalized).
+    reciprocal headroom bound of compute_bounds(inst) (1 when unnormalized).
     """
-    return _factored_qubo(_load_factors(inst, bounds, normalized))
+    return _factored_qubo(_load_factors(inst, normalized=normalized))
 
 
 @dataclass(frozen=True)
@@ -386,17 +359,6 @@ def term_range(inst: ProblemInstance, which: str,
     return None if hi == lo else (lo, hi)
 
 
-def add_hard_terms(
-    inst: ProblemInstance, soft_terms: list[tuple[float, Qubo]], weight: float
-) -> Qubo:
-    """soft_terms plus the hard constraints times weight, in one weighted_sum."""
-    return weighted_sum([
-        *soft_terms,
-        (weight, build_onehot_qubo(inst.T, inst.n, inst.k)),
-        (weight, build_adjacency_qubo(inst.T, inst.n, inst.k)),
-    ])
-
-
 def build_objective(
     inst: ProblemInstance,
     score_normalized: bool = False,
@@ -412,12 +374,11 @@ def build_objective(
     its term_range score 0 and 1, or left out.
     """
     w_power, w_load, w_cost, w_switch = inst.weights
-    bounds = compute_bounds(inst) if w_power > 0 or w_load > 0 else None
     none = Factors(np.empty((inst.n * inst.k, 0)), *np.empty((3, inst.T, 0)))
     zeros, still = np.zeros(inst.dim), np.zeros((inst.n, inst.k, inst.k))
     # (term, weight, maker of the term's penalty, linear and transition)
-    parts = (("power", w_power, lambda: (_power_factors(inst, bounds), zeros, still)),
-             ("load", w_load, lambda: (_load_factors(inst, bounds), zeros, still)),
+    parts = (("power", w_power, lambda: (_power_factors(inst), zeros, still)),
+             ("load", w_load, lambda: (_load_factors(inst), zeros, still)),
              ("cost", w_cost, lambda: (none, inst.c.ravel(), still)),
              ("switch", w_switch * inst.gamma,
               lambda: (none, zeros, _switch_table(inst))))

@@ -16,13 +16,13 @@ from .alphaexp import alpha_expansion
 from .data import NetworkDataset, build_instance
 from .decomposers import DecomposeConfig, decompose_loop
 from .encodings import (
-    add_hard_terms,
+    build_adjacency_qubo,
     build_load_qubo,
     build_objective,
+    build_onehot_qubo,
     build_power_qubo,
     build_cost_qubo,
     build_switch_qubo,
-    compute_bounds,
     extremal_scores,
     term_range,
 )
@@ -37,7 +37,7 @@ from .model import (
     power_production,
     read_schedule,
 )
-from .qubo import Qubo, normalize_range
+from .qubo import Qubo, normalize_range, weighted_sum
 from .solvers import (
     Budget,
     SolveRequest,
@@ -46,10 +46,6 @@ from .solvers import (
     simulated_annealing,
     tabu_search,
 )
-
-# Not called here: the tracer in perfbench/spans.py wraps them on this module.
-from .encodings import build_adjacency_qubo, build_onehot_qubo  # noqa: F401
-from .qubo import weighted_sum  # noqa: F401
 
 __all__ = [
     "SOLVERS",
@@ -166,6 +162,17 @@ def _hard_weight(soft_span: float) -> float:
     return 10.0 * max(1.0, soft_span)
 
 
+def add_hard_terms(
+    inst: ProblemInstance, soft_terms: list[tuple[float, Qubo]], weight: float
+) -> Qubo:
+    """soft_terms plus the hard constraints times weight, in one weighted_sum."""
+    return weighted_sum([
+        *soft_terms,
+        (weight, build_onehot_qubo(inst.T, inst.n, inst.k)),
+        (weight, build_adjacency_qubo(inst.T, inst.n, inst.k)),
+    ])
+
+
 def _solve_schedule(inst: ProblemInstance, qubo: Qubo, seed: int,
                     iterations: int) -> tuple[np.ndarray, bool, SolutionReport]:
     """Tabu from a seeded random constant schedule; returns read_out of it.
@@ -197,11 +204,10 @@ def run_penalty_norm(ds: NetworkDataset, settings: ExperimentSettings,
     for seed in settings.seeds:
         inst = build_instance(ds, settings.T, settings.k, seed=seed,
                               promote_statics=settings.promote_statics)
-        bounds = compute_bounds(inst)
         for variant in ("baseline", "normalized"):
             normalized = variant == "normalized"
-            power = build_power_qubo(inst, bounds, normalized=normalized)
-            load = build_load_qubo(inst, bounds, normalized=normalized)
+            power = build_power_qubo(inst, normalized=normalized)
+            load = build_load_qubo(inst, normalized=normalized)
             p_lo, p_hi = extremal_scores(inst, "power", power)
             l_lo, l_hi = extremal_scores(inst, "load", load)
             span = abs(p_hi - p_lo) + abs(l_hi - l_lo)
@@ -237,9 +243,7 @@ def run_score_norm(ds: NetworkDataset, settings: ExperimentSettings,
     seed0 = settings.seeds[0]
     inst = build_instance(ds, settings.T, settings.k, seed=seed0,
                           promote_statics=settings.promote_statics)
-    bounds = compute_bounds(inst)
-    terms = {"power": build_power_qubo(inst, bounds),
-             "load": build_load_qubo(inst, bounds),
+    terms = {"power": build_power_qubo(inst), "load": build_load_qubo(inst),
              "cost": build_cost_qubo(inst), "switch": build_switch_qubo(inst)}
     rng = np.random.default_rng(seed0)
     sample = np.stack([

@@ -19,7 +19,7 @@ term order, which gives the bits the constructor would give their concatenation.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class DegenerateRangeError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A coefficient or the offset is NaN or infinite, or a sum overflowed."""
+    """A coefficient or the offset is NaN or infinite, or a computation overflowed."""
 
 
 class Qubo:
@@ -105,19 +105,6 @@ class Qubo:
         """This Qubo, sharing its arrays, with `factored` in that slot."""
         out = object.__new__(Qubo)
         out._adopt(self.dim, self.rows, self.cols, self.vals, self.offset, factored)
-        return out
-
-    @classmethod
-    def from_upper(cls, U: np.ndarray) -> "Qubo":
-        """Qubo with coefficient U[i, j] on x_i x_j of a square matrix U that
-        is zero below its diagonal."""
-        flat = np.flatnonzero(U)  # row-major: the canonical order
-        rows, cols = np.divmod(flat, len(U))
-        if (rows > cols).any():
-            raise ValueError("U has entries below its diagonal")
-        out = object.__new__(cls)
-        out._adopt(len(U), rows, cols, np.asarray(U, dtype=float).ravel()[flat], 0.0)
-        _check_finite(out.vals, 0.0)
         return out
 
     def __reduce__(self):
@@ -196,30 +183,31 @@ class Qubo:
         terms = Xf[:, self.rows] * Xf[:, self.cols] * self.vals
         return self.offset + np.cumsum(terms, axis=1, out=terms)[:, -1]
 
-    def clamp(self, fixed: Mapping[int, int]) -> tuple["Qubo", np.ndarray]:
-        """Fix a subset of variables to constants and shrink the problem.
+    def clamp(self, x: np.ndarray, free: np.ndarray) -> tuple["Qubo", np.ndarray]:
+        """Fix every variable outside the index array `free` at its bit in x
+        and shrink the problem.
 
         Returns (sub, remap) where remap[f] is the original index of the f-th
-        free variable.  Scores are preserved: evaluating sub on the free bits
-        equals evaluating self on the merged vector.  The constant and the
+        free variable, in increasing order.  Scores are preserved: evaluating
+        sub on x[remap] equals evaluating self on x.  The constant and the
         folded linear terms are summed in (row, col) order.
         """
-        free = np.ones(self.dim, dtype=bool)
-        one = np.zeros(self.dim, dtype=bool)
-        for idx, bit in fixed.items():
-            if not 0 <= idx < self.dim:
-                raise IndexError(f"clamped index {idx} outside 0..{self.dim - 1}")
-            if bit not in (0, 1):
-                raise ValueError(f"clamped value for {idx} must be 0 or 1, got {bit!r}")
-            free[idx], one[idx] = False, bit == 1
-        remap = np.flatnonzero(free)
-        new_pos = np.cumsum(free) - 1
+        x = _bit_vector(x, self.dim, "clamped vector")
+        free = np.asarray(free, dtype=np.int64)
+        if free.size and (free.min() < 0 or free.max() >= self.dim):
+            raise IndexError(f"free indices {free.min()}..{free.max()} "
+                             f"outside 0..{self.dim - 1}")
+        is_free = np.zeros(self.dim, dtype=bool)
+        is_free[free] = True
+        remap = np.flatnonzero(is_free)
+        new_pos = np.cumsum(is_free) - 1
         rows, cols, vals = self.rows, self.cols, self.vals
         # a fixed 0 drops the entry; a fixed 1 folds it onto the other index
-        live = (free | one)[rows] & (free | one)[cols]
-        kept = live & (free[rows] | free[cols])
-        new_rows = np.where(free[rows], new_pos[rows], new_pos[cols])
-        new_cols = np.where(free[cols], new_pos[cols], new_pos[rows])
+        nonzero = is_free | (x == 1)
+        live = nonzero[rows] & nonzero[cols]
+        kept = live & (is_free[rows] | is_free[cols])
+        new_rows = np.where(is_free[rows], new_pos[rows], new_pos[cols])
+        new_cols = np.where(is_free[cols], new_pos[cols], new_pos[rows])
         offset = np.cumsum(np.append(self.offset, vals[live & ~kept]))[-1]
         return Qubo(remap.size, new_rows[kept], new_cols[kept], vals[kept],
                     offset), remap
@@ -274,6 +262,14 @@ def normalize_range(
     diag = np.arange(q.dim) * (q.dim + 1)
     return _merge(q.dim, [(q.rows * q.dim + q.cols, q.vals / span),
                           (diag, np.full(q.dim, -(shift / span)))], q.offset / span)
+
+
+def _bit_vector(x, dim: int, name: str) -> np.ndarray:
+    """An int8 copy of x, checked before the cast to be 0/1 of shape (dim,)."""
+    x = np.asarray(x)
+    if x.shape != (dim,) or not ((x == 0) | (x == 1)).all():
+        raise ValueError(f"{name} must be a 0/1 vector of shape ({dim},)")
+    return x.astype(np.int8)
 
 
 def _check_finite(vals: np.ndarray, offset: float) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qubo import Qubo
+from .qubo import Qubo, _bit_vector
 
 __all__ = [
     "TooLargeError",
@@ -97,14 +97,6 @@ def _all_deltas(qubo: Qubo, x: np.ndarray) -> np.ndarray:
         if neighbors[i].size:
             inner[i] += weights[i] @ xf[neighbors[i]]
     return (1.0 - 2.0 * xf) * inner
-
-
-def _bit_vector(x, dim: int, name: str) -> np.ndarray:
-    """An int8 copy of x, checked before the cast to be 0/1 of shape (dim,)."""
-    x = np.asarray(x)
-    if x.shape != (dim,) or not ((x == 0) | (x == 1)).all():
-        raise ValueError(f"{name} must be a 0/1 vector of shape ({dim},)")
-    return x.astype(np.int8)
 
 
 class _Walk:

@@ -28,7 +28,6 @@ from redispatch.encodings import (
     build_onehot_qubo,
     build_power_qubo,
     build_switch_qubo,
-    compute_bounds,
     extremal_schedules,
     extremal_scores,
     load_penalty,
@@ -63,11 +62,10 @@ def test_criterion_1_scalar_matrix_agreement():
     for _ in range(10):
         inst = random_instance(rng)  # n<=4, k<=4, T<=4, L<=3
         assert inst.n <= 4 and inst.k <= 4 and inst.T <= 4 and inst.L <= 3
-        bounds = compute_bounds(inst)
         q_onehot = build_onehot_qubo(inst.T, inst.n, inst.k)
         q_adj = build_adjacency_qubo(inst.T, inst.n, inst.k)
-        qg = build_power_qubo(inst, bounds)
-        qh = build_load_qubo(inst, bounds)
+        qg = build_power_qubo(inst)
+        qh = build_load_qubo(inst)
         qc = build_cost_qubo(inst)
         qs = build_switch_qubo(inst)
         for _ in range(200):
@@ -78,8 +76,8 @@ def test_criterion_1_scalar_matrix_agreement():
             pairs = (
                 (q_onehot, -float(inst.T * inst.n)),
                 (q_adj, float(jumps)),
-                (qg, power_penalty(inst, x, bounds)),
-                (qh, load_penalty(inst, x, bounds)),
+                (qg, power_penalty(inst, x)),
+                (qh, load_penalty(inst, x)),
                 (qc, production_cost(inst, Z)),
                 (qs, switching_cost(inst, Z) / inst.gamma),
             )
@@ -230,10 +228,9 @@ def test_criterion_6_score_normalization_ranges(desk_dir):
     started = time.monotonic()
     ds = load_network(desk_dir)
     inst = build_instance(ds, T=2, k=3, seed=0)
-    bounds = compute_bounds(inst)
     terms = {
-        "power": build_power_qubo(inst, bounds),
-        "load": build_load_qubo(inst, bounds),
+        "power": build_power_qubo(inst),
+        "load": build_load_qubo(inst),
         "cost": build_cost_qubo(inst),
         "switch": build_switch_qubo(inst),
     }

@@ -10,11 +10,12 @@ still be a parameter of the callable that receives it.
 import ast
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
 
-from redispatch import alphaexp, experiments
+from redispatch import alphaexp, data, experiments
 from redispatch.data import synth_instance
 from redispatch.encodings import FactoredObjective, build_objective
 from redispatch.model import encode_one_hot
@@ -24,12 +25,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "redispatch"
 
 # (module, name) imported only so that the tracer can wrap the name there
-TRACER_ONLY_IMPORTS = {
-    ("redispatch.encodings", "normalize_range"),
-    ("redispatch.experiments", "build_adjacency_qubo"),
-    ("redispatch.experiments", "build_onehot_qubo"),
-    ("redispatch.experiments", "weighted_sum"),
-}
+TRACER_ONLY_IMPORTS = {("redispatch.encodings", "normalize_range")}
 
 
 def load_spans():
@@ -129,6 +125,31 @@ def test_alpha_scores_every_move_of_the_composite_from_its_factors(monkeypatch):
     assert objectives
     assert all(obj is qubo.factored for obj in objectives)
     assert isinstance(qubo.factored, FactoredObjective)
+
+
+def test_tracer_reads_what_the_package_passes():
+    # the extractors in spans.py read the arguments and results of the
+    # wrapped calls (args[1].num_terms, args[2].strategy, .iterations, ...);
+    # a type change there would otherwise break only traced benchmark runs
+    per_layer = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())[
+        "per_layer"]
+    tracer = load_spans().Tracer()
+    inst, _ = synth_instance(4, 3, 3, 2)
+    rng = np.random.default_rng(0)
+    with tracer.installed():
+        qubo = experiments.composed_objective(inst)
+        for name in ("alpha", "random-decomp", "score-decomp", "tabu"):
+            experiments.run_solver(name, inst, qubo, seed=0, max_iterations=3,
+                                   time_limit=60.0, batch_size=4,
+                                   subproblem_size=8)
+        data.estimate_sensitivity(rng.random((8, 5)), rng.random((8, 5)))
+    m = tracer.metrics()
+    # run.py adds the tracer's own overhead
+    assert set(m) == {entry["name"] for entry in per_layer} - {"trace.overhead_s"}
+    for name in ("alphaexp.steps", "alphaexp.move_qubo_calls",
+                 "decomposers.steps", "qubo.clamp_calls", "solvers.tabu_calls",
+                 "solvers.tabu_flips", "data.fit_iterations"):
+        assert m[name] > 0, name
 
 
 def test_workload_captured_names_resolve_on_experiments():

@@ -276,6 +276,25 @@ def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ("build-instance", "--size", "S"), ("build-instance", "--size", "L"),
+    ("estimate-sensitivity",)], ids=["build-S", "build-L", "sensitivity"])
+def test_huge_injection_exits_2(tmp_path, capsys, args):
+    # a finite injection of 1e300 MW overflows the sensitivity fit's
+    # Lipschitz constant: a data error, not a runtime error
+    net = write_synthetic_network(tmp_path / "net", n_controllables=12,
+                                  n_lines=20, raw_timepoints=16, n_fixed=6,
+                                  seed=0)
+    path = net / "fixed_profiles.csv"
+    rows = path.read_text().splitlines()
+    rows[1] = rows[1].rpartition(",")[0] + ",1e300"
+    path.write_text("\n".join(rows) + "\n")
+    out = (["--out", str(tmp_path / "i.json")] if args[0] == "build-instance"
+           else ["--out-dir", str(tmp_path / "out")])
+    assert main([args[0], "--data-dir", str(net), *args[1:], *out]) == 2
+    assert "overflowed" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- config
 
 

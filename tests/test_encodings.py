@@ -16,7 +16,6 @@ from redispatch import encodings
 from redispatch.data import synth_instance
 from redispatch.encodings import (
     InfeasibleBoundError,
-    add_hard_terms,
     build_adjacency_qubo,
     build_cost_qubo,
     build_load_qubo,
@@ -31,7 +30,8 @@ from redispatch.encodings import (
     penalty_scalar,
     power_penalty,
 )
-from redispatch.experiments import _hard_weight, composed_objective
+from redispatch.experiments import (_hard_weight, add_hard_terms,
+                                    composed_objective)
 from redispatch.model import (
     ProblemInstance,
     encode_one_hot,
@@ -148,13 +148,12 @@ def test_power_qubo_matches_scalar_oracle():
     rng = np.random.default_rng(2)
     for _ in range(10):
         inst = random_instance(rng)
-        bounds = compute_bounds(inst)
         for normalized in (False, True):
-            q = build_power_qubo(inst, bounds, normalized=normalized)
+            q = build_power_qubo(inst, normalized=normalized)
             for _ in range(5):
                 x = encode_one_hot(random_schedule(rng, inst),
                                    inst.T, inst.n, inst.k)
-                oracle = power_penalty(inst, x, bounds, normalized=normalized)
+                oracle = power_penalty(inst, x, normalized=normalized)
                 assert q.evaluate(x) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
 
@@ -162,13 +161,12 @@ def test_load_qubo_matches_scalar_oracle():
     rng = np.random.default_rng(3)
     for _ in range(10):
         inst = random_instance(rng)
-        bounds = compute_bounds(inst)
         for normalized in (False, True):
-            q = build_load_qubo(inst, bounds, normalized=normalized)
+            q = build_load_qubo(inst, normalized=normalized)
             for _ in range(5):
                 x = encode_one_hot(random_schedule(rng, inst),
                                    inst.T, inst.n, inst.k)
-                oracle = load_penalty(inst, x, bounds, normalized=normalized)
+                oracle = load_penalty(inst, x, normalized=normalized)
                 assert q.evaluate(x) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
 
@@ -178,13 +176,12 @@ def test_load_qubo_matches_scalar_oracle():
 def test_penalties_score_arbitrary_bit_vectors(seed, L, normalized, data):
     # the QUBO and the oracle agree off the one-hot manifold as well
     inst = random_instance(np.random.default_rng(seed), L=L)
-    bounds = compute_bounds(inst)
-    qg = build_power_qubo(inst, bounds, normalized=normalized)
-    qh = build_load_qubo(inst, bounds, normalized=normalized)
+    qg = build_power_qubo(inst, normalized=normalized)
+    qh = build_load_qubo(inst, normalized=normalized)
     x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=inst.dim,
                                     max_size=inst.dim)))
     for q, oracle in ((qg, power_penalty), (qh, load_penalty)):
-        expected = oracle(inst, x, bounds, normalized=normalized)
+        expected = oracle(inst, x, normalized=normalized)
         assert abs(q.evaluate(x) - expected) <= 1e-9 * (1.0 + abs(expected))
 
 
@@ -193,13 +190,12 @@ def test_normalized_penalty_argument_at_most_one():
     # penalty term bottoms out at 0.5 per constraint
     rng = np.random.default_rng(5)
     inst = random_instance(rng, T=2, n=3, k=3, L=2)
-    bounds = compute_bounds(inst)
     all_max = np.full((inst.T, inst.n), inst.k)
     x = encode_one_hot(all_max, inst.T, inst.n, inst.k)
-    assert power_penalty(inst, x, bounds) == pytest.approx(0.5 * inst.T)
+    assert power_penalty(inst, x) == pytest.approx(0.5 * inst.T)
     all_min = np.ones((inst.T, inst.n), dtype=int)
     x = encode_one_hot(all_min, inst.T, inst.n, inst.k)
-    assert load_penalty(inst, x, bounds) == pytest.approx(0.5 * inst.T * inst.L)
+    assert load_penalty(inst, x) == pytest.approx(0.5 * inst.T * inst.L)
 
 
 def test_exact_target_scores_one_per_timepoint():
@@ -264,12 +260,11 @@ def test_load_bound_is_sensitivity_weighted():
 def test_extremal_scores_match_exhaustive_min_max():
     rng = np.random.default_rng(6)
     inst = random_instance(rng, T=2, n=2, k=3, L=2, monotone_cost=True)
-    bounds = compute_bounds(inst)
     qubos = {
         "cost": build_cost_qubo(inst),
         "switch": build_switch_qubo(inst),
-        "power": build_power_qubo(inst, bounds),
-        "load": build_load_qubo(inst, bounds),
+        "power": build_power_qubo(inst),
+        "load": build_load_qubo(inst),
     }
     for which, q in qubos.items():
         scores = []
@@ -385,9 +380,7 @@ def test_objective_matches_manual_weighted_sum():
     # from its materialized extremes, summed with the hard blocks
     rng = np.random.default_rng(11)
     inst = random_instance(rng, T=2, n=2, k=3, L=2)
-    bounds = compute_bounds(inst)
-    terms = {"power": build_power_qubo(inst, bounds),
-             "load": build_load_qubo(inst, bounds),
+    terms = {"power": build_power_qubo(inst), "load": build_load_qubo(inst),
              "cost": build_cost_qubo(inst), "switch": build_switch_qubo(inst)}
     weights = (*inst.weights[:3], inst.weights[3] * inst.gamma)
     for objective, q in (
@@ -413,7 +406,7 @@ def test_objective_is_assembled_from_the_record_only(monkeypatch):
         raise AssertionError("build_objective went through a per-term Qubo")
 
     for name in ("build_power_qubo", "build_load_qubo", "build_cost_qubo",
-                 "build_switch_qubo", "normalize_range", "add_hard_terms"):
+                 "build_switch_qubo", "normalize_range"):
         monkeypatch.setattr(encodings, name, refuse)
     inst = random_instance(np.random.default_rng(12), T=2, n=2, k=3, L=2)
     for normalized in (False, True):

@@ -8,6 +8,7 @@ import pytest
 from redispatch.data import load_network, synth_instance, write_synthetic_network
 from redispatch.experiments import (
     ExperimentSettings,
+    _hard_weight,
     composed_objective,
     fmt,
     read_out,
@@ -26,6 +27,13 @@ def test_fmt_rendering():
     assert fmt(math.inf) == "inf" and fmt(-math.inf) == "-inf"
     with pytest.raises(ValueError):
         fmt(math.nan)
+
+
+def test_hard_weight_floors_the_soft_span_at_one():
+    # a soft span below 1 (a normalized term's is 1 at most) still gets the
+    # hard terms a weight of 10, not 10 times the span
+    assert _hard_weight(0.25) == _hard_weight(0.0) == _hard_weight(1.0) == 10.0
+    assert _hard_weight(3.5) == 35.0
 
 
 def test_write_csv_layout(tmp_path):

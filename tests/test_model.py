@@ -149,6 +149,14 @@ def test_zero_target_renders_finite_or_inf_never_nan():
     assert report.fulfilled_timepoints >= 1
     report_off = evaluate_schedule(zeroed, np.array([[1, 1], [2, 2]]))
     assert report_off.fulfillment[0] == 1.0  # nothing asked, nothing produced
+    # that timepoint counts as fulfilled, beside t=1's 7 MW against 6
+    assert report_off.fulfilled_timepoints == 2
+    exact = ProblemInstance(
+        T=2, n=2, k=3, L=1, p=inst.p, c=inst.c, S=inst.S, M=inst.M,
+        tau=np.array([5.0, 7.0]))
+    report_exact = evaluate_schedule(exact, np.array([[2, 1], [2, 2]]))
+    assert report_exact.fulfillment.tolist() == [1.0, 1.0]
+    assert report_exact.fulfilled_timepoints == 2  # a met target counts
 
 
 def test_overload_counting():

@@ -137,21 +137,9 @@ def test_factored_slot_is_shared_and_dropped():
     assert tagged.factored is record and q.factored is None
     assert tagged.vals is q.vals and tagged == q
     for derived in (pickle.loads(pickle.dumps(tagged)),
-                    weighted_sum([(1.0, tagged)]), tagged.clamp({0: 1})[0],
+                    weighted_sum([(1.0, tagged)]), tagged.clamp([1, 0, 0], [1, 2])[0],
                     normalize_range(tagged, -1.0, 1.0, 1)):
         assert derived.factored is None
-
-
-def test_from_upper_equals_constructor():
-    rng = np.random.default_rng(3)
-    U = np.triu(rng.normal(size=(5, 5)))
-    U[1, 3] = U[2, 2] = 0.0
-    i, j = np.triu_indices(5)
-    assert Qubo.from_upper(U) == Qubo(5, i, j, U[i, j])
-    with pytest.raises(ValueError, match="below its diagonal"):
-        Qubo.from_upper(U.T)
-    with pytest.raises(NonFiniteError):
-        Qubo.from_upper(np.diag([1.0, np.inf]))
 
 
 def test_clamp_exhaustive_score_equality():
@@ -161,33 +149,33 @@ def test_clamp_exhaustive_score_equality():
         dim = int(rng.integers(3, 9))
         q, _, _ = random_qubo(rng, dim, density=0.8)
         n_fixed = int(rng.integers(1, dim))
-        fixed_idx = rng.choice(dim, size=n_fixed, replace=False)
-        fixed = {int(i): int(rng.integers(0, 2)) for i in fixed_idx}
-        sub, remap = q.clamp(fixed)
+        free_idx = rng.permutation(dim)[n_fixed:]  # in no particular order
+        x = rng.integers(0, 2, size=dim)
+        sub, remap = q.clamp(x, free_idx)
         assert sub.dim == dim - n_fixed
-        assert sorted(remap.tolist()) == sorted(set(range(dim)) - set(fixed))
+        assert remap.tolist() == sorted(free_idx)
         for assignment in range(1 << sub.dim):
             free = np.array([(assignment >> b) & 1 for b in range(sub.dim)],
                             dtype=np.int8)
-            full = np.zeros(dim, dtype=np.int8)
+            full = x.copy()
             full[remap] = free
-            for i, bit in fixed.items():
-                full[i] = bit
             assert sub.evaluate(free) == pytest.approx(
                 q.evaluate(full), rel=1e-12, abs=1e-12)
 
 
 def test_clamp_validates_indices_and_bits():
     q = Qubo(3, [0], [1], [1.0])
-    with pytest.raises(IndexError):
-        q.clamp({5: 1})
-    with pytest.raises(ValueError):
-        q.clamp({0: 2})
+    for free in ([5], [-1], [0, 3]):
+        with pytest.raises(IndexError):
+            q.clamp([0, 0, 0], free)
+    for x in ([2, 0, 0], [0, 1], [0.5, 0, 0]):
+        with pytest.raises(ValueError, match="0/1 vector"):
+            q.clamp(x, [1])
 
 
 def test_clamp_everything_leaves_constant():
     q = Qubo(2, [0, 0, 1], [0, 1, 1], [1.0, 2.0, 3.0], offset=0.5)
-    sub, remap = q.clamp({0: 1, 1: 1})
+    sub, remap = q.clamp([1, 1], [])
     assert sub.dim == 0
     assert remap.size == 0
     assert sub.offset == pytest.approx(0.5 + 1 + 2 + 3)
@@ -200,15 +188,12 @@ def test_clamp_in_two_stages_matches_single_stage(seed):
     dim = int(rng.integers(4, 9))
     q, _, _ = random_qubo(rng, dim, density=0.7)
     all_idx = rng.permutation(dim)
-    first = {int(i): int(rng.integers(0, 2)) for i in all_idx[:2]}
-    second = {int(i): int(rng.integers(0, 2)) for i in all_idx[2:4]}
-    once, remap_once = q.clamp({**first, **second})
-    stage1, remap1 = q.clamp(first)
-    translated = {
-        int(np.flatnonzero(remap1 == orig)[0]): bit
-        for orig, bit in second.items()
-    }
-    stage2, remap2 = stage1.clamp(translated)
+    x = rng.integers(0, 2, size=dim)
+    # clamp all_idx[:2], then all_idx[2:4]; or all four at once
+    once, remap_once = q.clamp(x, all_idx[4:])
+    stage1, remap1 = q.clamp(x, all_idx[2:])
+    stage2, remap2 = stage1.clamp(x[remap1],
+                                  np.flatnonzero(np.isin(remap1, all_idx[4:])))
     assert stage2.dim == once.dim
     assert remap1[remap2].tolist() == remap_once.tolist()
     for assignment in range(1 << once.dim):
@@ -414,16 +399,14 @@ unit_values = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
                                  st.integers(0, dim - 1)), unit_values),
              max_size=40),
     unit_values,
-    st.dictionaries(st.integers(0, dim - 1), st.integers(0, 1)),
+    st.lists(st.integers(0, dim - 1), max_size=dim + 2),  # repeats allowed
     st.lists(st.integers(0, 1), min_size=dim, max_size=dim))))
 def test_clamp_preserves_scores(case):
-    dim, pairs, offset, fixed, bits = case
+    dim, pairs, offset, free, bits = case
     q = from_pairs(dim, pairs, offset)
     x = np.array(bits, dtype=np.int8)
-    for i, bit in fixed.items():
-        x[i] = bit
-    sub, remap = q.clamp(fixed)
-    assert remap.tolist() == sorted(set(range(dim)) - set(fixed))
+    sub, remap = q.clamp(x, free)
+    assert remap.tolist() == sorted(set(free))
     score = q.evaluate(x)
     assert abs(sub.evaluate(x[remap]) - score) <= 1e-9 * (1.0 + abs(score))
 
