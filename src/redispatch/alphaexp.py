@@ -25,7 +25,6 @@ import numpy as np
 from .encodings import FactoredObjective
 from .model import (
     ProblemInstance,
-    count_switches,
     decode_one_hot,
     first_adjacency_violation,
     flat_index,
@@ -261,8 +260,7 @@ def alpha_expansion(
     through build_alpha_qubo from qubo.factored, the record build_objective
     attaches and all alpha reads (ValueError if missing or of another layout),
     and solved exactly, or by tabu search above 20 moves; a combination is
-    applied only if its exact score delta is negative, or zero while
-    strictly reducing the switch count during the first epoch.  Stops after
+    applied only if its exact score delta is below -1e-9.  Stops after
     an epoch without any accepted move, or when the budget (max_iterations
     counts epochs) runs out.  budget.max_iterations = 0 returns the start
     point.
@@ -338,11 +336,7 @@ def alpha_expansion(
                 if sel:
                     x_new = cyc.apply(x_new)
             Z_new = decode_one_hot(x_new, inst.T, inst.n, inst.k)
-            take = delta < -tol or (
-                epoch == 1 and abs(delta) <= tol
-                and count_switches(inst, Z_new) < count_switches(inst, Z)
-            )
-            if take:
+            if delta < -tol:
                 x, Z = x_new, Z_new
                 fields = objective.fields(Z)
                 score += delta

@@ -22,6 +22,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -139,30 +140,48 @@ def _read_rows(path: Path, columns: list[str]) -> list[dict]:
     return rows
 
 
-def _number(row: dict, col: str, path: Path) -> float:
+def _cell(row: dict, col: str, path: Path, kind=float):
+    """The cell as a finite `kind` (float or int); ParseError names file:line."""
     try:
-        val = float(row[col])
+        val = kind(row[col])
     except (TypeError, ValueError) as exc:
+        noun = "a number" if kind is float else "an integer"
         raise ParseError(
-            f"{path}:{row['_line']}: column {col!r} value {row[col]!r} is not a number"
+            f"{path}:{row['_line']}: column {col!r} value {row[col]!r} is not {noun}"
         ) from exc
-    if math.isnan(val) or math.isinf(val):
+    if not -math.inf < val < math.inf:
         raise ParseError(f"{path}:{row['_line']}: column {col!r} is not finite")
     return val
 
 
-def _integer(row: dict, col: str, path: Path) -> int:
-    try:
-        return int(row[col])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(
-            f"{path}:{row['_line']}: column {col!r} value {row[col]!r} is not an integer"
-        ) from exc
+def _entities(path: Path, text: list[str], numeric: list[str], valid,
+              rule: str) -> list[tuple[dict, list[float]]]:
+    """(row, its `numeric` cells) for each row of an id-keyed entity file.
+    SchemaError on a repeated id, on numbers that fail `valid` (the message
+    states `rule`), or on a file without rows."""
+    out = []
+    seen: set[str] = set()
+    for row in _read_rows(path, ["id", *text, *numeric]):
+        if row["id"] in seen:
+            raise SchemaError(f"{path}:{row['_line']}: duplicate id {row['id']!r}")
+        seen.add(row["id"])
+        numbers = [_cell(row, col, path) for col in numeric]
+        if not valid(*numbers):
+            raise SchemaError(f"{path}:{row['_line']}: {rule}")
+        out.append((row, numbers))
+    if not out:
+        raise SchemaError(f"{path}: no {path.stem}")
+    return out
 
 
-def _series_matrix(rows: list[dict], ids: list[str], path: Path,
-                   id_col: str) -> tuple[np.ndarray, int]:
-    """Assemble (raw_T, len(ids)) from id,t,mw rows; every cell must be present."""
+def _series_matrix(path: Path, ids: list[str] | None = None, id_col: str = "id",
+                   empty_t: int = 0) -> tuple[np.ndarray, list[str]]:
+    """(raw_T, len(ids)) from the id,t,mw rows of path, and the ids: those
+    given, else every id of the file in order of first appearance.  Every
+    cell must be present; a file without rows has empty_t timepoints."""
+    rows = _read_rows(path, [id_col, "t", "mw"])
+    if ids is None:
+        ids = list(dict.fromkeys(row[id_col] for row in rows))
     pos = {ident: i for i, ident in enumerate(ids)}
     cells: dict[tuple[int, int], float] = {}
     max_t = -1
@@ -170,15 +189,15 @@ def _series_matrix(rows: list[dict], ids: list[str], path: Path,
         ident = row[id_col]
         if ident not in pos:
             raise SchemaError(f"{path}:{row['_line']}: unknown id {ident!r}")
-        t = _integer(row, "t", path)
+        t = _cell(row, "t", path, int)
         if t < 0:
             raise ParseError(f"{path}:{row['_line']}: t must be non-negative")
         key = (t, pos[ident])
         if key in cells:
             raise SchemaError(f"{path}:{row['_line']}: duplicate (id, t) = ({ident!r}, {t})")
-        cells[key] = _number(row, "mw", path)
+        cells[key] = _cell(row, "mw", path)
         max_t = max(max_t, t)
-    raw_t = max_t + 1
+    raw_t = max_t + 1 if cells else empty_t
     if len(cells) != raw_t * len(ids):
         raise SchemaError(
             f"{path}: expected a full grid of {raw_t} timepoints x {len(ids)} ids, "
@@ -187,66 +206,31 @@ def _series_matrix(rows: list[dict], ids: list[str], path: Path,
     out = np.empty((raw_t, len(ids)))
     for (t, i), v in cells.items():
         out[t, i] = v
-    return out, raw_t
+    return out, ids
 
 
 def load_network(path) -> NetworkDataset:
     """Parse one dataset directory, validating schema and completeness."""
     root = Path(path)
-    ctrl_rows = _read_rows(root / "controllables.csv", ["id", "type", "min_mw", "max_mw"])
-    controllables = []
-    seen: set[str] = set()
-    for row in ctrl_rows:
-        ident = row["id"]
-        if ident in seen:
-            raise SchemaError(f"{root/'controllables.csv'}:{row['_line']}: duplicate id {ident!r}")
-        seen.add(ident)
-        lo = _number(row, "min_mw", root / "controllables.csv")
-        hi = _number(row, "max_mw", root / "controllables.csv")
-        if lo < 0 or hi < lo:
-            raise SchemaError(
-                f"{root/'controllables.csv'}:{row['_line']}: need 0 <= min_mw <= max_mw"
-            )
-        controllables.append(Controllable(ident, row["type"].strip().lower(), lo, hi))
-    if not controllables:
-        raise SchemaError(f"{root/'controllables.csv'}: no controllables")
-
-    line_rows = _read_rows(root / "lines.csv", ["id", "voltage_kv", "max_current_ka"])
-    lines = []
-    seen = set()
-    for row in line_rows:
-        ident = row["id"]
-        if ident in seen:
-            raise SchemaError(f"{root/'lines.csv'}:{row['_line']}: duplicate id {ident!r}")
-        seen.add(ident)
-        volt = _number(row, "voltage_kv", root / "lines.csv")
-        amp = _number(row, "max_current_ka", root / "lines.csv")
-        if volt <= 0 or amp <= 0:
-            raise SchemaError(f"{root/'lines.csv'}:{row['_line']}: ratings must be positive")
-        lines.append(Line(ident, volt, amp))
-    if not lines:
-        raise SchemaError(f"{root/'lines.csv'}: no lines")
-
-    cp_path = root / "controllable_profiles.csv"
-    cp_rows = _read_rows(cp_path, ["id", "t", "mw"])
-    ctrl_profiles, raw_t = _series_matrix(
-        cp_rows, [c.id for c in controllables], cp_path, "id")
-
-    fp_path = root / "fixed_profiles.csv"
-    fp_rows = _read_rows(fp_path, ["id", "t", "mw"])
-    fixed_ids = list(dict.fromkeys(row["id"] for row in fp_rows))
-    fixed_profiles, fixed_t = _series_matrix(fp_rows, fixed_ids, fp_path, "id")
-    if not fp_rows:  # no fixed elements: an empty series on the shared axis
-        fixed_profiles, fixed_t = np.empty((raw_t, 0)), raw_t
-
-    fl_path = root / "flows.csv"
-    fl_rows = _read_rows(fl_path, ["line_id", "t", "mw"])
-    flows, flow_t = _series_matrix(fl_rows, [l.id for l in lines], fl_path, "line_id")
-
-    if not raw_t == fixed_t == flow_t:
+    controllables = [
+        Controllable(row["id"], row["type"].strip().lower(), lo, hi)
+        for row, (lo, hi) in _entities(
+            root / "controllables.csv", ["type"], ["min_mw", "max_mw"],
+            lambda lo, hi: 0 <= lo <= hi, "need 0 <= min_mw <= max_mw")]
+    lines = [Line(row["id"], volt, amp) for row, (volt, amp) in _entities(
+        root / "lines.csv", [], ["voltage_kv", "max_current_ka"],
+        lambda volt, amp: volt > 0 and amp > 0, "ratings must be positive")]
+    ctrl_profiles, _ = _series_matrix(root / "controllable_profiles.csv",
+                                      [c.id for c in controllables])
+    raw_t = len(ctrl_profiles)
+    # a file without fixed elements is an empty series on the shared axis
+    fixed_profiles, fixed_ids = _series_matrix(root / "fixed_profiles.csv",
+                                               empty_t=raw_t)
+    flows, _ = _series_matrix(root / "flows.csv", [l.id for l in lines], "line_id")
+    if not raw_t == len(fixed_profiles) == len(flows):
         raise SchemaError(
-            f"{root}: time axes disagree (controllables {raw_t}, fixed {fixed_t}, "
-            f"flows {flow_t})"
+            f"{root}: time axes disagree (controllables {raw_t}, fixed "
+            f"{len(fixed_profiles)}, flows {len(flows)})"
         )
     return NetworkDataset(
         controllables=controllables,
@@ -281,7 +265,7 @@ def discretize_levels(min_mw: float, max_mw: float, k: int) -> np.ndarray:
 
     With min 0 the levels run linearly from 0 to max over all k states; with
     a positive minimum, level 1 is 0 and levels 2..k run linearly from min
-    to max (needs k >= 3 unless the range is degenerate).
+    to max, which needs k >= 3 even when min == max (else BadLevelsError).
     """
     if min_mw < 0 or max_mw < min_mw:
         raise BadLevelsError(f"need 0 <= min <= max, got [{min_mw}, {max_mw}]")
@@ -424,29 +408,19 @@ def _promote_statics(ds: NetworkDataset) -> NetworkDataset:
     generator: it becomes a zero-cost controllable that is either off or at
     its historical peak.  Loads and anything that consumes stay fixed.
     """
-    keep_fixed = []
-    promoted = []
-    for col, ident in enumerate(ds.fixed_ids):
-        series = ds.fixed_profiles[:, col]
-        if np.all(series >= 0) and series.max() > 0:
-            promoted.append((ident, col))
-        else:
-            keep_fixed.append((ident, col))
-    if not promoted:
+    fixed = ds.fixed_profiles
+    peaks = fixed.max(axis=0, initial=0.0)
+    promote = (fixed >= 0).all(axis=0) & (peaks > 0)
+    if not promote.any():
         return ds
-    new_controllables = list(ds.controllables)
-    new_ctrl_cols = [ds.controllable_profiles]
-    for ident, col in promoted:
-        peak = float(ds.fixed_profiles[:, col].max())
-        new_controllables.append(Controllable(ident, "static", 0.0, peak))
-        new_ctrl_cols.append(ds.fixed_profiles[:, col : col + 1])
-    fixed_cols = [col for _, col in keep_fixed]
     return replace(
-        ds, controllables=new_controllables,
-        controllable_profiles=np.hstack(new_ctrl_cols),
-        fixed_ids=[ident for ident, _ in keep_fixed],
-        fixed_profiles=ds.fixed_profiles[:, fixed_cols]
-        if fixed_cols else np.zeros((ds.raw_timepoints, 0)))
+        ds, controllables=ds.controllables + [
+            Controllable(ident, "static", 0.0, float(peak))
+            for ident, peak in compress(zip(ds.fixed_ids, peaks), promote)],
+        controllable_profiles=np.hstack([ds.controllable_profiles,
+                                         fixed[:, promote]]),
+        fixed_ids=list(compress(ds.fixed_ids, ~promote)),
+        fixed_profiles=fixed[:, ~promote])
 
 
 def build_instance(
@@ -498,8 +472,9 @@ def build_instance(
     S_fixed = S[n:, :]
     M = compute_line_limits(agg, S_fixed)
 
-    c = np.broadcast_to((rates[:, None] * levels)[None, :, :],
-                        (T, n, k)).copy()
+    with np.errstate(over="ignore"):  # ProblemInstance rejects inf costs
+        c = np.broadcast_to((rates[:, None] * levels)[None, :, :],
+                            (T, n, k)).copy()
     return ProblemInstance(
         T=T, n=n, k=k, L=len(ds.lines),
         p=levels, c=c, S=S_ctrl, M=M, tau=tau,

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .qubo import NonFiniteError
+
 __all__ = [
     "ProblemInstance",
     "SolutionReport",
@@ -74,6 +76,9 @@ class ProblemInstance:
             the soft objective terms.
         s_box: closed interval the sensitivity entries must lie in; its
             lower end must be non-negative.
+
+    A NaN or infinite entry in an array raises qubo.NonFiniteError (a
+    ValueError), as a finite input whose derived values overflow does.
     """
 
     T: int
@@ -100,7 +105,7 @@ class ProblemInstance:
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
+                raise NonFiniteError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if np.any(self.p < 0):

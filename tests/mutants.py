@@ -1,0 +1,193 @@
+"""Registry of hand-written mutants, and a runner that checks the tests kill them.
+
+Each entry names a file of the repository, an anchor (exact text that occurs
+once in that file), the text that replaces it, and the test node ids that
+must fail on the mutated copy.  `tests/test_mutants.py` checks that every
+anchor still occurs exactly once, so a change that moves or rewrites the
+code updates its entry in the same diff.
+
+Run from the root of a checkout (standard library only):
+
+    python tests/mutants.py                  # every mutant
+    python tests/mutants.py --only NAME ...  # the named mutants
+
+Each mutant gets a fresh copy of src/, tests/ and pyproject.toml in a
+temporary directory, where its listed tests run under pytest with -x.  A
+mutant is killed when pytest reports a failed test (exit status 1); a
+collection or usage error (a node id that no longer exists, say) is
+reported as an error, not as a kill.  The runner prints one line per mutant
+and exits 1 unless every mutant was killed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    file: str
+    anchor: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+DATA, MODEL = "src/redispatch/data.py", "src/redispatch/model.py"
+TEST_DATA = "tests/test_data.py::"
+PROPERTY = "tests/test_cli.py::test_every_dataset_builds_or_exits_2"
+
+MUTANTS: dict[str, Mutant] = {
+    # found by hand on the whole suite before this registry existed
+    "read-out-skips-adjacency": Mutant(
+        "src/redispatch/experiments.py",
+        "return Z, one_hot and is_adjacent_feasible(Z), evaluate_schedule(inst, Z)",
+        "return Z, one_hot, evaluate_schedule(inst, Z)",
+        ("tests/test_experiments.py::"
+         "test_read_out_flags_a_jump_of_two_states_infeasible",)),
+    "aggregate-drops-remainder": Mutant(
+        DATA, "bounds = [i * width for i in range(T)] + [ds.raw_timepoints]",
+        "bounds = [i * width for i in range(T)] + [T * width]",
+        (TEST_DATA + "test_aggregate_time_remainder_goes_to_last_window",)),
+    "adjacency-allows-two-states": Mutant(
+        MODEL, "jumps = np.abs(np.diff(Z.astype(int), axis=0)) > 1",
+        "jumps = np.abs(np.diff(Z.astype(int), axis=0)) > 2",
+        ("tests/test_model.py::test_adjacency_violation_detection",)),
+    "tabu-aspiration-sign": Mutant(
+        "src/redispatch/solvers.py",
+        "if d < low and (tabu_until[j] < it or score + d < bar):",
+        "if d < low and (tabu_until[j] < it or score - d < bar):",
+        ("tests/test_solvers.py::test_tabu_list_kernel_matches_array_path",)),
+    "decompose-merges-only-gains": Mutant(
+        "src/redispatch/decomposers.py",
+        "merge = result.score <= score + 1e-12 * (1.0 + abs(score))",
+        "merge = result.score < score",
+        ("tests/test_decomposers.py::"
+         "test_zero_gain_move_merges_a_few_ulps_above",)),
+    "fulfilled-needs-surplus": Mutant(
+        MODEL, "fulfilled = int(np.count_nonzero(ratios >= 1.0))",
+        "fulfilled = int(np.count_nonzero(ratios > 1.0))",
+        ("tests/test_model.py::"
+         "test_zero_target_renders_finite_or_inf_never_nan",)),
+    "hard-weight-without-floor": Mutant(
+        "src/redispatch/experiments.py", "return 10.0 * max(1.0, soft_span)",
+        "return 10.0 * soft_span",
+        ("tests/test_experiments.py::"
+         "test_hard_weight_floors_the_soft_span_at_one",)),
+    # one per check of the dataset reader
+    "reader-missing-file": Mutant(
+        DATA, "    if not path.exists():\n", "    if False:\n",
+        (TEST_DATA + "test_missing_file_names_the_file",)),
+    "reader-missing-column": Mutant(
+        DATA, "            if col not in header:\n", "            if False:\n",
+        (TEST_DATA + "test_missing_column_is_reported",)),
+    "reader-non-numeric-cell": Mutant(
+        DATA, "    except (TypeError, ValueError) as exc:\n        noun",
+        "    except TypeError as exc:\n        noun",
+        (TEST_DATA + "test_bad_number_reports_file_and_line",)),
+    "reader-non-finite-cell": Mutant(
+        DATA, "    if not -math.inf < val < math.inf:\n", "    if False:\n",
+        (TEST_DATA + "test_bad_cell_names_file_and_line",)),
+    "reader-non-integer-t": Mutant(
+        DATA, 't = _cell(row, "t", path, int)', 't = int(_cell(row, "t", path))',
+        (TEST_DATA + "test_bad_cell_names_file_and_line",)),
+    "reader-negative-t": Mutant(
+        DATA, "        if t < 0:\n", "        if False:\n",
+        (TEST_DATA + "test_bad_cell_names_file_and_line",)),
+    "reader-unknown-id": Mutant(
+        DATA, "        if ident not in pos:\n", "        if False:\n",
+        (TEST_DATA + "test_unknown_series_id_rejected",)),
+    "reader-duplicate-cell": Mutant(
+        DATA, "        if key in cells:\n", "        if False:\n",
+        (TEST_DATA + "test_duplicate_cell_rejected",)),
+    "reader-full-grid": Mutant(
+        DATA, "    if len(cells) != raw_t * len(ids):\n", "    if False:\n",
+        (TEST_DATA + "test_incomplete_grid_rejected",)),
+    "reader-duplicate-entity": Mutant(
+        DATA, '        if row["id"] in seen:\n', "        if False:\n",
+        (TEST_DATA + "test_duplicate_id_rejected",
+         TEST_DATA + "test_entity_files_need_unique_ids_and_a_row")),
+    "reader-empty-entity-file": Mutant(
+        DATA, "    if not out:\n", "    if False:\n",
+        (TEST_DATA + "test_entity_files_need_unique_ids_and_a_row",)),
+    "reader-min-above-max": Mutant(
+        DATA, "lambda lo, hi: 0 <= lo <= hi", "lambda lo, hi: 0 <= lo",
+        (TEST_DATA + "test_inverted_rating_rejected",)),
+    "reader-positive-ratings": Mutant(
+        DATA, "lambda volt, amp: volt > 0 and amp > 0", "lambda volt, amp: volt > 0",
+        (TEST_DATA + "test_bad_cell_names_file_and_line",)),
+    "reader-time-axes": Mutant(
+        DATA, "    if not raw_t == len(fixed_profiles) == len(flows):\n",
+        "    if False:\n",
+        (TEST_DATA + "test_mismatched_time_axes_rejected",)),
+    # an overflowing dataset is bad input (exit 2), not a runtime failure
+    "overflow-is-runtime-error": Mutant(
+        MODEL, 'raise NonFiniteError(f"{name} contains non-finite entries")',
+        'raise ValueError(f"{name} contains non-finite entries")',
+        (PROPERTY,)),
+    # alpha hands a batch of more than 20 moves to tabu search
+    "alpha-brute-above-20": Mutant(
+        "src/redispatch/alphaexp.py", "if reduced.dim <= 20", "if reduced.dim <= 40",
+        ("tests/test_alphaexp.py::"
+         "test_alpha_solves_batches_above_20_moves_by_tabu",)),
+}
+
+
+def mutate(tree: Path, mutant: Mutant) -> None:
+    """Apply the mutant to the copy at tree; ValueError unless the anchor
+    occurs exactly once."""
+    path = tree / mutant.file
+    text = path.read_text()
+    if text.count(mutant.anchor) != 1:
+        raise ValueError(f"{mutant.file}: anchor occurs "
+                         f"{text.count(mutant.anchor)} times: {mutant.anchor!r}")
+    path.write_text(text.replace(mutant.anchor, mutant.replacement))
+
+
+def run(mutant: Mutant) -> tuple[str, float]:
+    """('killed', 'survived' or 'error', seconds) of one mutant."""
+    started = time.monotonic()
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        mutate(tree, mutant)
+        env = {**os.environ, "PYTHONPATH": str(tree / "src"),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *mutant.tests], cwd=tree, env=env, capture_output=True, text=True)
+    outcome = {0: "survived", 1: "killed"}.get(proc.returncode, "error")
+    if outcome == "error":
+        print(proc.stdout[-2000:], proc.stderr[-2000:], sep="\n", file=sys.stderr)
+    return outcome, time.monotonic() - started
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", action="append", choices=sorted(MUTANTS),
+                        help="run only this mutant (repeatable)")
+    args = parser.parse_args(argv)
+    names = args.only or list(MUTANTS)
+    outcomes = []
+    print(f"{'mutant':32} {'outcome':9} seconds")
+    for name in names:
+        outcome, seconds = run(MUTANTS[name])
+        outcomes.append(outcome)
+        print(f"{name:32} {outcome:9} {seconds:7.1f}", flush=True)
+    print(f"{outcomes.count('killed')} of {len(names)} killed")
+    return 0 if outcomes.count("killed") == len(names) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

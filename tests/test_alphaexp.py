@@ -38,7 +38,7 @@ from redispatch.model import (
     first_adjacency_violation,
 )
 from redispatch.qubo import Qubo
-from redispatch.solvers import Budget
+from redispatch.solvers import Budget, tabu_search
 
 from test_encodings import random_instance
 
@@ -566,9 +566,30 @@ def test_alpha_output_feasible_and_trace_never_rises(n, k, T, L, seed,
     Z = decode_one_hot(res.best, T, n, k)  # raises unless one-hot
     assert first_adjacency_violation(Z) is None
     scores = [s for _, s in res.trace]
-    # zero-delta moves (|delta| <= 1e-9) may be taken in the first epoch
-    assert all(b <= a + 1e-9 for a, b in zip(scores, scores[1:]))
+    assert all(b < a for a, b in zip(scores, scores[1:]))
     # the summed move-QUBO deltas land on the exact score of the result
+    assert abs(scores[-1] - res.score) <= 1e-9 * (1.0 + abs(res.score))
+
+
+def test_alpha_solves_batches_above_20_moves_by_tabu(monkeypatch):
+    # brute force takes batches of up to 20 moves; larger ones go to tabu
+    sizes = []
+
+    def counted(req):
+        sizes.append(req.qubo.dim)
+        return tabu_search(req)
+
+    monkeypatch.setattr(alphaexp, "tabu_search", counted)
+    inst, _ = synth_instance(24, 3, 4, 2, seed=0)
+    x0 = encode_one_hot(np.ones((inst.T, inst.n), dtype=int),
+                        inst.T, inst.n, inst.k)
+    res = alpha_expansion(inst, build_objective(inst), x0, batch_size=32,
+                          seed=0, budget=Budget(max_iterations=3))
+    assert sizes and min(sizes) > 20
+    Z = decode_one_hot(res.best, inst.T, inst.n, inst.k)
+    assert first_adjacency_violation(Z) is None
+    scores = [s for _, s in res.trace]
+    assert all(b < a for a, b in zip(scores, scores[1:]))
     assert abs(scores[-1] - res.score) <= 1e-9 * (1.0 + abs(res.score))
 
 

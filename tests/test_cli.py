@@ -1,11 +1,14 @@
 """End-to-end command line tests (in-process via main)."""
 
 import argparse
+import csv
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from redispatch import cli
 from redispatch.cli import STUDIES, main
@@ -293,6 +296,103 @@ def test_huge_injection_exits_2(tmp_path, capsys, args):
            else ["--out-dir", str(tmp_path / "out")])
     assert main([args[0], "--data-dir", str(net), *args[1:], *out]) == 2
     assert "overflowed" in capsys.readouterr().err
+
+
+# ----------------------------------------------------- dataset file property
+
+# the five files of write_synthetic_network, and the values a cell may take
+NETWORK_FILES = ["controllables.csv", "controllable_profiles.csv",
+                 "fixed_profiles.csv", "lines.csv", "flows.csv"]
+CELL_VALUES = ["0", "-1", "1e-300", "1e300", "1e308", "-1e308", "nan", "inf",
+               "x", ""]
+
+
+def perturb(path: Path, edit: str, row: int, column: int, value: str) -> None:
+    """One edit of a CSV file: a cell of body row `row` set to `value`, that
+    row dropped or repeated, a BOM, the columns reversed in every line or in
+    the header alone, or the body emptied (row and column wrap around)."""
+    lines = path.read_text().splitlines()
+    header, body = lines[0], lines[1:]
+    row %= len(body)
+    if edit == "cell":
+        cells = body[row].split(",")
+        cells[column % len(cells)] = value
+        body[row] = ",".join(cells)
+    elif edit == "drop":
+        del body[row]
+    elif edit == "repeat":
+        body.append(body[row])
+    elif edit == "bom":
+        header = "\ufeff" + header
+    elif edit == "reverse":
+        header, *body = (",".join(line.split(",")[::-1])
+                         for line in [header, *body])
+    elif edit == "reverse-header":
+        header = ",".join(header.split(",")[::-1])
+    elif edit == "empty":
+        body = []
+    path.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+
+
+def assert_no_nan(root: Path) -> None:
+    """No JSON value and no numeric CSV cell under root is NaN."""
+    def constant(name):
+        assert name != "NaN", "NaN in a JSON report"
+        return float(name)
+
+    for path in root.rglob("*"):
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=constant)
+        elif path.suffix == ".csv":
+            for record in csv.DictReader(path.read_text().splitlines()):
+                assert not [col for col, cell in record.items()
+                            if not col.endswith("_id") and col != "solver"
+                            and cell.lower() == "nan"], (path, record)
+
+
+@settings(max_examples=50, deadline=None)
+@example(name="controllables.csv", edit="cell", row=0, column=3, value="1e308")
+@example(name="lines.csv", edit="cell", row=0, column=2, value="1e308")
+@example(name="fixed_profiles.csv", edit="cell", row=0, column=2, value="inf")
+@example(name="controllable_profiles.csv", edit="cell", row=0, column=1,
+         value="1e-300")
+@example(name="flows.csv", edit="cell", row=0, column=1, value="-1")
+@example(name="controllables.csv", edit="repeat", row=0, column=0, value="")
+@example(name="controllables.csv", edit="empty", row=0, column=0, value="")
+@example(name="lines.csv", edit="cell", row=0, column=1, value="0")
+@example(name="lines.csv", edit="empty", row=0, column=0, value="")
+@given(name=st.sampled_from(NETWORK_FILES),
+       edit=st.sampled_from(["cell", "cell", "cell", "drop", "repeat", "bom",
+                             "reverse", "reverse-header", "empty"]),
+       row=st.integers(0, 10**6), column=st.integers(0, 3),
+       value=st.sampled_from(CELL_VALUES))
+def test_every_dataset_builds_or_exits_2(name, edit, row, column, value):
+    """A perturbed dataset builds at S and L, fits and solves (exit 0, no
+    NaN in any report), or is rejected as bad input (exit 2), never 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        # seed 1: the L preset promotes two of the three fixed elements
+        net = write_synthetic_network(root / "net", n_controllables=3,
+                                      n_lines=2, raw_timepoints=8, n_fixed=3,
+                                      seed=1)
+        perturb(net / name, edit, row, column, value)
+        out = root / "out"
+        built = []
+        for size in ("S", "L"):
+            inst = out / f"{size}.json"
+            code = main(["build-instance", "--data-dir", str(net),
+                         "--size", size, "--out", str(inst)])
+            assert code in (0, 2), size
+            built += [inst] if code == 0 else []
+        code = main(["estimate-sensitivity", "--data-dir", str(net),
+                     "--out-dir", str(out / "fit")])
+        assert code in (0, 2), "estimate-sensitivity"
+        if built:
+            code = main(["solve", "--instance", str(built[-1]),
+                         "--solver", "alpha", "--max-iterations", "3",
+                         "--out-dir", str(out / "solve")])
+            assert code in (0, 2), "solve"
+        assert_no_nan(out)
 
 
 # ------------------------------------------------------------------- config

@@ -151,6 +151,47 @@ def test_inverted_rating_rejected(network_dir):
         load_network(network_dir)
 
 
+@pytest.mark.parametrize("name, row, column, value, error, message", [
+    ("fixed_profiles.csv", 2, 2, "inf", ParseError,
+     r"fixed_profiles\.csv:3: column 'mw' is not finite"),
+    ("controllables.csv", 1, 3, "nan", ParseError,
+     r"controllables\.csv:2: column 'max_mw' is not finite"),
+    ("controllable_profiles.csv", 1, 1, "1.5", ParseError,
+     r"controllable_profiles\.csv:2: column 't' value '1\.5' is not an integer"),
+    ("flows.csv", 4, 1, "-1", ParseError,
+     r"flows\.csv:5: t must be non-negative"),
+    ("lines.csv", 3, 1, "0", SchemaError,
+     r"lines\.csv:4: ratings must be positive"),
+    ("lines.csv", 1, 2, "-0.5", SchemaError,
+     r"lines\.csv:2: ratings must be positive"),
+], ids=["non-finite-mw", "non-finite-max", "fractional-t", "negative-t",
+        "zero-voltage", "negative-current"])
+def test_bad_cell_names_file_and_line(network_dir, name, row, column, value,
+                                      error, message):
+    path = network_dir / name
+    lines = path.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[column] = value
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error, match=message + "$"):
+        load_network(network_dir)
+
+
+@pytest.mark.parametrize("name, what", [("controllables.csv", "controllables"),
+                                        ("lines.csv", "lines")])
+def test_entity_files_need_unique_ids_and_a_row(network_dir, name, what):
+    path = network_dir / name
+    header, first, *rest = path.read_text().splitlines()
+    path.write_text("\n".join([header, first, *rest, first]) + "\n")
+    with pytest.raises(SchemaError,
+                       match=rf"{name}:{len(rest) + 3}: duplicate id"):
+        load_network(network_dir)
+    path.write_text(header + "\n")
+    with pytest.raises(SchemaError, match=rf"{name}: no {what}$"):
+        load_network(network_dir)
+
+
 # -------------------------------------------------------------- aggregation
 
 
