@@ -135,6 +135,9 @@ def _read_rows(path: Path, columns: list[str]) -> list[dict]:
                 raise SchemaError(f"{path}: missing column {col!r}")
         rows = []
         for line_no, row in enumerate(reader, start=2):
+            if None in row.values():  # DictReader's filler for missing cells
+                raise ParseError(f"{path}:{line_no}: row has fewer cells "
+                                 f"than the header's {len(header)}")
             row["_line"] = line_no
             rows.append(row)
     return rows
@@ -304,6 +307,7 @@ class SensitivityFit:
     kkt_residual: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises below
 def estimate_sensitivity(
     injections: np.ndarray,
     flows: np.ndarray,
@@ -322,7 +326,8 @@ def estimate_sensitivity(
     Lipschitz constant, is at most 1e-10 (converged, with kkt_residual as the
     certificate), or after max_iterations Newton steps.  Of equally good fits
     it returns the one the minimum-norm Newton path from S0 = eye reaches.
-    Injections so large that lip overflows raise NonFiniteError.
+    Injections so large that lip overflows, or flows so large that the
+    loss or its gradient overflows, raise NonFiniteError.
     """
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
@@ -344,6 +349,9 @@ def estimate_sensitivity(
     iterations = 0
     while True:
         grad = 2.0 * phi.T @ residual
+        if not (math.isfinite(trace[-1]) and np.isfinite(grad).all()):
+            raise NonFiniteError(f"the fit's loss {trace[-1]:g} or its "
+                                 "gradient overflowed")
         kkt = np.abs(S - np.clip(S - grad / lip, 0.0, 1.0)).max(axis=0, initial=0.0)
         live = kkt > tol  # certified columns take no step
         if not live.any() or iterations == max_iterations:

@@ -44,6 +44,9 @@ class Mutant(NamedTuple):
 DATA, MODEL = "src/redispatch/data.py", "src/redispatch/model.py"
 TEST_DATA = "tests/test_data.py::"
 PROPERTY = "tests/test_cli.py::test_every_dataset_builds_or_exits_2"
+SOLVERS = "src/redispatch/solvers.py"
+JUMP = ("tests/test_solvers.py::"
+        "test_tabu_list_kernel_skips_whole_periods_of_a_repeated_state")
 
 MUTANTS: dict[str, Mutant] = {
     # found by hand on the whole suite before this registry existed
@@ -62,10 +65,21 @@ MUTANTS: dict[str, Mutant] = {
         "jumps = np.abs(np.diff(Z.astype(int), axis=0)) > 2",
         ("tests/test_model.py::test_adjacency_violation_detection",)),
     "tabu-aspiration-sign": Mutant(
-        "src/redispatch/solvers.py",
+        SOLVERS,
         "if d < low and (tabu_until[j] < it or score + d < bar):",
         "if d < low and (tabu_until[j] < it or score - d < bar):",
         ("tests/test_solvers.py::test_tabu_list_kernel_matches_array_path",)),
+    # the list kernel's jump over whole periods of a repeated walk state
+    "tabu-jump-to-limit": Mutant(
+        SOLVERS, "skip = (limit - it) // period * period", "skip = limit - it",
+        (JUMP,)),
+    "tabu-jump-keeps-tabu-windows": Mutant(
+        SOLVERS, "            tabu_until = [u + skip for u in tabu_until]\n", "",
+        (JUMP,)),
+    "tabu-state-without-incumbent": Mutant(
+        SOLVERS, "    floats.append(best_score)\n", "",
+        ("tests/test_solvers.py::"
+         "test_tabu_list_kernel_walks_on_from_a_state_with_a_new_incumbent",)),
     "decompose-merges-only-gains": Mutant(
         "src/redispatch/decomposers.py",
         "merge = result.score <= score + 1e-12 * (1.0 + abs(score))",
@@ -124,6 +138,9 @@ MUTANTS: dict[str, Mutant] = {
     "reader-positive-ratings": Mutant(
         DATA, "lambda volt, amp: volt > 0 and amp > 0", "lambda volt, amp: volt > 0",
         (TEST_DATA + "test_bad_cell_names_file_and_line",)),
+    "reader-short-row": Mutant(
+        DATA, "            if None in row.values():", "            if False:",
+        (PROPERTY,)),
     "reader-time-axes": Mutant(
         DATA, "    if not raw_t == len(fixed_profiles) == len(flows):\n",
         "    if False:\n",
@@ -133,6 +150,9 @@ MUTANTS: dict[str, Mutant] = {
         MODEL, 'raise NonFiniteError(f"{name} contains non-finite entries")',
         'raise ValueError(f"{name} contains non-finite entries")',
         (PROPERTY,)),
+    "fit-overflow-is-a-fit": Mutant(
+        DATA, "if not (math.isfinite(trace[-1]) and np.isfinite(grad).all()):",
+        "if False:", (PROPERTY,)),
     # alpha hands a batch of more than 20 moves to tabu search
     "alpha-brute-above-20": Mutant(
         "src/redispatch/alphaexp.py", "if reduced.dim <= 20", "if reduced.dim <= 40",

@@ -4,6 +4,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -308,29 +309,34 @@ CELL_VALUES = ["0", "-1", "1e-300", "1e300", "1e308", "-1e308", "nan", "inf",
 
 
 def perturb(path: Path, edit: str, row: int, column: int, value: str) -> None:
-    """One edit of a CSV file: a cell of body row `row` set to `value`, that
-    row dropped or repeated, a BOM, the columns reversed in every line or in
-    the header alone, or the body emptied (row and column wrap around)."""
+    """Edits of a CSV file, applied in turn (`edit` joins them with "+"): a
+    cell of body row `row` set to `value`, that row dropped, repeated or cut
+    to its first `column` cells, a BOM, the columns reversed in every line or
+    in the header alone, or the body emptied (row and column wrap around)."""
     lines = path.read_text().splitlines()
     header, body = lines[0], lines[1:]
     row %= len(body)
-    if edit == "cell":
-        cells = body[row].split(",")
-        cells[column % len(cells)] = value
-        body[row] = ",".join(cells)
-    elif edit == "drop":
-        del body[row]
-    elif edit == "repeat":
-        body.append(body[row])
-    elif edit == "bom":
-        header = "\ufeff" + header
-    elif edit == "reverse":
-        header, *body = (",".join(line.split(",")[::-1])
-                         for line in [header, *body])
-    elif edit == "reverse-header":
-        header = ",".join(header.split(",")[::-1])
-    elif edit == "empty":
-        body = []
+    for step in edit.split("+"):
+        if step == "cell":
+            cells = body[row].split(",")
+            cells[column % len(cells)] = value
+            body[row] = ",".join(cells)
+        elif step == "drop":
+            del body[row]
+        elif step == "repeat":
+            body.append(body[row])
+        elif step == "cut":
+            cells = body[row].split(",")
+            body[row] = ",".join(cells[:column % len(cells)])
+        elif step == "bom":
+            header = "\ufeff" + header
+        elif step == "reverse":
+            header, *body = (",".join(line.split(",")[::-1])
+                             for line in [header, *body])
+        elif step == "reverse-header":
+            header = ",".join(header.split(",")[::-1])
+        elif step == "empty":
+            body = []
     path.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
 
 
@@ -361,9 +367,14 @@ def assert_no_nan(root: Path) -> None:
 @example(name="controllables.csv", edit="empty", row=0, column=0, value="")
 @example(name="lines.csv", edit="cell", row=0, column=1, value="0")
 @example(name="lines.csv", edit="empty", row=0, column=0, value="")
+# an overflowing fit, and a short row whose missing cells are the text ones
+@example(name="flows.csv", edit="cell", row=0, column=2, value="1e308")
+@example(name="controllables.csv", edit="reverse+cut", row=0, column=2,
+         value="")
 @given(name=st.sampled_from(NETWORK_FILES),
-       edit=st.sampled_from(["cell", "cell", "cell", "drop", "repeat", "bom",
-                             "reverse", "reverse-header", "empty"]),
+       edit=st.sampled_from(["cell", "cell", "cell", "drop", "repeat", "cut",
+                             "bom", "reverse", "reverse-header",
+                             "reverse+cut", "empty"]),
        row=st.integers(0, 10**6), column=st.integers(0, 3),
        value=st.sampled_from(CELL_VALUES))
 def test_every_dataset_builds_or_exits_2(name, edit, row, column, value):
@@ -387,6 +398,9 @@ def test_every_dataset_builds_or_exits_2(name, edit, row, column, value):
         code = main(["estimate-sensitivity", "--data-dir", str(net),
                      "--out-dir", str(out / "fit")])
         assert code in (0, 2), "estimate-sensitivity"
+        if code == 0:
+            fit = json.loads((out / "fit" / "fit.json").read_text())
+            assert math.isfinite(fit["final_loss"]), fit
         if built:
             code = main(["solve", "--instance", str(built[-1]),
                          "--solver", "alpha", "--max-iterations", "3",

@@ -1,9 +1,13 @@
 """Sampler tests against exhaustive enumeration oracles."""
 
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from redispatch import solvers
 from redispatch.alphaexp import alpha_expansion
 from redispatch.data import synth_instance
 from redispatch.decomposers import DecomposeConfig, decompose_loop
@@ -370,6 +374,47 @@ def test_tabu_list_kernel_matches_array_path_around_cutoff(dim):
     reference = assert_paths_agree(SolveRequest(
         qubo=q, seed=dim, budget=Budget(max_iterations=400)))
     assert len(reference.trace) > 1  # the runs improved, so traces were compared
+
+
+def integer_qubo(seed, dim, density):
+    """Weights in -5..5: with so many ties a tabu walk soon repeats a state."""
+    rng = np.random.default_rng(seed)
+    rows, cols = np.triu_indices(dim)
+    keep = (rows == cols) | (rng.random(rows.size) < density)
+    return Qubo(dim, rows[keep], cols[keep],
+                rng.integers(-5, 6, int(keep.sum())).astype(float))
+
+
+def test_tabu_list_kernel_skips_whole_periods_of_a_repeated_state(monkeypatch):
+    seed, ticks = 1, []
+
+    def monotonic():
+        ticks.append(None)
+        return time.monotonic()
+
+    monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=monotonic))
+    limit = 1999  # the jump leaves part of a period to walk
+    req = SolveRequest(qubo=integer_qubo(seed, 32, 0.2), seed=seed,
+                       budget=Budget(max_iterations=limit, time_limit=3600.0))
+    walk = _Walk(req)
+    ticks.clear()
+    assert _tabu_on_lists(walk, limit, 10) == limit
+    assert 0 < len(ticks) < limit  # the deadline is read once per walked flip
+    assert_paths_agree(req)
+    # without a deadline the kernel never reads the clock
+    walk = _Walk(SolveRequest(qubo=req.qubo, seed=seed,
+                              budget=Budget(max_iterations=limit)))
+    ticks.clear()
+    _tabu_on_lists(walk, limit, 10)
+    assert not ticks
+
+
+def test_tabu_list_kernel_walks_on_from_a_state_with_a_new_incumbent():
+    # at iteration 412 this walk is back at the bits, deltas, score and tabu
+    # windows it had at 256, but with the incumbent an aspirated flip found
+    # at 273; that flip no longer aspires, so the walk does not repeat
+    assert_paths_agree(SolveRequest(qubo=integer_qubo(4, 32, 0.2), seed=4,
+                                    budget=Budget(max_iterations=1999)))
 
 
 @pytest.mark.parametrize("value, at", [(256, 1), (0.5, 1), (257, 0), (1.5, 0),
