@@ -16,6 +16,7 @@ increase the objective and never leave the feasible set.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -23,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encodings import FactoredObjective
-from .model import (
-    ProblemInstance,
-    decode_one_hot,
-    first_adjacency_violation,
-    flat_index,
-)
+from .model import ProblemInstance, decode_one_hot, first_adjacency_violation
 from .qubo import Qubo, _bit_vector
 from .solvers import (Budget, SolveRequest, SolveResult, brute_force,
                       tabu_search)
@@ -87,7 +83,7 @@ class CycleSet:
         return not (self.touched & other.touched)
 
 
-def rectify(Z: np.ndarray, change: StateChange, k: int) -> CycleSet:
+def rectify(Z, change: StateChange, k: int) -> CycleSet:
     """Extend a state change into an adjacency-preserving cycle set.
 
     Starting from the changed timepoint the walk moves outward in both
@@ -95,29 +91,33 @@ def rectify(Z: np.ndarray, change: StateChange, k: int) -> CycleSet:
     neighbor's new value is pulled to distance exactly one, on the side
     nearest its original state.  Applying the result to an adjacency-feasible
     schedule yields an adjacency-feasible schedule with Z[t, j] = i_new.
+    Z is the (T, n) schedule as an array or as its rows of Python ints
+    (Z.tolist(), which alpha_expansion keeps: they read faster).
     """
-    Z = np.asarray(Z)
-    T, n = Z.shape
-    j = change.j
-    moves: list[tuple[int, int, int]] = []
-    if Z[change.t, j] != change.i_new:
-        moves.append((change.t, int(Z[change.t, j]), change.i_new))
+    rows = Z.tolist() if isinstance(Z, np.ndarray) else Z
+    t0, j, target = change.t, change.j, change.i_new
+    stride = len(rows[0]) * k  # bits per timepoint
+    base = j * k - 1  # state i of block (t, j) is bit t * stride + base + i
+    swaps: list[tuple[int, int]] = []
+    touched: list[tuple[int, int]] = []
+    if rows[t0][j] != target:
+        at = t0 * stride + base
+        swaps.append((at + rows[t0][j], at + target))
+        touched.append((t0, j))
     for step in (-1, 1):
-        inner = change.i_new
-        t = change.t + step
-        while 0 <= t < T:
-            orig = int(Z[t, j])
+        inner = target
+        t = t0 + step
+        while 0 <= t < len(rows):
+            orig = rows[t][j]
             if abs(orig - inner) <= 1:
                 break
             pulled = inner - 1 if orig < inner else inner + 1
-            moves.append((t, orig, pulled))
+            at = t * stride + base
+            swaps.append((at + orig, at + pulled))
+            touched.append((t, j))
             inner = pulled
             t += step
-    swaps = tuple(
-        (flat_index(t, j, old, n, k), flat_index(t, j, new, n, k))
-        for t, old, new in moves
-    )
-    return CycleSet(swaps=swaps, touched=frozenset((t, j) for t, _, _ in moves))
+    return CycleSet(swaps=tuple(swaps), touched=frozenset(touched))
 
 
 def sample_disjoint_changes(
@@ -136,7 +136,7 @@ def sample_disjoint_changes(
         if len(accepted) >= count:
             return accepted, skipped + pool[pos:]
         times = taken.setdefault(change.j, [])
-        if any(abs(t - change.t) < k for t in times):
+        if times and any(abs(t - change.t) < k for t in times):
             skipped.append(change)
         else:
             times.append(change.t)
@@ -144,11 +144,12 @@ def sample_disjoint_changes(
     return accepted, skipped
 
 
-def _swaps(x: np.ndarray, cycles: list[CycleSet]):
-    """(on, off, owner) of the swaps whose two bits differ.
+def _swaps(x: np.ndarray, cycles: list[CycleSet]) -> list[list[int]]:
+    """[owner, old, new] of the swaps whose two bits differ.
 
-    Swap i of cycle owner[i] exchanges bits on[i] and off[i].  Raises
-    NonDisjointCyclesError if two cycles share a block or a bit.
+    Swap i of cycle owner[i] moves the set bit old[i] of its block to
+    new[i].  Raises NonDisjointCyclesError if two cycles share a block or a
+    bit.
     """
     touched_sets = [c.touched for c in cycles]
     if sum(map(len, touched_sets)) != len(frozenset().union(*touched_sets)):
@@ -158,16 +159,28 @@ def _swaps(x: np.ndarray, cycles: list[CycleSet]):
                     f"cycles {a} and {b} share blocks "
                     f"{sorted(cycles[a].touched & cycles[b].touched)}"
                 )
-    swaps = [v for a, cycle in enumerate(cycles)
-             for on, off in cycle.swaps for v in (a, on, off)]
-    owner, on, off = np.array(swaps, dtype=np.int64).reshape(-1, 3).T
-    x = np.asarray(x)
-    moved = x[on] != x[off]
-    on, off, owner = on[moved], off[moved], owner[moved]
-    bits = np.sort(np.concatenate([on, off]))
-    if (bits[1:] == bits[:-1]).any():
+    bit = memoryview(np.asarray(x))  # reads Python ints
+    owner, old, new = [], [], []
+    for a, cycle in enumerate(cycles):
+        for on, off in cycle.swaps:
+            x_on, x_off = bit[on], bit[off]
+            if x_on != x_off:
+                owner.append(a)
+                old.append(on if x_on > x_off else off)
+                new.append(off if x_on > x_off else on)
+    if len(set(old + new)) != 2 * len(old):
         raise NonDisjointCyclesError("the cycles move one bit twice")
-    return on, off, owner
+    return [owner, old, new]
+
+
+@functools.cache
+def _pair_keys(m: int) -> np.ndarray:
+    """key[a, b] = m * min(a, b) + max(a, b): the flat index in an m x m
+    table of the upper-triangle entry for cycles a and b."""
+    a = np.arange(m)
+    key = m * np.minimum.outer(a, a) + np.maximum.outer(a, a)
+    key.flags.writeable = False
+    return key
 
 
 def build_alpha_qubo(objective: Qubo | FactoredObjective, x: np.ndarray,
@@ -198,41 +211,42 @@ def build_alpha_qubo(objective: Qubo | FactoredObjective, x: np.ndarray,
     if f is None:
         raise ValueError("the Qubo carries no factored record to score moves "
                          "from (build_objective attaches one)")
-    on, off, owner = _swaps(x, cycles)
-    x = np.asarray(x)
+    swaps = np.array(_swaps(x, cycles), dtype=np.int64).reshape(3, -1)
+    owner, moved = swaps[0], swaps[1:]  # moved: rows old, new
     m = len(cycles)
     n, k = f.transition.shape[:2]
-    old = np.where(x[on] > x[off], on, off)  # the set bit of the swap
-    new = on + off - old
-    blocks = old // k  # t * n + j
-    if (new // k != blocks).any():
+    blocks, new_blocks = moved // k  # t * n + j
+    if (new_blocks != blocks).any():
         raise ValueError("a swap moves a bit out of its (timepoint, resource) "
                          "block")
     if fields is None:
+        x = np.asarray(x)
         fields = f.fields(decode_one_hot(x, x.size // (n * k), n, k))
     grad, h = fields
     quad, V = f.penalty.quad, f.penalty.V
-    t = old // (n * k)
-    d = V[new % (n * k)] - V[old % (n * k)]  # swaps x R
-    e, g = np.nonzero(t[:, None] == t)  # swap pairs at one timepoint
-    lo, hi = np.nonzero(blocks[:, None] + n == blocks)  # at t and t + 1
-    # flat index of W[j, i, i'] at the lower and upper swap of each pair
-    o, u = old % k, new % k
-    j = (blocks[lo] % n) * (k * k)
-    o_lo, u_lo, o_hi, u_hi = j + k * o[lo], j + k * u[lo], o[hi], u[hi]
-    W = f.transition.ravel()
-
-    # a term of cycles a and b lands on P[min(a, b), max(a, b)]: the
-    # reduced QUBO's diagonal for one cycle, a coupling for two
-    a = np.concatenate([owner, owner[e], owner[lo]])
-    b = np.concatenate([owner, owner[g], owner[hi]])
-    P = np.bincount(m * np.minimum(a, b) + np.maximum(a, b), np.concatenate([
-        (grad[t] * d).sum(axis=1) + h[new] - h[old],
+    t = blocks // n
+    slot = moved % (n * k)  # j * k + i: a row of V, and a row of W over j, i
+    V_old, V_new = V[slot]
+    d = V_new - V_old  # swaps x R
+    h_old, h_new = h[moved]
+    e, g = (t[:, None] == t).nonzero()  # swap pairs at one timepoint
+    lo, hi = (blocks[:, None] + n == blocks).nonzero()  # at t and t + 1
+    # flat index of W[j, i, i'] = (j * k + i) * k + i' at each pair of
+    # states: u u', u o', o u', o o'
+    corner = (k * slot[::-1, lo])[:, None] + (moved % k)[::-1, hi]
+    W = f.transition.ravel()[corner]
+    # a term of swaps i and i' lands on P[key[i, i']], the reduced QUBO's
+    # diagonal for one cycle, a coupling for two
+    key = _pair_keys(m)[owner][:, owner]
+    P = np.bincount(np.concatenate([key.diagonal(), key[e, g], key[lo, hi]]),
+                    np.concatenate([
+        (grad[t] * d).sum(axis=1) + h_new - h_old,
         np.einsum("er,er->e", (quad[t] * d)[e], d[g]),
-        (W[u_lo + u_hi] - W[u_lo + o_hi]) - (W[o_lo + u_hi] - W[o_lo + o_hi])
+        (W[0, 0] - W[0, 1]) - (W[1, 0] - W[1, 1])
     ]), minlength=m * m)
-    flat = np.flatnonzero(P)  # row-major over the upper triangle: canonical
-    return Qubo(m, *np.divmod(flat, m), P[flat])
+    P = P.reshape(m, m)
+    rows, cols = P.nonzero()  # row-major over the upper triangle: canonical
+    return Qubo._from_canonical(m, rows, cols, P[rows, cols])
 
 
 def _enumerate_members(T: int, n: int, k: int) -> list[StateChange]:
@@ -284,6 +298,7 @@ def alpha_expansion(
         raise InfeasibleStartError(f"start schedule jumps >1 state at {violation}")
 
     fields = objective.fields(Z)  # they change only with accepted moves
+    Zl = Z.tolist()  # Z's rows of Python ints, which read faster
     rng = np.random.default_rng(seed)
     started = time.monotonic()
     deadline = started + budget.time_limit
@@ -300,13 +315,23 @@ def alpha_expansion(
         pool = [members[i] for i in order.tolist()]
         accepted_moves = 0
         while pool and time.monotonic() <= deadline:
-            batch, pool = sample_disjoint_changes(pool, batch_size, inst.k)
-            batch = [ch for ch in batch if Z[ch.t, ch.j] != ch.i_new]
+            # sample the head of the pool, widened until the batch is full or
+            # the head is the whole pool: the batch of the whole pool, and
+            # the rest of the pool is not copied
+            size = 2 * batch_size
+            while True:
+                head = pool[:size]
+                batch, rest = sample_disjoint_changes(head, batch_size, inst.k)
+                if len(batch) == batch_size or len(head) == len(pool):
+                    break
+                size *= 2
+            pool[:len(head)] = rest
+            batch = [ch for ch in batch if Zl[ch.t][ch.j] != ch.i_new]
             cycles: list[CycleSet] = []
             requeue: list[StateChange] = []
             used: set[tuple[int, int]] = set()  # blocks the cycles touch
             for ch in batch:
-                cand = rectify(Z, ch, inst.k)
+                cand = rectify(Zl, ch, inst.k)
                 if used.isdisjoint(cand.touched):
                     cycles.append(cand)
                     used |= cand.touched
@@ -327,20 +352,24 @@ def alpha_expansion(
                    else tabu_search(sub_req))
             steps += 1
             alpha = sub.best
-            delta = reduced.evaluate(alpha)
             if not alpha.any():
                 continue
-            # the cycles touch disjoint blocks, so they apply one by one
-            x_new = x
-            for sel, cyc in zip(alpha.tolist(), cycles):
-                if sel:
-                    x_new = cyc.apply(x_new)
+            delta = reduced.evaluate(alpha)
+            chosen = [cyc for sel, cyc in zip(alpha.tolist(), cycles) if sel]
+            # the cycles touch disjoint blocks, so their swaps apply at once
+            on, off = np.array([pair for cyc in chosen for pair in cyc.swaps],
+                               dtype=np.int64).reshape(-1, 2).T
+            x_new = x.copy()
+            x_new[on], x_new[off] = x[off], x[on]
             Z_new = decode_one_hot(x_new, inst.T, inst.n, inst.k)
             if delta < -tol:
                 x, Z = x_new, Z_new
-                fields = objective.fields(Z)
+                times = [t for cyc in chosen for t, _ in cyc.touched]
+                start, stop = min(times), max(times) + 1
+                Zl[start:stop] = Z[start:stop].tolist()
+                objective.refresh_fields(fields, Z, start, stop)
                 score += delta
-                accepted_moves += int(alpha.sum())
+                accepted_moves += len(chosen)
                 trace.append((steps, score))
         if pool or accepted_moves == 0:  # out of time, or nothing accepted
             break

@@ -138,6 +138,9 @@ def _read_rows(path: Path, columns: list[str]) -> list[dict]:
             if None in row.values():  # DictReader's filler for missing cells
                 raise ParseError(f"{path}:{line_no}: row has fewer cells "
                                  f"than the header's {len(header)}")
+            if None in row:  # DictReader's key for cells past the header
+                raise ParseError(f"{path}:{line_no}: row has more cells "
+                                 f"than the header's {len(header)}")
             row["_line"] = line_no
             rows.append(row)
     return rows

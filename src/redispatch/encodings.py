@@ -285,14 +285,30 @@ class FactoredObjective:
         lin + 2 quad s_tr, the penalty's slope in s_tr, and h[j], bit j's
         cost plus its transition weights to its resource's states in Z at
         the neighbouring timepoints."""
-        pen, (n, k) = self.penalty, self.transition.shape[:2]
+        fields = np.empty_like(self.penalty.lin), np.empty(self.linear.size)
+        self.refresh_fields(fields, Z, 0, len(Z))
+        return fields
+
+    def refresh_fields(self, fields: tuple[np.ndarray, np.ndarray],
+                       Z: np.ndarray, start: int, stop: int) -> None:
+        """Bring fields, the (grad, h) of a schedule that differs from Z only
+        in rows start..stop-1, up to date for Z, in place: grad in those
+        rows, h in them and the rows next to them.  fields computes every
+        row this way, so the result has the bits of fields(Z)."""
+        (grad, h), pen = fields, self.penalty
+        T, (n, k) = len(Z), self.transition.shape[:2]
         Z = np.asarray(Z) - 1
         a = np.arange(n)
-        s = np.einsum("tar->tr", pen.V[a * k + Z])  # in order over a, no BLAS
-        h = self.linear.reshape(len(Z), n, k).copy()
-        h[1:] += self.transition[a, Z[:-1]]  # W[a, Z[t-1, a], i]
-        h[:-1] += self.transition[a, :, Z[1:]]  # W[a, i, Z[t+1, a]]
-        return pen.lin + 2.0 * pen.quad * s, h.ravel()
+        # in order over a, no BLAS
+        s = np.einsum("tar->tr", pen.V[a * k + Z[start:stop]])
+        grad[start:stop] = pen.lin[start:stop] + 2.0 * pen.quad[start:stop] * s
+        start, stop = max(start - 1, 0), min(stop + 1, T)
+        h = h.reshape(T, n, k)
+        h[start:stop] = self.linear.reshape(T, n, k)[start:stop]
+        # W[a, Z[t-1, a], i], then W[a, i, Z[t+1, a]]
+        first, last = max(start, 1), min(stop, T - 1)
+        h[first:stop] += self.transition[a, Z[first - 1:stop - 1]]
+        h[start:last] += self.transition[a, :, Z[start + 1:last + 1]]
 
     def evaluate(self, x: np.ndarray) -> float:
         """Score of the bit vector x, qubo().evaluate(x) up to rounding; no

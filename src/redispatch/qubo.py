@@ -93,6 +93,21 @@ class Qubo:
         _check_finite(vals, offset)  # after summing: sums can overflow
         self._adopt(dim, rows[pick], cols[pick], vals, offset)
 
+    @classmethod
+    def _from_canonical(cls, dim: int, rows, cols, vals,
+                        offset: float = 0.0) -> "Qubo":
+        """A Qubo adopting int64 rows, cols and float vals already in canonical
+        order (keys strictly increasing, row <= col, no zeros); only the index
+        range and finiteness are checked, the constructor's fixed cost is not
+        paid."""
+        if rows.size and (rows[0] < 0 or cols.max() >= dim):
+            raise IndexError(f"coefficient indices {rows[0]}..{cols.max()} "
+                             f"outside 0..{dim - 1}")
+        _check_finite(vals, offset)
+        out = object.__new__(cls)
+        out._adopt(dim, rows, cols, vals, offset)
+        return out
+
     def _adopt(self, dim, rows, cols, vals, offset, factored=None):
         """Take arrays already in canonical form, without copying them."""
         for a in (rows, cols, vals):
@@ -312,9 +327,6 @@ def _merge(dim: int, parts, offset: float) -> Qubo:
         hit = ~hit
         keys = np.insert(keys, at[hit], key[hit])
         vals = np.insert(vals, at[hit], val[hit])
-    _check_finite(vals, offset)
     keep = vals != 0.0
     rows, cols = np.divmod(keys[keep], max(dim, 1))
-    merged = object.__new__(Qubo)
-    merged._adopt(dim, rows, cols, vals[keep], offset)
-    return merged
+    return Qubo._from_canonical(dim, rows, cols, vals[keep], offset)

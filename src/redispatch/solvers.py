@@ -32,12 +32,13 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 24
 
 # Up to this many variables tabu search runs its move rule over Python lists:
-# numpy's per-call overhead (about 5 us a flip) outweighs the O(dim) scan.
-# On clamped sub-QUBOs of the desk objective (2,000 flips from the clamped
-# bits; 2 cores, Python 3.11) lists take 2 us an attempted flip at dim 40
-# and 8 us at 320 (3 and 12 us without skipping repeated periods), arrays
-# about 5 us at both; the lists fall behind from about 250.
-_SMALL_DIM = 320
+# numpy's per-call overhead (7-8 us a flip) outweighs the O(dim) scan.  On
+# sub-QUBOs of the desk objective at L (random free bits clamped at a one-hot
+# schedule, 2,000 flips from the clamped bits; 2 cores, Python 3.11), lists
+# take 2 us an attempted flip at dim 40, 7 us at 160 and 14 us at 320, while
+# arrays take 7-8 us at each; on the same sub-QUBO lists need 0.9-1.0 times
+# the arrays' time at dim 160-170, 1.1-1.2 times at 180-200, 2 times at 320.
+_SMALL_DIM = 160
 
 
 class TooLargeError(ValueError):
@@ -150,43 +151,83 @@ class _Walk:
 
 
 @functools.cache
-def _bit_table() -> np.ndarray:
-    """table[i, v] is bit i of v, for the 2^16 values v of 16 bits (1 MB,
-    built through one 2 MB uint16 temporary)."""
-    shifts = np.arange(16, dtype=np.uint16)[:, None]
-    table = np.arange(1 << 16, dtype=np.uint16) >> shifts
-    table &= 1
-    return table.astype(bool)
+def _bit_rows(b: int) -> np.ndarray:
+    """(2^b, b) table of 0.0/1.0: row v holds the bits of v, bit i in column i."""
+    table = ((np.arange(1 << b)[:, None] >> np.arange(b)) & 1).astype(float)
+    table.flags.writeable = False
+    return table
 
 
 def brute_force(req: SolveRequest) -> SolveResult:
     """Enumerate all bit vectors; ties break toward the smallest encoding.
 
-    Bit i of the enumeration counter is variable i, so among equal scorers
-    the vector whose integer value sum(x_i * 2^i) is smallest wins.  Capped
-    at dim <= 24.  The seed and start vector are ignored.
+    Bit i of the encoding v = sum(x_i * 2^i) is variable i.  The result is
+    the first minimum, in encoding order, of the scores evaluate_many gives:
+    the same vector, and a score with the same bits.  Capped at dim <= 24.
+    The seed and start vector are ignored.
+
+    Enumeration by halves: the bits below lo = ceil(dim / 2) form the low
+    half, the rest the high half, and every vector scores offset + A[low] +
+    B[high] + C[high, low], where A and B sum the terms inside each half and
+    C the terms across (einsums over 0/1 tables, no BLAS product).  That
+    adds the same exact products coefficient * 0/1 as evaluate_many, in
+    another order, so each of the two sums lies within gamma_n * total of
+    the exact value, with n = terms + 1 numbers and total = |offset| +
+    sum |vals| (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    sec. 4.2).  Every vector that evaluate_many scores lowest thus lies
+    within 4 gamma_n * total of the lowest halves score, and only the vectors
+    within twice that margin are rescored by evaluate_many.  From total =
+    2^1000 on a sum may overflow, and every vector is rescored.  Memory stays
+    bounded: halves scores in blocks of 2^16 vectors, rescoring in slices of
+    4096.
     """
     q = req.qubo
-    if q.dim > BRUTE_FORCE_LIMIT:
-        raise TooLargeError(f"dim {q.dim} exceeds brute-force cap {BRUTE_FORCE_LIMIT}")
+    m = q.dim
+    if m > BRUTE_FORCE_LIMIT:
+        raise TooLargeError(f"dim {m} exceeds brute-force cap {BRUTE_FORCE_LIMIT}")
     started = time.monotonic()
-    total = 1 << q.dim
-    # X[i, v] is bit i of vector v of a chunk; the high bits are per chunk
-    low = min(q.dim, 16)
-    X = np.empty((q.dim, 1 << low), dtype=bool)
-    X[:low] = _bit_table()[:low, : 1 << low]
-    best_score = math.inf
-    best_v = 0
-    for high in range(total >> low):
-        X[low:] = ((high >> np.arange(q.dim - low)) & 1)[:, None]
-        # evaluate_many's products, summed term by term in the same order
-        scores = q.offset + ((X[q.rows] & X[q.cols]) * q.vals[:, None]).sum(axis=0)
-        idx = int(np.argmin(scores))
-        if scores[idx] < best_score:
-            best_score = float(scores[idx])
-            best_v = (high << low) | idx
-    best = ((best_v >> np.arange(q.dim)) & 1).astype(np.int8)
-    return SolveResult(best=best, score=best_score, iterations=total,
+    lo = (m + 1) // 2
+    per = (1 << 16) >> lo  # high-half settings in one block
+    starts = range(0, 1 << (m - lo), per)
+    total = abs(q.offset) + float(np.abs(q.vals).sum())
+    limit = None  # rescore every vector
+    if total < 2.0 ** 1000:
+        XL, XH = _bit_rows(lo), _bit_rows(m - lo)
+        W = np.zeros((m, m))
+        W[q.rows, q.cols] = q.vals
+        # F[low, j]: the terms from the set low bits to bit j
+        F = np.einsum("li,ij->lj", XL, W[:lo])
+        A = np.einsum("li,li->l", XL, F[:, :lo])
+        B = np.einsum("hj,hj->h", XH, np.einsum("hi,ij->hj", XH, W[lo:, lo:]))
+        B += q.offset
+        G = F[:, lo:]
+
+        def halves(h: int) -> np.ndarray:
+            """Halves scores of the block from high setting h, (per, 2^lo)."""
+            S = np.einsum("hj,lj->hl", XH[h:h + per], G)
+            S += A
+            S += B[h:h + per, None]
+            return S
+
+        first = halves(0)
+        lows = [first.min()] + [halves(h).min() for h in starts[1:]]
+        limit = min(lows) + 8 * (q.num_terms + 1) * 2.0 ** -53 * total
+    best, best_score = np.zeros(m, dtype=np.int8), math.inf
+    bits = np.arange(m)
+    for b, h in enumerate(starts):
+        if limit is None:
+            v = np.arange(h << lo, min(h + per, 1 << (m - lo)) << lo)
+        elif lows[b] > limit:
+            continue
+        else:
+            v = (h << lo) + np.flatnonzero((first if h == 0 else halves(h)) <= limit)
+        for at in range(0, v.size, 4096):
+            X = (v[at:at + 4096, None] >> bits) & 1
+            scores = q.evaluate_many(X)
+            i = int(np.argmin(scores))
+            if scores[i] < best_score:  # sums of finite terms are never NaN
+                best, best_score = X[i].astype(np.int8), float(scores[i])
+    return SolveResult(best=best, score=best_score, iterations=1 << m,
                        wall_seconds=time.monotonic() - started,
                        trace=[(0, best_score)])
 

@@ -47,6 +47,10 @@ PROPERTY = "tests/test_cli.py::test_every_dataset_builds_or_exits_2"
 SOLVERS = "src/redispatch/solvers.py"
 JUMP = ("tests/test_solvers.py::"
         "test_tabu_list_kernel_skips_whole_periods_of_a_repeated_state")
+ENUMERATION = ("tests/test_solvers.py::"
+               "test_brute_force_equals_evaluate_many_enumeration")
+ALPHA, TEST_ALPHA = "src/redispatch/alphaexp.py", "tests/test_alphaexp.py::"
+PINNED = "tests/test_pinned_outputs.py::test_outputs_are_pinned"
 
 MUTANTS: dict[str, Mutant] = {
     # found by hand on the whole suite before this registry existed
@@ -153,11 +157,44 @@ MUTANTS: dict[str, Mutant] = {
     "fit-overflow-is-a-fit": Mutant(
         DATA, "if not (math.isfinite(trace[-1]) and np.isfinite(grad).all()):",
         "if False:", (PROPERTY,)),
+    "reader-extra-cells": Mutant(
+        DATA, "            if None in row:  #", "            if False:  #",
+        (PROPERTY, TEST_DATA + "test_row_with_more_cells_than_its_header"
+         "_names_file_and_line")),
     # alpha hands a batch of more than 20 moves to tabu search
     "alpha-brute-above-20": Mutant(
-        "src/redispatch/alphaexp.py", "if reduced.dim <= 20", "if reduced.dim <= 40",
-        ("tests/test_alphaexp.py::"
-         "test_alpha_solves_batches_above_20_moves_by_tabu",)),
+        ALPHA, "if reduced.dim <= 20", "if reduced.dim <= 40",
+        (TEST_ALPHA + "test_alpha_solves_batches_above_20_moves_by_tabu",)),
+    # alpha's step: proposing over rows of ints, the move QUBO, the accept path
+    "rectify-pulls-to-far-side": Mutant(
+        ALPHA, "pulled = inner - 1 if orig < inner else inner + 1",
+        "pulled = inner + 1 if orig < inner else inner - 1",
+        (TEST_ALPHA + "test_rectify_pull_lands_on_side_of_original_state",)),
+    "alpha-window-never-widens": Mutant(
+        ALPHA, "if len(batch) == batch_size or len(head) == len(pool):",
+        "if True:", (PINNED,)),
+    "move-qubo-bit-moved-twice": Mutant(
+        ALPHA, "    if len(set(old + new)) != 2 * len(old):\n",
+        "    if False:\n",
+        (TEST_ALPHA + "test_alpha_qubo_rejects_overlapping_cycles",)),
+    "fields-refresh-skips-next-row": Mutant(
+        "src/redispatch/encodings.py",
+        "start, stop = max(start - 1, 0), min(stop + 1, T)",
+        "start, stop = max(start - 1, 0), stop",
+        (TEST_ALPHA + "test_refreshed_fields_have_the_bits_of_a_full_recompute",)),
+    # brute force by halves, rescored exactly
+    "brute-rescore-without-margin": Mutant(
+        SOLVERS, "limit = min(lows) + 8 * (q.num_terms + 1) * 2.0 ** -53 * total",
+        "limit = min(lows)", (ENUMERATION,)),
+    "brute-halves-without-cross-terms": Mutant(
+        SOLVERS, 'S = np.einsum("hj,lj->hl", XH[h:h + per], G)',
+        "S = np.zeros((len(XH[h:h + per]), len(G)))",
+        ("tests/test_solvers.py::test_brute_force_matches_enumeration",
+         ENUMERATION)),
+    "brute-halves-despite-overflow": Mutant(
+        SOLVERS, "if total < 2.0 ** 1000:", "if True:",
+        ("tests/test_solvers.py::"
+         "test_brute_force_rescores_every_vector_when_sums_overflow",)),
 }
 
 

@@ -36,9 +36,10 @@ from redispatch.model import (
     decode_one_hot,
     encode_one_hot,
     first_adjacency_violation,
+    flat_index,
 )
 from redispatch.qubo import Qubo
-from redispatch.solvers import Budget, tabu_search
+from redispatch.solvers import Budget, brute_force, tabu_search
 
 from test_encodings import random_instance
 
@@ -110,6 +111,27 @@ def test_rectify_preserves_feasibility_randomized():
         # only column j moves
         others = [c for c in range(n) if c != ch.j]
         assert np.array_equal(Z2[:, others], Z[:, others])
+
+
+@settings(max_examples=50, deadline=None)
+@given(T=st.integers(1, 6), n=st.integers(1, 4), k=st.integers(2, 6),
+       data=st.data())
+def test_rectify_reads_rows_of_ints_as_it_reads_the_array(T, n, k, data):
+    # alpha_expansion hands rectify Z.tolist(); any schedule, feasible or not
+    Z = np.array(data.draw(st.lists(
+        st.lists(st.integers(1, k), min_size=n, max_size=n),
+        min_size=T, max_size=T)))
+    change = StateChange(data.draw(st.integers(0, T - 1)),
+                         data.draw(st.integers(0, n - 1)),
+                         data.draw(st.integers(1, k)))
+    cycle = rectify(Z, change, k)
+    assert rectify(Z.tolist(), change, k) == cycle
+    # each swap moves the set bit of one touched block within that block
+    blocks = [divmod(on // k, n) for on, _ in cycle.swaps]
+    assert set(blocks) == cycle.touched and len(blocks) == len(cycle.touched)
+    for (t, j), (on, off) in zip(blocks, cycle.swaps):
+        assert on == flat_index(t, j, Z[t, j], n, k)
+        assert off // k == on // k and off != on
 
 
 def test_sample_disjoint_changes_spacing_and_conservation():
@@ -379,12 +401,50 @@ def test_factored_alpha_qubo_matches_qubo_path(T, n, k, L, seed, objective,
         assert_exact(q, x, cycles)
 
 
+@settings(max_examples=40, deadline=None)
+@given(T=st.integers(1, 5), n=st.integers(1, 12), k=st.integers(2, 4),
+       L=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       objective=st.sampled_from(["plain", "normalized", "composed",
+                                  "asymmetric"]),
+       zero=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_refreshed_fields_have_the_bits_of_a_full_recompute(T, n, k, L, seed,
+                                                            objective, zero):
+    # alpha refreshes the fields of the rows an accepted move touches (and
+    # their neighbours' h); the weights zeroed here leave the penalty 0, 1 or
+    # 1 + L columns wide
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, T=T, n=n, k=k, L=L)
+    inst = dataclasses.replace(inst, weights=tuple(
+        0.0 if z else w for z, w in zip(zero, inst.weights)))
+    f = {"plain": lambda: build_objective(inst),
+         "normalized": lambda: build_objective(inst, score_normalized=True),
+         "composed": lambda: composed_objective(inst),
+         "asymmetric": lambda: asymmetric_objective(rng, T, n, k)}[objective]()
+    f = f.factored
+    Z = random_feasible_schedule(rng, T, n, k)
+    fields = f.fields(Z)
+    for cycles in itertools.islice(alpha_batches(rng, T, n, k, Z), 6):
+        chosen = [c for c in cycles if rng.random() < 0.5 and c.swaps]
+        if not chosen:
+            continue
+        x = encode_one_hot(Z, T, n, k)
+        for cycle in chosen:
+            x = cycle.apply(x)
+        Z = decode_one_hot(x, T, n, k)
+        times = [t for cycle in chosen for t, _ in cycle.touched]
+        f.refresh_fields(fields, Z, min(times), max(times) + 1)
+        full = f.fields(Z)
+        assert [a.tobytes() for a in fields] == [a.tobytes() for a in full]
+
+
 BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "outer"}
 
 
 @pytest.mark.parametrize("scorer", [build_alpha_qubo,
                                     FactoredObjective.fields,
-                                    FactoredObjective.evaluate])
+                                    FactoredObjective.refresh_fields,
+                                    FactoredObjective.evaluate,
+                                    brute_force])
 def test_factored_scorer_uses_no_blas_product(scorer):
     # a BLAS product's rounding can depend on the thread count, and the move
     # scores break ties; at the sizes the scorer sees OpenBLAS stays on one

@@ -178,6 +178,20 @@ def test_bad_cell_names_file_and_line(network_dir, name, row, column, value,
         load_network(network_dir)
 
 
+@pytest.mark.parametrize("extra", [",999,oops", ","])
+def test_row_with_more_cells_than_its_header_names_file_and_line(network_dir,
+                                                                 extra):
+    # csv.DictReader files the extra cells under the key None; unchecked, a
+    # misaligned row loads as if its first cells were the header's columns
+    path = network_dir / "controllables.csv"
+    lines = path.read_text().splitlines()
+    lines[2] += extra
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=r"controllables\.csv:3: row has more "
+                       r"cells than the header's 4$"):
+        load_network(network_dir)
+
+
 @pytest.mark.parametrize("name, what", [("controllables.csv", "controllables"),
                                         ("lines.csv", "lines")])
 def test_entity_files_need_unique_ids_and_a_row(network_dir, name, what):

@@ -1,11 +1,12 @@
 """Sampler tests against exhaustive enumeration oracles."""
 
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from redispatch import solvers
 from redispatch.alphaexp import alpha_expansion
@@ -87,10 +88,11 @@ def evaluate_many_minimum(q):
 
 
 # small integers tie often; the fractions, over 20 or more terms, make the
-# order of addition visible in the last bits
+# order of addition visible in the last bits.  Dims 0-16 take every split
+# into halves, 17 runs two blocks of 2^16 vectors
 @st.composite
 def tie_prone_qubos(draw):
-    dim = draw(st.sampled_from([*range(14), 17]))
+    dim = draw(st.sampled_from(range(18)))
     value = st.sampled_from([-2.0, -1.0, -0.7, -0.1, 0.2, 0.3, 1.0, 2.0])
     index = st.integers(0, max(dim - 1, 0))
     terms = draw(st.lists(st.tuples(index, index, value),
@@ -101,13 +103,40 @@ def tie_prone_qubos(draw):
 
 
 @settings(max_examples=60, deadline=None)
+# by halves 25 = 0b11001 scores just below -1.0 and 9 = 0b01001 -1.0; in
+# evaluate_many's order both score -1.0, and 9 comes first
+@example(q=Qubo(5, [0, 0, 1, 3, 4], [3, 4, 1, 4, 4],
+                [-1.0, -1.7, 2.0, -0.3, 2.0]))
 @given(q=tie_prone_qubos())
 def test_brute_force_equals_evaluate_many_enumeration(q):
-    # dim 17 runs two chunks with the high bit held constant
     res = brute_force(SolveRequest(qubo=q))
     best, score = evaluate_many_minimum(q)
     assert res.best.tolist() == best
     assert res.score == score
+
+
+def test_brute_force_rescores_every_vector_when_sums_overflow():
+    # terms near 1e308: some sums overflow to +-inf, so no rounding bound
+    # holds and every vector is rescored, a slice at a time rather than as
+    # one 2^16 x terms table (about 25 MB here)
+    rng = np.random.default_rng(3)
+    dim = 17
+    pick = rng.permutation(dim * (dim + 1) // 2)[:40]  # distinct keys
+    rows, cols = np.triu_indices(dim)
+    q = Qubo(dim, rows[pick], cols[pick], rng.uniform(-1.6, 1.6, 40) * 1e308)
+    tracemalloc.start()
+    try:
+        with np.errstate(over="ignore"):
+            res = brute_force(SolveRequest(qubo=q))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with np.errstate(over="ignore"):
+        best, score = evaluate_many_minimum(q)
+    assert res.score == score == -np.inf
+    assert res.best.tolist() == best
+    assert sum(b << i for i, b in enumerate(best)) == 288
+    assert peak < 12e6
 
 
 def test_brute_force_rejects_large_problems():
