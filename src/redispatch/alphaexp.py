@@ -26,8 +26,8 @@ import numpy as np
 from .encodings import FactoredObjective
 from .model import ProblemInstance, decode_one_hot, first_adjacency_violation
 from .qubo import Qubo, _bit_vector
-from .solvers import (Budget, SolveRequest, SolveResult, brute_force,
-                      tabu_search)
+from .solvers import (Budget, SolveRequest, SolveResult, _integer,
+                      brute_force, tabu_search)
 
 __all__ = [
     "NonDisjointCyclesError",
@@ -281,8 +281,10 @@ def alpha_expansion(
     """
     if budget is None:
         budget = Budget(max_iterations=1000)
-    if batch_size < 1:
+    if _integer(batch_size, "batch_size") < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    if _integer(seed, "seed") < 0:
+        raise ValueError("seed must be non-negative")
     x = _bit_vector(x0, inst.dim, "x0")
     objective = qubo.factored
     if objective is None or objective.linear.size != inst.dim or (

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import Qubo, _bit_vector
+from .qubo import Qubo, _bit_vector, round_to_grid
 from .solvers import (
     Budget,
     SolveRequest,
@@ -23,6 +23,7 @@ from .solvers import (
     brute_force,
     tabu_search,
     _all_deltas,
+    _integer,
 )
 
 __all__ = [
@@ -39,6 +40,7 @@ class DecomposeConfig:
 
     subproblem_size bounds the number of free variables per step; strategy is
     "random" or "score".  max_steps and time_limit stop the outer loop.
+    subproblem_size, max_steps and seed are integers.
     """
 
     subproblem_size: int = 50
@@ -48,12 +50,14 @@ class DecomposeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.subproblem_size < 1:
+        if _integer(self.subproblem_size, "subproblem_size") < 1:
             raise ValueError("subproblem_size must be at least 1")
         if self.strategy not in ("random", "score"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.max_steps < 0:
+        if _integer(self.max_steps, "max_steps") < 0:
             raise ValueError("max_steps must be non-negative")
+        if _integer(self.seed, "seed") < 0:
+            raise ValueError("seed must be non-negative")
         if not self.time_limit > 0:  # also rejects NaN
             raise ValueError("time_limit must be positive")
 
@@ -89,20 +93,27 @@ def decompose_loop(
     non-increasing.  Deterministic for a fixed config.  The "score"
     strategy stops after a step that leaves x unchanged: its selection and
     sub-solve depend on x alone, so every later step would repeat it.
+
+    Steps select, clamp, solve and merge on round_to_grid(qubo), where every
+    score a step forms is exact: the trace logs true improvements only (its
+    last row is the gridded score of best, bit for bit), and a tabu
+    sub-walk back in a state repeats it, so its periods are skipped.  The
+    returned score is qubo's own evaluate of best.
     """
     x = _bit_vector(x0, qubo.dim, "x0")
+    grid = round_to_grid(qubo)
     rng = np.random.default_rng(config.seed)
     started = time.monotonic()
     deadline = started + config.time_limit
-    score = qubo.evaluate(x)
+    score = grid.evaluate(x)
     trace = [(0, score)]
     steps = 0
     while steps < config.max_steps and time.monotonic() <= deadline:
         steps += 1
         if config.strategy == "random":
-            sub, remap = random_subproblem(rng, qubo, x, config.subproblem_size)
+            sub, remap = random_subproblem(rng, grid, x, config.subproblem_size)
         else:
-            sub, remap = score_subproblem(qubo, x, config.subproblem_size)
+            sub, remap = score_subproblem(grid, x, config.subproblem_size)
         sub_req = SolveRequest(
             qubo=sub,
             initial=x[remap],
@@ -110,9 +121,9 @@ def decompose_loop(
             budget=Budget(max_iterations=2000),
         )
         result = brute_force(sub_req) if sub.dim <= 16 else tabu_search(sub_req)
-        # sub scores already include the clamp offset, i.e. the full score;
-        # the tolerance scales with it, so a zero-gain move merges whichever
-        # way its last bit rounds
+        # sub scores already include the clamp offset, i.e. the full score,
+        # exactly on the grid; the tolerance lets a zero-gain move merge
+        # even from a sub-solver whose score rounds a few ulps high
         merge = result.score <= score + 1e-12 * (1.0 + abs(score))
         moved = merge and bool(np.any(x[remap] != result.best))
         if merge:

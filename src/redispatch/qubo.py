@@ -30,6 +30,7 @@ __all__ = [
     "NonFiniteError",
     "weighted_sum",
     "normalize_range",
+    "round_to_grid",
 ]
 
 
@@ -277,6 +278,40 @@ def normalize_range(
     diag = np.arange(q.dim) * (q.dim + 1)
     return _merge(q.dim, [(q.rows * q.dim + q.cols, q.vals / span),
                           (diag, np.full(q.dim, -(shift / span)))], q.offset / span)
+
+
+def round_to_grid(q: Qubo) -> Qubo:
+    """q with its offset and coefficients rounded to the nearest multiple of
+    g = 2^(e - 51), where total = |offset| + sum |vals| < 2^e, so that every
+    sum of its terms is exact.
+
+    Each value moves by at most g / 2, a score by at most (terms + 1) g / 2,
+    and the rounded values sum in magnitude to total' < 2^(e + 1) = 2^52 g
+    (for terms < 2^51; the slack also covers the rounding of total).  Every
+    multiple of g below 2^53 g in magnitude is a float, so a float sum or
+    difference of two of them is exact whenever its exact result is below
+    2^53 g.  Every number the samplers form from the terms is a signed sum
+    of a subset of the rounded values, so below total': the partial sums of
+    evaluate, evaluate_many and _all_deltas (in any order, with any BLAS
+    thread count), clamp's offset and merged coefficients, and each delta,
+    score and score + d of a tabu or annealing walk.  A clamp sums disjoint
+    subsets of the rounded values, so it stays on the same grid within the
+    same bound, and so do the walks on it.
+
+    Returns q itself when total is 0 or at least 2^1022 (4 total may
+    overflow), or when g underflows (total < 2^-1024: every value is then
+    subnormal and every sum exact already).
+    """
+    total = abs(q.offset) + float(np.abs(q.vals).sum())
+    if not 0.0 < total < 2.0 ** 1022:
+        return q
+    g = math.ldexp(1.0, math.frexp(total)[1] - 51)
+    if g == 0.0:
+        return q
+    vals = np.rint(q.vals / g) * g
+    keep = vals != 0.0
+    return Qubo._from_canonical(q.dim, q.rows[keep], q.cols[keep], vals[keep],
+                                float(np.rint(q.offset / g)) * g)
 
 
 def _bit_vector(x, dim: int, name: str) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -49,17 +50,17 @@ class TooLargeError(ValueError):
 class Budget:
     """Stopping rule shared by the iterative samplers.
 
-    max_iterations bounds attempted flips (sweeps * dim for annealing);
-    time_limit is wall-clock seconds checked between iterations.  Runs capped
-    by time alone are not reproducible; use max_iterations when byte-stable
-    outputs matter.
+    max_iterations, an integer, bounds attempted flips (sweeps * dim for
+    annealing); time_limit is wall-clock seconds checked between
+    iterations.  Runs capped by time alone are not reproducible; use
+    max_iterations when byte-stable outputs matter.
     """
 
     max_iterations: int = 100_000
     time_limit: float = math.inf
 
     def __post_init__(self):
-        if self.max_iterations < 0:
+        if _integer(self.max_iterations, "max_iterations") < 0:
             raise ValueError("max_iterations must be non-negative")
         if not self.time_limit > 0:  # also rejects NaN
             raise ValueError("time_limit must be positive")
@@ -73,6 +74,10 @@ class SolveRequest:
     initial: np.ndarray | None = None
     seed: int = 0
     budget: Budget = field(default_factory=Budget)
+
+    def __post_init__(self):
+        if _integer(self.seed, "seed") < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -89,6 +94,15 @@ class SolveResult:
     iterations: int
     wall_seconds: float
     trace: list[tuple[int, float]]
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; ValueError unless it is an integer (operator.index:
+    a float, even 2.0, NaN or infinity, is not)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _all_deltas(qubo: Qubo, x: np.ndarray) -> np.ndarray:
@@ -245,6 +259,10 @@ def tabu_search(req: SolveRequest) -> SolveResult:
     walk back in a state it was in before repeats itself, so the list kernel
     skips whole periods of it; iterations counts attempted flips, skipped
     ones included, and is max_iterations unless the time limit struck.
+    A state repeats only bit for bit: where sums of coefficients round
+    (d + w - w != d), the deltas drift and the walk is never back where it
+    was.  So the skip needs exact sums, as on small integers or on a QUBO
+    of qubo.round_to_grid (decompose_loop's sub-QUBOs are).
     """
     walk = _Walk(req)
     tenure = max(10, req.qubo.dim // 50)

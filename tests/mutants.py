@@ -51,6 +51,9 @@ ENUMERATION = ("tests/test_solvers.py::"
                "test_brute_force_equals_evaluate_many_enumeration")
 ALPHA, TEST_ALPHA = "src/redispatch/alphaexp.py", "tests/test_alphaexp.py::"
 PINNED = "tests/test_pinned_outputs.py::test_outputs_are_pinned"
+QUBO, TEST_QUBO = "src/redispatch/qubo.py", "tests/test_qubo.py::"
+DECOMP, TEST_DECOMP = ("src/redispatch/decomposers.py",
+                       "tests/test_decomposers.py::")
 
 MUTANTS: dict[str, Mutant] = {
     # found by hand on the whole suite before this registry existed
@@ -85,11 +88,26 @@ MUTANTS: dict[str, Mutant] = {
         ("tests/test_solvers.py::"
          "test_tabu_list_kernel_walks_on_from_a_state_with_a_new_incumbent",)),
     "decompose-merges-only-gains": Mutant(
-        "src/redispatch/decomposers.py",
-        "merge = result.score <= score + 1e-12 * (1.0 + abs(score))",
+        DECOMP, "merge = result.score <= score + 1e-12 * (1.0 + abs(score))",
         "merge = result.score < score",
-        ("tests/test_decomposers.py::"
-         "test_zero_gain_move_merges_a_few_ulps_above",)),
+        (TEST_DECOMP + "test_zero_gain_move_merges_a_few_ulps_above",)),
+    # the decomposer's exact grid: rounding, and where the loop uses it
+    "grid-offset-unrounded": Mutant(
+        QUBO, "float(np.rint(q.offset / g)) * g)", "q.offset)",
+        (TEST_QUBO + "test_round_to_grid_moves_each_value_by_half_a_step",
+         TEST_QUBO + "test_clamp_of_a_gridded_qubo_stays_on_its_grid")),
+    "grid-eight-times-finer": Mutant(
+        QUBO, "math.frexp(total)[1] - 51)", "math.frexp(total)[1] - 54)",
+        (TEST_QUBO + "test_round_to_grid_moves_each_value_by_half_a_step",
+         TEST_QUBO + "test_round_to_grid_drops_terms_below_half_a_step")),
+    "decompose-scores-result-on-grid": Mutant(
+        DECOMP, "score=qubo.evaluate(x)", "score=grid.evaluate(x)",
+        (TEST_DECOMP + "test_scores_never_increase_and_merge_is_consistent",
+         TEST_DECOMP + "test_trace_logs_only_true_improvements")),
+    "decompose-clamps-original": Mutant(
+        DECOMP, "random_subproblem(rng, grid, x,", "random_subproblem(rng, qubo, x,",
+        (TEST_DECOMP + "test_desk_sub_walks_skip_repeated_periods",
+         TEST_DECOMP + "test_trace_logs_only_true_improvements")),
     "fulfilled-needs-surplus": Mutant(
         MODEL, "fulfilled = int(np.count_nonzero(ratios >= 1.0))",
         "fulfilled = int(np.count_nonzero(ratios > 1.0))",

@@ -569,6 +569,20 @@ def test_alpha_expansion_rejects_empty_batches(batch_size):
         alpha_expansion(inst, build_objective(inst), x0, batch_size=batch_size)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"batch_size": 2.5}, {"batch_size": 12.0}, {"seed": -1}, {"seed": 2.5},
+    {"seed": float("nan")},
+])
+def test_alpha_expansion_takes_integer_batch_sizes_and_seeds(kwargs):
+    # these used to fail inside numpy, with a TypeError for the floats
+    rng = np.random.default_rng(7)
+    inst = random_instance(rng, T=2, n=2, k=3, L=1)
+    x0 = encode_one_hot(np.ones((inst.T, inst.n), dtype=int),
+                        inst.T, inst.n, inst.k)
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        alpha_expansion(inst, build_objective(inst), x0, **kwargs)
+
+
 def test_alpha_expansion_deterministic_and_stops_after_idle_epoch():
     rng = np.random.default_rng(9)
     inst = random_instance(rng, T=3, n=2, k=3, L=2)

@@ -1,19 +1,38 @@
 """Tests for the clamp-and-solve decomposition baselines."""
 
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from redispatch import decomposers
+from redispatch import decomposers, solvers
+from redispatch.data import build_instance, load_network, write_synthetic_network
 from redispatch.decomposers import (
     DecomposeConfig,
     decompose_loop,
     random_subproblem,
     score_subproblem,
 )
-from redispatch.qubo import Qubo
-from redispatch.solvers import SolveResult, _all_deltas
+from redispatch.experiments import composed_objective
+from redispatch.model import encode_one_hot
+from redispatch.qubo import Qubo, round_to_grid
+from redispatch.solvers import Budget, SolveResult, _all_deltas
 
 from test_solvers import enumerate_minimum, random_qubo
+
+
+@pytest.fixture(scope="module")
+def desk_l(tmp_path_factory):
+    """The desk objective at the L preset (network and instance seed 0,
+    dim 560) and the all-state-1 start of the decomposers study."""
+    net = write_synthetic_network(tmp_path_factory.mktemp("desk") / "net",
+                                  12, 20, 16, n_fixed=6, seed=0)
+    inst = build_instance(load_network(net), T=8, k=5, seed=0,
+                          promote_statics=True)
+    x0 = encode_one_hot(np.ones((inst.T, inst.n), dtype=int),
+                        inst.T, inst.n, inst.k)
+    return composed_objective(inst), x0
 
 
 def test_config_validation():
@@ -27,6 +46,18 @@ def test_config_validation():
     for limit in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError):
             DecomposeConfig(time_limit=limit)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_steps": 2.5}, {"max_steps": float("nan")},
+    {"max_steps": float("inf")}, {"subproblem_size": 2.5},
+    {"subproblem_size": 40.0}, {"seed": -1}, {"seed": 0.5}, {"seed": "1"},
+])
+def test_config_takes_integers_only(kwargs):
+    # at construction: max_steps=2.5 used to run 3 steps and nan none,
+    # subproblem_size=2.5 failed in numpy, seed=-1 in the first step
+    with pytest.raises(ValueError):
+        DecomposeConfig(**kwargs)
 
 
 def test_random_subproblem_clamp_consistency():
@@ -109,7 +140,7 @@ def test_scores_never_increase_and_merge_is_consistent():
     assert scores[0] == pytest.approx(q.evaluate(x0))
     assert all(b < a for a, b in zip(scores, scores[1:]))
     assert res.score <= scores[0] + 1e-12
-    assert res.score == pytest.approx(q.evaluate(res.best))
+    assert res.score == q.evaluate(res.best)  # the caller's objective, exactly
 
 
 def test_decompose_deterministic():
@@ -178,3 +209,40 @@ def test_score_strategy_stops_once_it_stalls(seed):
         subproblem_size=12, strategy="score", max_steps=30))
     assert again.iterations == 1
     assert again.best.tolist() == res.best.tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_trace_logs_only_true_improvements(desk_l, seed):
+    # sub-solves used to score with their own rounding, and a hair-lower
+    # score of an unchanged schedule was logged as a step: the pinned
+    # solve-random-decomp trace had five rows printing the score before them
+    q, x0 = desk_l
+    res = decompose_loop(q, x0, DecomposeConfig(subproblem_size=40,
+                                                max_steps=20, seed=seed))
+    scores = [s for _, s in res.trace]
+    assert len(scores) > 2
+    assert all(b < a for a, b in zip(scores, scores[1:]))
+    assert scores[-1] == round_to_grid(q).evaluate(res.best)  # bit for bit
+    assert res.score == q.evaluate(res.best)
+
+
+def test_desk_sub_walks_skip_repeated_periods(desk_l, monkeypatch):
+    # on the grid a tabu sub-walk back in a state repeats it bit for bit, and
+    # the list kernel jumps over its periods.  Under a finite deadline the
+    # kernel reads the clock once a walked flip: without the grid, rounding
+    # drift in the deltas left about 60-90% of the flips walked
+    q, x0 = desk_l
+    ticks = []
+
+    def monotonic():
+        ticks.append(None)
+        return time.monotonic()
+
+    monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(decomposers, "Budget", lambda max_iterations: Budget(
+        max_iterations, time_limit=3600.0))
+    steps = 20
+    res = decompose_loop(q, x0, DecomposeConfig(subproblem_size=40,
+                                                max_steps=steps, seed=1))
+    assert res.iterations == steps
+    assert 0 < len(ticks) < 0.25 * steps * 2000

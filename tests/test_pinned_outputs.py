@@ -92,9 +92,9 @@ PINNED = {
         "MANIFEST.json":
             "9a1ae71c5c97c21e943e455338dca783e01694d8fda0ef1aa60b0f9127d26e54",
         "decomposers.csv":
-            "20361219f9e68782cb128d46011f6b2c9ca7b67a4d290d9e41658bbca131b61b",
+            "807e5ccc8314616d324f8552f766b22832575e77a5a4d330be0b60cc1a8369ec",
         "decomposers_summary.csv":
-            "7eacdfb1b70445bf88f7a4fb85df9718bbbe7f4d44e97898931f3fa5975e5486",
+            "44092b70e7f149e60cd9c3ee23369a2ec2a0a5a1430213c15554b375fd00ab12",
     },
     "timeseries": {
         "MANIFEST.json":
@@ -150,7 +150,7 @@ PINNED = {
         "solution.json":
             "56bb082b6b1b79112c24b37aa5444bf90059d7f1c278b844f442417a96f917e0",
         "trace.csv":
-            "0bda8e9b0075a26cae803a25358282c95cc20ac04d2ee9615bf4eaf5b38ec478",
+            "36c0a888e3cc8475440f062d1e81b0d91b28db82b1b2a94699816bb58a83ad54",
     },
     "solve-score-decomp": {
         "MANIFEST.json":
@@ -160,7 +160,7 @@ PINNED = {
         "solution.json":
             "4d4826969023725be5d2efbf2ff0b11af17b617ad2c8b4b8439af4edd5eab215",
         "trace.csv":
-            "b92d37168bddd6c025a5f1f75945ae50eb691153cd238d8e8af01952c32f048b",
+            "e65e968b953588826b4ee27d67e7e19952c0340e7c737f315acbec4a42146898",
     },
     "solve-brute": {
         "MANIFEST.json":

@@ -15,6 +15,7 @@ from redispatch.qubo import (
     NonFiniteError,
     Qubo,
     normalize_range,
+    round_to_grid,
     weighted_sum,
 )
 
@@ -607,3 +608,66 @@ def test_adjacency_bytes_past_a_chunk_seam():
     no_col = np.bincount(q.cols, minlength=dim) == 0
     assert (no_row & no_col).any() and (no_row & ~no_col).any()
     assert_same_bytes(q, q)
+
+
+# ------------------------------------------------ rounding onto an exact grid
+
+
+def grid_step(q: Qubo) -> float:
+    """g = 2^(e - 51), where |offset| + sum |vals| < 2^e."""
+    total = abs(q.offset) + float(np.abs(q.vals).sum())
+    return math.ldexp(1.0, math.frexp(total)[1] - 51)
+
+
+def on_grid(q: Qubo, g: float) -> bool:
+    values = np.append(q.vals, q.offset)
+    return bool((np.rint(values / g) * g == values).all())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8).flatmap(raw_qubos), st.data())
+def test_round_to_grid_moves_each_value_by_half_a_step(q, data):
+    grid = round_to_grid(q)
+    g = grid_step(q)
+    assert on_grid(grid, g)
+    assert abs(grid.offset - q.offset) <= g / 2
+    rounded = entries(grid)
+    assert set(rounded) <= set(entries(q))
+    for key, value in entries(q).items():
+        assert abs(rounded.get(key, 0.0) - value) <= g / 2
+    x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=q.dim,
+                                    max_size=q.dim)), dtype=np.int8)
+    score = q.evaluate(x)
+    assert (abs(grid.evaluate(x) - score)
+            <= (q.num_terms + 1) * g / 2 + 1e-9 * (1.0 + abs(score)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(raw_qubos), st.data())
+def test_clamp_of_a_gridded_qubo_stays_on_its_grid(q, data):
+    grid = round_to_grid(q)
+    x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=q.dim,
+                                    max_size=q.dim)), dtype=np.int8)
+    free = data.draw(st.lists(st.integers(0, q.dim - 1), max_size=q.dim))
+    sub, remap = grid.clamp(x, free)
+    assert on_grid(sub, grid_step(q))
+    assert sub.evaluate(x[remap]) == grid.evaluate(x)  # exactly
+
+
+def test_round_to_grid_drops_terms_below_half_a_step():
+    q = Qubo(2, [0, 0, 1], [0, 1, 1], [3.0, 1e-20, 0.1], offset=-1.7e5)
+    grid = round_to_grid(q)
+    g = 2.0 ** -33  # 1.7e5 + 3.1 < 2^18
+    assert grid_step(q) == g
+    assert entries(grid) == {(0, 0): 3.0, (1, 1): round(0.1 / g) * g}
+    assert grid.offset == -1.7e5
+    assert round_to_grid(grid) == grid  # on the grid already
+
+
+@pytest.mark.parametrize("q", [
+    Qubo(3),  # nothing to round
+    Qubo(1, [0], [0], [1e-310], offset=-1e-310),  # g would underflow
+    Qubo(1, [0], [0], [1e308]),  # 4 total overflows
+], ids=["empty", "subnormal", "huge"])
+def test_round_to_grid_keeps_what_it_cannot_round(q):
+    assert round_to_grid(q) is q

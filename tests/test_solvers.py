@@ -14,7 +14,7 @@ from redispatch.data import synth_instance
 from redispatch.decomposers import DecomposeConfig, decompose_loop
 from redispatch.encodings import build_objective
 from redispatch.model import encode_one_hot
-from redispatch.qubo import Qubo
+from redispatch.qubo import Qubo, round_to_grid
 from redispatch.solvers import (
     BRUTE_FORCE_LIMIT,
     Budget,
@@ -276,13 +276,27 @@ def test_trace_monotone_and_csv_layout(tmp_path):
 
 @pytest.mark.parametrize("kwargs", [
     {"time_limit": float("nan")}, {"time_limit": 0.0}, {"time_limit": -1.0},
-    {"max_iterations": -1},
+    {"max_iterations": -1}, {"max_iterations": float("nan")},
+    {"max_iterations": float("inf")}, {"max_iterations": 2.5},
+    {"max_iterations": 2000.0}, {"max_iterations": "2000"},
 ])
 def test_budget_rejects_bad_limits(kwargs):
     # a NaN limit used to be accepted and stop every search before its
-    # first iteration
+    # first iteration; max_iterations=nan gave tabu 0 flips but annealing
+    # 1,000 sweeps, and inf let tabu walk until its walk cycled
     with pytest.raises(ValueError):
         Budget(**kwargs)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, 0.5, float("nan"), "3"])
+def test_solve_request_takes_non_negative_integer_seeds(seed):
+    with pytest.raises(ValueError, match="seed"):
+        SolveRequest(qubo=Qubo(1), seed=seed)
+
+
+def test_numpy_integers_are_integers():
+    Budget(max_iterations=np.int64(7))
+    SolveRequest(qubo=Qubo(1), seed=np.uint32(3))
 
 
 @pytest.mark.parametrize("solver", [tabu_search, simulated_annealing])
@@ -348,6 +362,26 @@ def test_sampler_reports_exact_score_and_monotone_trace(name, q, seed, data):
         again = run_sampler(name, q, seed, x0)
         assert again.best.tolist() == res.best.tolist()
         assert again.score == res.score and again.trace == res.trace
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=small_qubos(), seed=st.integers(0, 2**31 - 1),
+       flips=st.integers(0, 300), data=st.data())
+def test_walks_on_a_gridded_qubo_keep_exact_deltas_and_score(q, seed, flips,
+                                                             data):
+    # tabu's list kernel, then single flips as annealing makes them: on the
+    # grid every running delta and score is the exact one of the current
+    # vector (equal as numbers; 0.0 == -0.0)
+    q = round_to_grid(q)
+    walk = _Walk(SolveRequest(qubo=q, seed=seed))
+    _tabu_on_lists(walk, flips, 10)
+    assert walk.deltas.tolist() == _all_deltas(q, walk.x).tolist()
+    assert walk.score == q.evaluate(walk.x)
+    moves = data.draw(st.lists(st.integers(0, q.dim - 1), max_size=60))
+    for it, i in enumerate(moves, start=flips + 1):
+        walk.flip(i, it)
+    assert walk.deltas.tolist() == _all_deltas(q, walk.x).tolist()
+    assert walk.score == q.evaluate(walk.x)
 
 
 # --------------------------------------- tabu: list kernel against numpy path
