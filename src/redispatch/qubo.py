@@ -302,7 +302,8 @@ def round_to_grid(q: Qubo) -> Qubo:
     overflow), or when g underflows (total < 2^-1024: every value is then
     subnormal and every sum exact already).
     """
-    total = abs(q.offset) + float(np.abs(q.vals).sum())
+    with np.errstate(over="ignore"):  # an infinite total is kept below
+        total = abs(q.offset) + float(np.abs(q.vals).sum())
     if not 0.0 < total < 2.0 ** 1022:
         return q
     g = math.ldexp(1.0, math.frexp(total)[1] - 51)

@@ -13,11 +13,11 @@ import math
 import operator
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .qubo import Qubo, _bit_vector
+from .qubo import Qubo, _bit_vector, round_to_grid
 
 __all__ = [
     "TooLargeError",
@@ -156,9 +156,9 @@ class _Walk:
             self.best = x.copy()
             self.trace.append((it, self.score))
 
-    def result(self, iterations: int) -> SolveResult:
-        # re-anchor: report the exact score of the returned vector, not summed deltas
-        return SolveResult(best=self.best, score=self.qubo.evaluate(self.best),
+    def result(self, iterations: int, qubo: Qubo) -> SolveResult:
+        """The incumbent scored by qubo's evaluate, not by summed deltas."""
+        return SolveResult(best=self.best, score=qubo.evaluate(self.best),
                            iterations=iterations,
                            wall_seconds=time.monotonic() - self.started,
                            trace=self.trace)
@@ -203,7 +203,8 @@ def brute_force(req: SolveRequest) -> SolveResult:
     lo = (m + 1) // 2
     per = (1 << 16) >> lo  # high-half settings in one block
     starts = range(0, 1 << (m - lo), per)
-    total = abs(q.offset) + float(np.abs(q.vals).sum())
+    with np.errstate(over="ignore"):  # an infinite total is handled below
+        total = abs(q.offset) + float(np.abs(q.vals).sum())
     limit = None  # rescore every vector
     if total < 2.0 ** 1000:
         XL, XH = _bit_rows(lo), _bit_rows(m - lo)
@@ -259,19 +260,26 @@ def tabu_search(req: SolveRequest) -> SolveResult:
     walk back in a state it was in before repeats itself, so the list kernel
     skips whole periods of it; iterations counts attempted flips, skipped
     ones included, and is max_iterations unless the time limit struck.
+
     A state repeats only bit for bit: where sums of coefficients round
     (d + w - w != d), the deltas drift and the walk is never back where it
-    was.  So the skip needs exact sums, as on small integers or on a QUBO
-    of qubo.round_to_grid (decompose_loop's sub-QUBOs are).
+    was.  So up to _SMALL_DIM the walk runs on qubo.round_to_grid(qubo),
+    where every sum it forms is exact: its trace holds gridded scores (the
+    last row is the gridded score of best, bit for bit), and the returned
+    score is qubo's own evaluate of best.  The array path walks on qubo
+    itself: it has no skip for the grid to serve, and a gridded copy of a
+    large QUBO would double its memory.
     """
-    walk = _Walk(req)
-    tenure = max(10, req.qubo.dim // 50)
-    limit = req.budget.max_iterations if req.qubo.dim else 0  # nothing to flip
-    if req.qubo.dim <= _SMALL_DIM:
+    q = req.qubo
+    tenure = max(10, q.dim // 50)
+    limit = req.budget.max_iterations if q.dim else 0  # nothing to flip
+    if q.dim <= _SMALL_DIM:
+        walk = _Walk(replace(req, qubo=round_to_grid(q)))
         it = _tabu_on_lists(walk, limit, tenure)
     else:
+        walk = _Walk(req)
         it = _tabu_on_arrays(walk, limit, tenure)
-    return walk.result(it)
+    return walk.result(it, req.qubo)
 
 
 def _tabu_on_arrays(walk: _Walk, limit: int, tenure: int) -> int:
@@ -419,7 +427,7 @@ def simulated_annealing(req: SolveRequest) -> SolveResult:
                 walk.flip(flip, it)
         if it >= limit or time.monotonic() > walk.deadline:
             break
-    return walk.result(it)
+    return walk.result(it, q)
 
 
 def write_trace_csv(path, trace: list[tuple[int, float]]) -> None:

@@ -47,6 +47,8 @@ PROPERTY = "tests/test_cli.py::test_every_dataset_builds_or_exits_2"
 SOLVERS = "src/redispatch/solvers.py"
 JUMP = ("tests/test_solvers.py::"
         "test_tabu_list_kernel_skips_whole_periods_of_a_repeated_state")
+DESK_GRID = ("tests/test_solvers.py::"
+             "test_desk_tabu_walks_on_the_grid_and_scores_on_the_qubo")
 ENUMERATION = ("tests/test_solvers.py::"
                "test_brute_force_equals_evaluate_many_enumeration")
 ALPHA, TEST_ALPHA = "src/redispatch/alphaexp.py", "tests/test_alphaexp.py::"
@@ -87,6 +89,14 @@ MUTANTS: dict[str, Mutant] = {
         SOLVERS, "    floats.append(best_score)\n", "",
         ("tests/test_solvers.py::"
          "test_tabu_list_kernel_walks_on_from_a_state_with_a_new_incumbent",)),
+    # tabu walks on the grid up to _SMALL_DIM and scores on the caller's QUBO
+    "tabu-scores-result-on-grid": Mutant(
+        SOLVERS, "return walk.result(it, req.qubo)",
+        "return walk.result(it, walk.qubo)", (DESK_GRID,)),
+    "tabu-grid-skipped-below-small-dim": Mutant(
+        SOLVERS, "_Walk(replace(req, qubo=round_to_grid(q)))", "_Walk(req)",
+        (DESK_GRID,
+         "tests/test_solvers.py::test_desk_tabu_skips_repeated_periods")),
     "decompose-merges-only-gains": Mutant(
         DECOMP, "merge = result.score <= score + 1e-12 * (1.0 + abs(score))",
         "merge = result.score < score",
@@ -255,11 +265,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     names = args.only or list(MUTANTS)
     outcomes = []
-    print(f"{'mutant':32} {'outcome':9} seconds")
+    width = max(map(len, names))
+    print(f"{'mutant':{width}} {'outcome':9} seconds")
     for name in names:
         outcome, seconds = run(MUTANTS[name])
         outcomes.append(outcome)
-        print(f"{name:32} {outcome:9} {seconds:7.1f}", flush=True)
+        print(f"{name:{width}} {outcome:9} {seconds:7.1f}", flush=True)
     print(f"{outcomes.count('killed')} of {len(names)} killed")
     return 0 if outcomes.count("killed") == len(names) else 1
 

@@ -76,15 +76,15 @@ PINNED = {
         "MANIFEST.json":
             "6a761bcb5720fd3c39233c299a282fd149569392ab3afaa99bbd42226afcb237",
         "penalty_norm.csv":
-            "96b36331d3e476a295b121731cd32f84aec50109c2d3f152ecfa9ba349142e0a",
+            "96007c93db571ea2d2f2d5a4ff3ea1bb42148f3d4135b6d95071583fe0a25a80",
         "penalty_norm_summary.csv":
-            "c54c7583354ae2f2e46c8c526ab6fed7f789fe4f1b005663b691c83304ad07eb",
+            "083111499e4f525a9ec8b37aeb9633fb21b25740e6418ead5e6d791d0b3343e2",
     },
     "score-norm": {
         "MANIFEST.json":
             "cd686bcff50a45829015c3901daa8a08fa92ea24232c066040ef04a1f327d9ee",
         "score_norm_solutions.csv":
-            "d5e446a53ae2cce28d9e380f5d1b1159a7672a2836169f26b814e1de20ac30ae",
+            "d2b956f2898947207f45134e8273ee8cfb97df3e28aeb9f84041f38c673829f1",
         "score_norm_spread.csv":
             "1634acc7f7ddf40849758b940f67ce01cc92916dc5827c5dace4ed747531276e",
     },

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from redispatch.qubo import (
     DegenerateRangeError,
@@ -624,19 +624,26 @@ def on_grid(q: Qubo, g: float) -> bool:
     return bool((np.rint(values / g) * g == values).all())
 
 
+def qubos_with_a_vector(dim):
+    return st.tuples(raw_qubos(dim), st.lists(st.integers(0, 1), min_size=dim,
+                                              max_size=dim))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 8).flatmap(raw_qubos), st.data())
-def test_round_to_grid_moves_each_value_by_half_a_step(q, data):
+# a subnormal total: g underflows to 0, and round_to_grid keeps q
+@example(case=(Qubo(0, offset=2.2250738585e-313), []))
+@given(st.integers(0, 8).flatmap(qubos_with_a_vector))
+def test_round_to_grid_moves_each_value_by_half_a_step(case):
+    q, bits = case
     grid = round_to_grid(q)
     g = grid_step(q)
-    assert on_grid(grid, g)
+    assert grid is q if g == 0.0 else on_grid(grid, g)
     assert abs(grid.offset - q.offset) <= g / 2
     rounded = entries(grid)
     assert set(rounded) <= set(entries(q))
     for key, value in entries(q).items():
         assert abs(rounded.get(key, 0.0) - value) <= g / 2
-    x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=q.dim,
-                                    max_size=q.dim)), dtype=np.int8)
+    x = np.array(bits, dtype=np.int8)
     score = q.evaluate(x)
     assert (abs(grid.evaluate(x) - score)
             <= (q.num_terms + 1) * g / 2 + 1e-9 * (1.0 + abs(score)))
@@ -650,7 +657,8 @@ def test_clamp_of_a_gridded_qubo_stays_on_its_grid(q, data):
                                     max_size=q.dim)), dtype=np.int8)
     free = data.draw(st.lists(st.integers(0, q.dim - 1), max_size=q.dim))
     sub, remap = grid.clamp(x, free)
-    assert on_grid(sub, grid_step(q))
+    g = grid_step(q)
+    assert grid is q if g == 0.0 else on_grid(sub, g)
     assert sub.evaluate(x[remap]) == grid.evaluate(x)  # exactly
 
 

@@ -1,16 +1,23 @@
 """Sampler tests against exhaustive enumeration oracles."""
 
+import itertools
 import time
 import tracemalloc
+import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from redispatch import solvers
+from redispatch import experiments, solvers
 from redispatch.alphaexp import alpha_expansion
-from redispatch.data import synth_instance
+from redispatch.data import (
+    load_network,
+    synth_instance,
+    write_synthetic_network,
+)
 from redispatch.decomposers import DecomposeConfig, decompose_loop
 from redispatch.encodings import build_objective
 from redispatch.model import encode_one_hot
@@ -310,13 +317,43 @@ def test_empty_qubo_returns_its_offset(solver):
 
 
 def test_time_limit_stops_search():
+    # above _SMALL_DIM tabu walks every flip (the array path skips no
+    # period), so only the deadline ends this walk
     rng = np.random.default_rng(11)
-    q = random_qubo(rng, 40)
+    q = random_qubo(rng, _SMALL_DIM + 1, density=0.05)
     res = tabu_search(SolveRequest(
         qubo=q, seed=0,
         budget=Budget(max_iterations=10_000_000, time_limit=0.2)))
     assert res.wall_seconds < 5.0
     assert res.iterations < 10_000_000
+
+
+def test_time_limit_stops_the_list_kernel(monkeypatch):
+    # a clock one second on at each read: the walk starts at 0, reads 1..10
+    # before the deadline at 10.5 and stops, before the first kept state
+    # (iteration 16) could repeat and skip the walk to its limit
+    clock = itertools.count()
+    monkeypatch.setattr(solvers, "time", SimpleNamespace(
+        monotonic=lambda: float(next(clock))))
+    req = SolveRequest(qubo=random_qubo(np.random.default_rng(11), 40), seed=0,
+                       budget=Budget(10_000_000, time_limit=10.5))
+    res = tabu_search(req)
+    assert res.iterations == 10
+    assert_same_result(res, tabu_search(replace(req, budget=Budget(10))))
+
+
+def test_overflowing_total_warns_nothing():
+    # |1e308| + |-1e308| overflows, no score does; the total only picks a
+    # branch (keep q, rescore every vector) and used to print "overflow
+    # encountered in reduce"
+    q = Qubo(2, [0, 1], [0, 1], [1e308, -1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert round_to_grid(q) is q
+        brute = brute_force(SolveRequest(qubo=q))
+        tabu = tabu_search(SolveRequest(qubo=q, budget=Budget(50)))
+    assert brute.best.tolist() == tabu.best.tolist() == [0, 1]
+    assert brute.score == tabu.score == -1e308
 
 
 # ------------------------------------------------- properties of the samplers
@@ -387,12 +424,13 @@ def test_walks_on_a_gridded_qubo_keep_exact_deltas_and_score(q, seed, flips,
 # --------------------------------------- tabu: list kernel against numpy path
 
 
-def run_tabu_path(path, req):
-    """Result of one tabu path plus the walk's final vector, signs and deltas."""
-    walk = _Walk(req)
+def run_tabu_path(path, req, walked=None):
+    """Result of one tabu path walked on `walked` (default req.qubo) and
+    scored on req.qubo, plus the walk's final vector, signs and deltas."""
+    walk = _Walk(req if walked is None else replace(req, qubo=walked))
     it = path(walk, req.budget.max_iterations, max(10, req.qubo.dim // 50))
-    return walk.result(it), (walk.x.tolist(), walk.sign.tolist(),
-                             walk.deltas.tolist())
+    return walk.result(it, req.qubo), (walk.x.tolist(), walk.sign.tolist(),
+                                       walk.deltas.tolist())
 
 
 def assert_same_result(a, b):
@@ -403,17 +441,29 @@ def assert_same_result(a, b):
     assert a.iterations == b.iterations
 
 
-def assert_paths_agree(req):
-    """List kernel, numpy path and tabu_search give the same bits.
+def assert_kernels_agree(req, walked=None):
+    """List kernel and numpy path, walked as in run_tabu_path, give the same
+    bits.
 
     The final walk state is compared too: best, score and trace stop moving
     after the last improvement, the walk does not.
     """
-    reference, walk_state = run_tabu_path(_tabu_on_arrays, req)
-    result, list_state = run_tabu_path(_tabu_on_lists, req)
+    reference, walk_state = run_tabu_path(_tabu_on_arrays, req, walked)
+    result, list_state = run_tabu_path(_tabu_on_lists, req, walked)
     assert_same_result(result, reference)
     assert list_state == walk_state
-    assert_same_result(tabu_search(req), reference)
+    return reference
+
+
+def assert_paths_agree(req):
+    """The kernels agree on req.qubo, and tabu_search gives the bits of the
+    kernels on what it walks: round_to_grid(req.qubo) up to _SMALL_DIM (where
+    the kernels agree too), req.qubo above.  Returns the kernels' result on
+    req.qubo."""
+    reference = expected = assert_kernels_agree(req)
+    if req.qubo.dim <= _SMALL_DIM:
+        expected = assert_kernels_agree(req, round_to_grid(req.qubo))
+    assert_same_result(tabu_search(req), expected)
     return reference
 
 
@@ -434,9 +484,15 @@ def test_tabu_list_kernel_matches_array_path_around_cutoff(dim):
     # at dim 8 (below the tenure of 10) most iterations find every bit tabu
     rng = np.random.default_rng(dim)
     q = random_qubo(rng, dim, density=8.0 / dim)
-    reference = assert_paths_agree(SolveRequest(
-        qubo=q, seed=dim, budget=Budget(max_iterations=400)))
+    req = SolveRequest(qubo=q, seed=dim, budget=Budget(max_iterations=400))
+    reference = assert_paths_agree(req)
     assert len(reference.trace) > 1  # the runs improved, so traces were compared
+    if dim > _SMALL_DIM:
+        # tabu_search walked q itself, which a walk on the grid would show: a
+        # gridded copy of a ladder-sized QUBO would double its memory, and
+        # the array path has no period skip for the grid to serve
+        gridded, _ = run_tabu_path(_tabu_on_arrays, req, round_to_grid(q))
+        assert gridded.trace != reference.trace
 
 
 def integer_qubo(seed, dim, density):
@@ -478,6 +534,56 @@ def test_tabu_list_kernel_walks_on_from_a_state_with_a_new_incumbent():
     # at 273; that flip no longer aspires, so the walk does not repeat
     assert_paths_agree(SolveRequest(qubo=integer_qubo(4, 32, 0.2), seed=4,
                                     budget=Budget(max_iterations=1999)))
+
+
+# ----------------------------------- tabu on the grid below _SMALL_DIM only
+
+
+@pytest.fixture(scope="module")
+def pnorm_requests(tmp_path_factory):
+    """The penalty-norm study's tabu requests at seed 0 (desk network, S
+    preset, dim 72): the baseline, then the normalized variant."""
+    root = tmp_path_factory.mktemp("pnorm")
+    net = write_synthetic_network(root / "net", 12, 20, 16, n_fixed=6, seed=0)
+    requests = []
+
+    def record(req):
+        requests.append(req)
+        return tabu_search(req)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "tabu_search", record)
+        experiments.run_penalty_norm(load_network(net),
+                                     experiments.ExperimentSettings(seeds=(0,)),
+                                     root)
+    return requests
+
+
+@pytest.mark.parametrize("variant", [0, 1], ids=["baseline", "normalized"])
+def test_desk_tabu_walks_on_the_grid_and_scores_on_the_qubo(pnorm_requests,
+                                                            variant):
+    req = pnorm_requests[variant]
+    res = tabu_search(req)
+    grid = round_to_grid(req.qubo)
+    assert res.score == req.qubo.evaluate(res.best)
+    assert res.trace[-1][1] == grid.evaluate(res.best)  # bit for bit
+    assert res.score != grid.evaluate(res.best)  # the two are told apart
+
+
+def test_desk_tabu_skips_repeated_periods(pnorm_requests, monkeypatch):
+    # under a finite deadline the list kernel reads the clock once a walked
+    # flip (and _Walk twice more); off the grid rounding drift in the deltas
+    # kept this walk from repeating, and all 4,000 flips were walked
+    ticks = []
+
+    def monotonic():
+        ticks.append(None)
+        return time.monotonic()
+
+    monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=monotonic))
+    req = replace(pnorm_requests[1], budget=Budget(4000, time_limit=3600.0))
+    assert tabu_search(req).iterations == 4000
+    assert 0 < len(ticks) < 0.25 * 4000
 
 
 @pytest.mark.parametrize("value, at", [(256, 1), (0.5, 1), (257, 0), (1.5, 0),
