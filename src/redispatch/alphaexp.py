@@ -25,9 +25,9 @@ import numpy as np
 
 from .encodings import FactoredObjective
 from .model import ProblemInstance, decode_one_hot, first_adjacency_violation
-from .qubo import Qubo, _bit_vector
-from .solvers import (Budget, SolveRequest, SolveResult, _integer,
-                      brute_force, tabu_search)
+from .qubo import Qubo, _bit_vector, _integer
+from .solvers import (Budget, SolveRequest, SolveResult, brute_force,
+                      tabu_search)
 
 __all__ = [
     "NonDisjointCyclesError",
@@ -72,12 +72,6 @@ class CycleSet:
 
     swaps: tuple[tuple[int, int], ...]
     touched: frozenset[tuple[int, int]]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        out = np.array(x, copy=True)
-        for on, off in self.swaps:
-            out[on], out[off] = x[off], x[on]
-        return out
 
     def disjoint_from(self, other: "CycleSet") -> bool:
         return not (self.touched & other.touched)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import Qubo, _bit_vector, round_to_grid
+from .qubo import Qubo, _bit_vector, _integer, round_to_grid
 from .solvers import (
     Budget,
     SolveRequest,
@@ -23,7 +23,6 @@ from .solvers import (
     brute_force,
     tabu_search,
     _all_deltas,
-    _integer,
 )
 
 __all__ = [

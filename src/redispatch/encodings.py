@@ -12,10 +12,9 @@ Taylor expansion of exp(-h), i.e. zeta(h) = 1 - h + h^2/2, optionally with h
 rescaled by a per-constraint bound so the argument never exceeds 1 on
 feasible schedules.  Each h is affine in s_tr = V[:, r] . x_t, a linear form
 of timepoint t's bits, so one builder materializes both: rank 1 for power
-(V = p), rank L for load (V = p * S).  penalty_scalar / power_penalty /
-load_penalty re-compute the penalties as scalars: the reference the matrix
-builders are tested against.  build_objective assembles its composite once,
-as a FactoredObjective, materializes the Qubo from it and keeps it for alpha.
+(V = p), rank L for load (V = p * S).  build_objective assembles its
+composite once, as a FactoredObjective, materializes the Qubo from it and
+keeps it for alpha.
 """
 
 from __future__ import annotations
@@ -32,9 +31,6 @@ __all__ = [
     "InfeasibleBoundError",
     "PenaltyBounds",
     "compute_bounds",
-    "penalty_scalar",
-    "power_penalty",
-    "load_penalty",
     "build_onehot_qubo",
     "build_adjacency_qubo",
     "build_cost_qubo",
@@ -100,43 +96,6 @@ def compute_bounds(inst: ProblemInstance) -> PenaltyBounds:
 def _line_factor(inst: ProblemInstance) -> np.ndarray:
     """nk x L matrix p[a, i] * S[a, l]; x_t . column l is line l's flow."""
     return (inst.p[:, :, None] * inst.S[:, None, :]).reshape(-1, inst.L)
-
-
-def penalty_scalar(h: float) -> float:
-    """Quadratic inequality penalty zeta(h) = 1 - h + h^2 / 2."""
-    return 1.0 - h + 0.5 * h * h
-
-
-def power_penalty(inst: ProblemInstance, x: np.ndarray, *,
-                  normalized: bool = True) -> float:
-    """Scalar power-target penalty of a bit vector, summed over timepoints.
-
-    Works on any bit vector, feasible or not.  Reference implementation for
-    build_power_qubo.
-    """
-    x = np.asarray(x, dtype=float).reshape(inst.T, inst.n * inst.k)
-    w = inst.p.ravel()
-    bound = compute_bounds(inst).power if normalized else np.ones(inst.T)
-    total = 0.0
-    for t in range(inst.T):
-        total += penalty_scalar((float(w @ x[t]) - inst.tau[t]) / bound[t])
-    return total
-
-
-def load_penalty(inst: ProblemInstance, x: np.ndarray, *,
-                 normalized: bool = True) -> float:
-    """Scalar line-load penalty of a bit vector, summed over (t, line) pairs.
-
-    Reference implementation for build_load_qubo.
-    """
-    x = np.asarray(x, dtype=float).reshape(inst.T, inst.n * inst.k)
-    bound = compute_bounds(inst).load if normalized else np.ones((inst.T, inst.L))
-    total = 0.0
-    for t in range(inst.T):
-        for l in range(inst.L):
-            v = (inst.p * inst.S[:, l : l + 1]).ravel()
-            total += penalty_scalar((inst.M[t, l] - float(v @ x[t])) / bound[t, l])
-    return total
 
 
 def build_onehot_qubo(T: int, n: int, k: int) -> Qubo:

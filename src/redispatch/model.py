@@ -7,8 +7,8 @@ Conventions used throughout the package:
   States are 1-based values in ``1..k`` (state 1 is the lowest production
   level); array positions are the usual 0-based numpy indices.
 * The binary encoding ``x`` of a schedule is a flat 0/1 vector of length
-  ``T*n*k``.  Bit ``flat_index(t, a, i)`` is set iff resource ``a`` runs in
-  state ``i`` during timepoint ``t``.  The layout is timepoint-major, then
+  ``T*n*k``.  Bit ``(t*n + a)*k + i - 1`` is set iff resource ``a`` runs
+  in state ``i`` during timepoint ``t``.  The layout is timepoint-major, then
   resource, then state, and every function in this package assumes it.
 """
 
@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qubo import NonFiniteError
+from .qubo import NonFiniteError, _integer
 
 __all__ = [
     "ProblemInstance",
     "SolutionReport",
     "NotOneHotError",
-    "flat_index",
     "encode_one_hot",
     "decode_one_hot",
     "read_schedule",
@@ -95,9 +94,11 @@ class ProblemInstance:
     s_box: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        for name, val in (("T", self.T), ("n", self.n), ("k", self.k), ("L", self.L)):
-            if int(val) != val or val < 1:
+        for name in ("T", "n", "k", "L"):
+            val = _integer(getattr(self, name), name)
+            if val < 1:
                 raise ValueError(f"{name} must be a positive integer, got {val!r}")
+            object.__setattr__(self, name, val)
         shapes = {"p": (self.n, self.k), "c": (self.T, self.n, self.k),
                   "S": (self.n, self.L), "M": (self.T, self.L), "tau": (self.T,)}
         for name, shape in shapes.items():
@@ -135,11 +136,6 @@ class ProblemInstance:
     def dim(self) -> int:
         """Length of the one-hot bit vector encoding a schedule."""
         return self.T * self.n * self.k
-
-
-def flat_index(t: int, a: int, i: int, n: int, k: int) -> int:
-    """Bit position of (timepoint t, resource a, 1-based state i)."""
-    return (t * n + a) * k + (i - 1)
 
 
 def validate_schedule(Z: np.ndarray, T: int, n: int, k: int) -> np.ndarray:

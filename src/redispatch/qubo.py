@@ -19,6 +19,7 @@ term order, which gives the bits the constructor would give their concatenation.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -56,9 +57,9 @@ class Qubo:
                  "factored")
 
     def __init__(self, dim: int, rows=(), cols=(), vals=(), offset: float = 0.0):
-        if int(dim) != dim or dim < 0:
-            raise ValueError(f"dim must be a non-negative integer, got {dim!r}")
-        dim, offset = int(dim), float(offset)
+        dim, offset = _integer(dim, "dim"), float(offset)
+        if dim < 0:
+            raise ValueError(f"dim must be non-negative, got {dim!r}")
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         vals = np.asarray(vals, dtype=float).ravel()
@@ -313,6 +314,15 @@ def round_to_grid(q: Qubo) -> Qubo:
     keep = vals != 0.0
     return Qubo._from_canonical(q.dim, q.rows[keep], q.cols[keep], vals[keep],
                                 float(np.rint(q.offset / g)) * g)
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; ValueError unless it is an integer (operator.index:
+    a float, even 2.0, NaN or infinity, is not)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _bit_vector(x, dim: int, name: str) -> np.ndarray:

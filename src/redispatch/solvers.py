@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import time
 from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .qubo import Qubo, _bit_vector, round_to_grid
+from .qubo import Qubo, _bit_vector, _integer, round_to_grid
 
 __all__ = [
     "TooLargeError",
@@ -94,15 +93,6 @@ class SolveResult:
     iterations: int
     wall_seconds: float
     trace: list[tuple[int, float]]
-
-
-def _integer(value, name: str) -> int:
-    """value as an int; ValueError unless it is an integer (operator.index:
-    a float, even 2.0, NaN or infinity, is not)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _all_deltas(qubo: Qubo, x: np.ndarray) -> np.ndarray:

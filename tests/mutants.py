@@ -11,9 +11,9 @@ Run from the root of a checkout (standard library only):
     python tests/mutants.py                  # every mutant
     python tests/mutants.py --only NAME ...  # the named mutants
 
-Each mutant gets a fresh copy of src/, tests/ and pyproject.toml in a
-temporary directory, where its listed tests run under pytest with -x.  A
-mutant is killed when pytest reports a failed test (exit status 1); a
+Each mutant gets a fresh copy of src/, tests/, perfbench/ and pyproject.toml
+in a temporary directory, where its listed tests run under pytest with -x.
+A mutant is killed when pytest reports a failed test (exit status 1); a
 collection or usage error (a node id that no longer exists, say) is
 reported as an error, not as a kill.  The runner prints one line per mutant
 and exits 1 unless every mutant was killed.
@@ -56,6 +56,9 @@ PINNED = "tests/test_pinned_outputs.py::test_outputs_are_pinned"
 QUBO, TEST_QUBO = "src/redispatch/qubo.py", "tests/test_qubo.py::"
 DECOMP, TEST_DECOMP = ("src/redispatch/decomposers.py",
                        "tests/test_decomposers.py::")
+ENCODINGS = "src/redispatch/encodings.py"
+CRITERION_1 = ("tests/test_acceptance.py::"
+               "test_criterion_1_scalar_matrix_agreement")
 
 MUTANTS: dict[str, Mutant] = {
     # found by hand on the whole suite before this registry existed
@@ -206,7 +209,7 @@ MUTANTS: dict[str, Mutant] = {
         "    if False:\n",
         (TEST_ALPHA + "test_alpha_qubo_rejects_overlapping_cycles",)),
     "fields-refresh-skips-next-row": Mutant(
-        "src/redispatch/encodings.py",
+        ENCODINGS,
         "start, stop = max(start - 1, 0), min(stop + 1, T)",
         "start, stop = max(start - 1, 0), stop",
         (TEST_ALPHA + "test_refreshed_fields_have_the_bits_of_a_full_recompute",)),
@@ -223,6 +226,26 @@ MUTANTS: dict[str, Mutant] = {
         SOLVERS, "if total < 2.0 ** 1000:", "if True:",
         ("tests/test_solvers.py::"
          "test_brute_force_rescores_every_vector_when_sums_overflow",)),
+    # the package holds only what runs; criterion 1 checks the penalty
+    # builders against the scalar oracles the tests keep
+    "src-helper-without-caller": Mutant(
+        ENCODINGS, "def build_onehot_qubo(T: int, n: int, k: int) -> Qubo:",
+        "def penalty_scalar(h: float) -> float:\n"
+        "    return 1.0 - h + 0.5 * h * h\n\n\n"
+        "def build_onehot_qubo(T: int, n: int, k: int) -> Qubo:",
+        ("tests/test_imports.py::"
+         "test_every_definition_runs_outside_the_tests",)),
+    "power-penalty-quad-doubled": Mutant(
+        ENCODINGS, "(0.5 * f * f)[:, None])", "(f * f)[:, None])",
+        (CRITERION_1,)),
+    "load-penalty-quad-doubled": Mutant(
+        ENCODINGS, "f - f * f * m, 0.5 * f * f)", "f - f * f * m, f * f)",
+        (CRITERION_1,)),
+    # counts are integers: the old check let a whole float through
+    "instance-accepts-float-dims": Mutant(
+        MODEL, "val = _integer(getattr(self, name), name)\n            if val < 1:",
+        "val = getattr(self, name)\n            if int(val) != val or val < 1:",
+        ("tests/test_cli.py::test_bad_input_exits_2",)),
 }
 
 
@@ -243,7 +266,7 @@ def run(mutant: Mutant) -> tuple[str, float]:
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, tree / part, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", tree)
         mutate(tree, mutant)

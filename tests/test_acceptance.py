@@ -30,8 +30,6 @@ from redispatch.encodings import (
     build_switch_qubo,
     extremal_schedules,
     extremal_scores,
-    load_penalty,
-    power_penalty,
 )
 from redispatch.model import (
     decode_one_hot,
@@ -43,6 +41,7 @@ from redispatch.model import (
 from redispatch.qubo import normalize_range
 from redispatch.solvers import Budget, SolveRequest, brute_force, tabu_search
 
+from oracles import apply_cycle, load_penalty, power_penalty
 from test_encodings import random_instance
 
 
@@ -158,21 +157,21 @@ def test_criterion_4_move_reduction_contract():
                 moved = x
                 for sel, cyc in zip(bits, cycles):
                     if sel:
-                        moved = cyc.apply(moved)
+                        moved = apply_cycle(cyc, moved)
                 delta = q.evaluate(moved) - base
                 assert abs(reduced.evaluate(np.array(bits)) - delta) <= 1e-9
 
     # pinned rectification examples
     c = rectify(np.array([[1], [1], [1]]), StateChange(1, 0, 3), k=3)
-    Z2 = decode_one_hot(c.apply(encode_one_hot(
+    Z2 = decode_one_hot(apply_cycle(c, encode_one_hot(
         np.array([[1], [1], [1]]), 3, 1, 3)), 3, 1, 3)
     assert Z2.ravel().tolist() == [2, 3, 2]
     c = rectify(np.array([[1], [1], [1], [1]]), StateChange(0, 0, 4), k=4)
-    Z2 = decode_one_hot(c.apply(encode_one_hot(
+    Z2 = decode_one_hot(apply_cycle(c, encode_one_hot(
         np.array([[1], [1], [1], [1]]), 4, 1, 4)), 4, 1, 4)
     assert Z2.ravel().tolist() == [4, 3, 2, 1]
     c = rectify(np.array([[5], [5], [5]]), StateChange(0, 0, 1), k=5)
-    Z2 = decode_one_hot(c.apply(encode_one_hot(
+    Z2 = decode_one_hot(apply_cycle(c, encode_one_hot(
         np.array([[5], [5], [5]]), 3, 1, 5)), 3, 1, 5)
     assert Z2.ravel().tolist() == [1, 2, 3]
 

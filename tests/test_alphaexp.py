@@ -36,17 +36,17 @@ from redispatch.model import (
     decode_one_hot,
     encode_one_hot,
     first_adjacency_violation,
-    flat_index,
 )
 from redispatch.qubo import Qubo
 from redispatch.solvers import Budget, brute_force, tabu_search
 
+from oracles import apply_cycle, flat_index
 from test_encodings import random_instance
 
 
 def apply_to_schedule(Z, cycle, T, n, k):
     x = encode_one_hot(np.asarray(Z), T, n, k)
-    return decode_one_hot(cycle.apply(x), T, n, k)
+    return decode_one_hot(apply_cycle(cycle, x), T, n, k)
 
 
 # ----------------------------------------------------------------- cycles
@@ -197,7 +197,7 @@ def test_alpha_qubo_exact_delta_exhaustive():
         moved = x
         for sel, cyc in zip(bits, cycles):
             if sel:
-                moved = cyc.apply(moved)
+                moved = apply_cycle(cyc, moved)
         assert reduced.evaluate(alpha) == pytest.approx(
             q.evaluate(moved) - base, rel=1e-9, abs=1e-9)
 
@@ -237,7 +237,7 @@ def moved_deltas(q, x, cycles):
         moved = x
         for sel, cyc in zip(bits, cycles):
             if sel:
-                moved = cyc.apply(moved)
+                moved = apply_cycle(cyc, moved)
         yield np.array(bits), float(exact_score(q.factored, moved) - base)
 
 
@@ -429,7 +429,7 @@ def test_refreshed_fields_have_the_bits_of_a_full_recompute(T, n, k, L, seed,
             continue
         x = encode_one_hot(Z, T, n, k)
         for cycle in chosen:
-            x = cycle.apply(x)
+            x = apply_cycle(cycle, x)
         Z = decode_one_hot(x, T, n, k)
         times = [t for cycle in chosen for t, _ in cycle.touched]
         f.refresh_fields(fields, Z, min(times), max(times) + 1)
@@ -700,5 +700,5 @@ def test_alpha_result_is_one_optimal(T, n, k, L, seed, objective, repeat,
     score = q.evaluate(res.best)
     for change in _enumerate_members(T, n, k):
         if Z[change.t, change.j] != change.i_new:
-            moved = rectify(Z, change, k).apply(res.best)
+            moved = apply_cycle(rectify(Z, change, k), res.best)
             assert q.evaluate(moved) - score >= -1e-9 * (1.0 + abs(score))

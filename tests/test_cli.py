@@ -174,6 +174,9 @@ INSTANCE_EDITS = {
     "instance-unreachable-target": {"tau": [1e9, 1e9]},
     # finite levels whose squared penalties overflow the float range
     "instance-huge-levels": {"p": [[0, 1e200, 1e200]] * 5},
+    # counts are integers: a whole float is not one, nor is infinity
+    "instance-float-T": {"T": 2.0},
+    "instance-infinite-L": {"L": float("inf")},
 }
 
 
@@ -220,6 +223,8 @@ INSTANCE_EDITS = {
     ("solve", ("--subproblem-size", "40")),
     ("solve", ("--solver", "score-decomp", "--batch-size", "12")),
     ("config", ({"solver": "sa", "subproblem_size": 4},)),
+    ("instance-float-T", ()),
+    ("instance-infinite-L", ()),
 ], ids=["time-limit-0", "time-limit-negative", "max-iterations-negative",
         "batch-size-0", "batch-size-negative", "brute-above-cap",
         "experiment-time-limit-0", "experiment-max-iterations-negative",
@@ -239,7 +244,8 @@ INSTANCE_EDITS = {
         "sensitivity-seed", "build-instance-k-negative",
         "experiment-k-negative", "batch-size-unread-by-tabu",
         "subproblem-size-unread-by-alpha", "batch-size-unread-by-decomp",
-        "config-subproblem-size-unread-by-sa"])
+        "config-subproblem-size-unread-by-sa", "instance-float-T",
+        "instance-infinite-L"])
 def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
     if extra and isinstance(extra[0], dict):
         cfg = tmp_path / "cfg.json"

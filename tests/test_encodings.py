@@ -26,9 +26,6 @@ from redispatch.encodings import (
     compute_bounds,
     extremal_schedules,
     extremal_scores,
-    load_penalty,
-    penalty_scalar,
-    power_penalty,
 )
 from redispatch.experiments import (_hard_weight, add_hard_terms,
                                     composed_objective)
@@ -40,6 +37,8 @@ from redispatch.model import (
     switching_cost,
 )
 from redispatch.qubo import DegenerateRangeError, normalize_range, weighted_sum
+
+from oracles import load_penalty, penalty_scalar, power_penalty
 
 
 def random_instance(rng, T=None, n=None, k=None, L=None, monotone_cost=False):

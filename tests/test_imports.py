@@ -1,5 +1,6 @@
-"""Every name a package module imports is used there or re-exported, and
-every parameter of a package function is read."""
+"""Every name a package module imports is used there or re-exported, every
+parameter of a package function is read, and every definition of the package
+runs outside the tests."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,11 @@ from pathlib import Path
 import redispatch
 
 SRC = Path(redispatch.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -46,7 +52,7 @@ def _unread_parameters(path: Path) -> list[str]:
     unread = []
     for fn in ast.walk(tree):
         if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                or (fn.name.startswith("__") and fn.name.endswith("__"))):
+                or _is_dunder(fn.name)):
             continue  # dunders keep the signature the protocol fixes
         a = fn.args
         params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
@@ -65,3 +71,35 @@ def test_every_parameter_is_read():
     assert modules
     unread = [hit for path in modules for hit in _unread_parameters(path)]
     assert unread == []
+
+
+def _uncalled_definitions(modules: list[Path], callers: list[Path]) -> list[str]:
+    named = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return [f"{path.name}:{node.lineno}: {node.name}"
+            for path in modules for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not _is_dunder(node.name) and node.name not in named]
+
+
+def test_every_definition_runs_outside_the_tests():
+    """Each function, method and class defined in the package is named by
+    package code outside __init__.py or by the benchmark (perfbench/*.py).
+
+    Code only the tests call (a reference oracle, a convenience wrapper)
+    belongs in the tests.  The match is by name only: a definition counts as
+    called when any ast.Name or ast.Attribute anywhere in that code carries
+    its name, whatever object the name stands for there.  Dunders are
+    exempt: the language calls them.
+    """
+    modules = sorted(SRC.glob("*.py"))
+    callers = [p for p in modules if p.name != "__init__.py"]
+    benchmark = sorted(PERFBENCH.glob("*.py"))
+    assert callers and benchmark
+    assert _uncalled_definitions(modules, callers + benchmark) == []

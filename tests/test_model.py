@@ -12,13 +12,14 @@ from redispatch.model import (
     encode_one_hot,
     evaluate_schedule,
     first_adjacency_violation,
-    flat_index,
     is_adjacent_feasible,
     line_loads,
     power_production,
     production_cost,
     switching_cost,
 )
+
+from oracles import flat_index
 
 
 def tiny_instance():
@@ -35,12 +36,16 @@ def tiny_instance():
 
 
 def test_flat_index_is_timepoint_major():
-    # layout: ((t * n) + a) * k + (state - 1)
-    assert flat_index(0, 0, 1, n=2, k=3) == 0
-    assert flat_index(0, 0, 3, n=2, k=3) == 2
-    assert flat_index(0, 1, 1, n=2, k=3) == 3
-    assert flat_index(1, 0, 1, n=2, k=3) == 6
-    assert flat_index(1, 1, 2, n=2, k=3) == 10
+    # layout: ((t * n) + a) * k + (state - 1), as encode_one_hot sets it
+    T, n, k = 2, 2, 3
+    for t, a, i, bit in [(0, 0, 1, 0), (0, 0, 3, 2), (0, 1, 1, 3),
+                         (1, 0, 1, 6), (1, 1, 2, 10)]:
+        Z = np.array([[2, 3], [3, 1]])
+        Z[t, a] = i
+        x = encode_one_hot(Z, T, n, k)
+        assert x[bit] == 1
+        assert np.flatnonzero(x).tolist() == sorted(
+            (s * n + b) * k + Z[s, b] - 1 for s in range(T) for b in range(n))
 
 
 def test_encode_decode_round_trip_small():
@@ -190,6 +195,17 @@ def test_instance_validation_errors():
     with pytest.raises(ValueError, match="negative sensitivities"):
         ProblemInstance(T=2, n=2, k=3, L=1, p=good.p, c=good.c, S=good.S,
                         M=good.M, tau=good.tau, s_box=(-1.0, 1.0))
+
+
+def test_instance_dimensions_are_integers():
+    # counts are integers: a whole float (T: 2.0 in an instance file) or
+    # infinity is rejected here, before any array is sized from it
+    arrays = {f: getattr(tiny_instance(), f) for f in ("p", "c", "S", "M", "tau")}
+    inst = ProblemInstance(T=np.int64(2), n=2, k=3, L=1, **arrays)
+    assert type(inst.T) is int and inst.T == 2
+    for bad in (2.0, float("inf"), float("nan"), "2"):
+        with pytest.raises(ValueError, match="T must be an integer"):
+            ProblemInstance(T=bad, n=2, k=3, L=1, **arrays)
 
 
 def test_instance_arrays_are_read_only():

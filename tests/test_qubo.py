@@ -85,6 +85,9 @@ def test_out_of_range_coefficient_rejected():
         Qubo(2, [-1], [0], [1.0])
     with pytest.raises(ValueError):
         Qubo(2, [0, 1], [1], [1.0, 2.0])
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        Qubo(2.0)
+    assert type(Qubo(np.int64(2)).dim) is int
 
 
 @pytest.mark.parametrize("vals, offset", [
