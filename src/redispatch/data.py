@@ -454,7 +454,7 @@ def build_instance(
     """
     if k < 2:  # checked before any array of k states is allocated
         raise BadLevelsError(f"need at least 2 states, got {k}")
-    fits = ds._fits
+    fits, listed = ds._fits, len(ds.controllables)
     if promote_statics:
         ds = _promote_statics(ds)
     n = len(ds.controllables)
@@ -462,13 +462,11 @@ def build_instance(
     rates = np.zeros(n)
     rng = np.random.default_rng(seed)
     for a, res in enumerate(ds.controllables):
-        if res.type_tag == "static":
-            # promoted statics: off or at historical peak, free to run
-            levels[a] = np.concatenate([[0.0], np.full(k - 1, res.max_mw)])
-            rates[a] = 0.0
-        else:
+        if a < listed:
             levels[a] = discretize_levels(res.min_mw, res.max_mw, k)
             rates[a] = sample_cost_rate(rng, res.type_tag)
+        else:  # promoted statics, appended last: off or at peak, free
+            levels[a] = np.concatenate([[0.0], np.full(k - 1, res.max_mw)])
 
     agg = aggregate_time(ds, T)
     tau = compute_targets(agg)

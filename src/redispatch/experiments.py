@@ -33,8 +33,6 @@ from .model import (
     encode_one_hot,
     evaluate_schedule,
     is_adjacent_feasible,
-    line_loads,
-    power_production,
     read_schedule,
 )
 from .qubo import Qubo, normalize_range, weighted_sum
@@ -320,20 +318,11 @@ def run_timeseries(ds: NetworkDataset, settings: ExperimentSettings,
     result = run_solver("alpha", inst, composed_objective(inst), seed,
                         ALPHA_EPOCHS, settings.time_limit,
                         settings.batch_size, settings.subproblem_size)
-    Z = decode_one_hot(result.best, inst.T, inst.n, inst.k)
-    prod = power_production(inst, Z)
-    loads = line_loads(inst, Z)
-    t_idx = np.arange(inst.T)[:, None]
-    a_idx = np.arange(inst.n)[None, :]
-    cost_t = inst.c[t_idx, a_idx, Z - 1].sum(axis=1)
-    switches_t = np.count_nonzero(np.diff(Z, axis=0), axis=1)
-    rows = []
-    for t in range(inst.T):
-        rows.append([
-            t, cost_t[t], float(prod[t].sum()), float(inst.tau[t]),
-            int((loads[t] > inst.M[t]).sum()),
-            int(switches_t[t - 1]) if t > 0 else 0,
-        ])
+    report = evaluate_schedule(
+        inst, decode_one_hot(result.best, inst.T, inst.n, inst.k))
+    rows = [[t, *cells] for t, cells in enumerate(zip(
+        report.cost_per_t, report.produced_per_t, inst.tau,
+        report.overloaded_per_t, report.switches_into_t))]
     write_csv(out_dir / "timeseries.csv",
               ["t", "production_cost", "power_produced", "power_target",
                "overloaded_lines", "switches_into_t"], rows)

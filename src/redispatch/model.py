@@ -31,11 +31,6 @@ __all__ = [
     "validate_schedule",
     "is_adjacent_feasible",
     "first_adjacency_violation",
-    "power_production",
-    "line_loads",
-    "production_cost",
-    "switching_cost",
-    "count_switches",
     "evaluate_schedule",
 ]
 
@@ -161,21 +156,28 @@ def encode_one_hot(Z: np.ndarray, T: int, n: int, k: int) -> np.ndarray:
     return x
 
 
+def _read_blocks(x, T: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(set bits, 1-based state of the first set bit) of every (t, a) block
+    of a bit vector of length T*n*k; an empty block reads as state 1."""
+    x = np.asarray(x)
+    if x.shape != (T * n * k,):
+        raise ValueError(f"bit vector has shape {x.shape}, expected ({T * n * k},)")
+    blocks = x.reshape(T * n, k)
+    # an int64 product counts a block's bits in a third of sum(axis=1)'s time
+    return blocks @ np.ones(k, dtype=np.int64), np.argmax(blocks, axis=1) + 1
+
+
 def decode_one_hot(x: np.ndarray, T: int, n: int, k: int) -> np.ndarray:
     """Recover the (T, n) schedule from a one-hot bit vector.
 
     Raises NotOneHotError naming the first offending (t, a) block.
     """
-    x = np.asarray(x)
-    if x.shape != (T * n * k,):
-        raise ValueError(f"bit vector has shape {x.shape}, expected ({T * n * k},)")
-    blocks = x.reshape(T * n, k)
-    counts = blocks.sum(axis=1)
+    counts, states = _read_blocks(x, T, n, k)
     bad = np.flatnonzero(counts != 1)
     if bad.size:
         b = int(bad[0])
         raise NotOneHotError(b // n, b % n, int(counts[b]))
-    return (np.argmax(blocks, axis=1) + 1).reshape(T, n)
+    return states.reshape(T, n)
 
 
 def read_schedule(x: np.ndarray, T: int, n: int, k: int) -> tuple[np.ndarray, bool]:
@@ -185,9 +187,7 @@ def read_schedule(x: np.ndarray, T: int, n: int, k: int) -> tuple[np.ndarray, bo
     set bit, or state 1 when empty, and one_hot is False; reports use this
     to score solver outputs that wandered off the one-hot manifold.
     """
-    blocks = np.asarray(x).reshape(T * n, k)
-    counts = blocks.sum(axis=1)
-    states = np.where(counts > 0, np.argmax(blocks, axis=1) + 1, 1)
+    counts, states = _read_blocks(x, T, n, k)
     return states.reshape(T, n), bool(np.all(counts == 1))
 
 
@@ -210,43 +210,15 @@ def is_adjacent_feasible(Z: np.ndarray) -> bool:
     return first_adjacency_violation(Z) is None
 
 
-def power_production(inst: ProblemInstance, Z: np.ndarray) -> np.ndarray:
-    """(T, n) matrix of MW produced by each resource at each timepoint."""
-    Z = validate_schedule(Z, inst.T, inst.n, inst.k)
-    return inst.p[np.arange(inst.n)[None, :], Z - 1]
-
-
-def line_loads(inst: ProblemInstance, Z: np.ndarray) -> np.ndarray:
-    """(T, L) MW carried on each line due to controllable production."""
-    return power_production(inst, Z) @ inst.S
-
-
-def production_cost(inst: ProblemInstance, Z: np.ndarray) -> float:
-    """Total production cost of the schedule."""
-    Z = validate_schedule(Z, inst.T, inst.n, inst.k)
-    t_idx = np.arange(inst.T)[:, None]
-    a_idx = np.arange(inst.n)[None, :]
-    return float(inst.c[t_idx, a_idx, Z - 1].sum())
-
-
-def count_switches(inst: ProblemInstance, Z: np.ndarray) -> int:
-    """Number of (t, a) transitions whose state actually changes."""
-    Z = validate_schedule(Z, inst.T, inst.n, inst.k)
-    return int(np.count_nonzero(np.diff(Z, axis=0)))
-
-
-def switching_cost(inst: ProblemInstance, Z: np.ndarray) -> float:
-    """gamma times the summed |MW delta| over consecutive timepoints."""
-    prod = power_production(inst, Z)
-    return float(inst.gamma * np.abs(np.diff(prod, axis=0)).sum())
-
-
 @dataclass
 class SolutionReport:
-    """Human-readable metrics of one schedule.
+    """The published metrics of one schedule, in total and per timepoint.
 
     Fulfillment ratios are produced/target per timepoint; a zero target counts
-    as fulfilled and renders as inf when anything is produced at all.
+    as fulfilled and renders as inf when anything is produced at all, and
+    mean_fulfillment averages the positive targets' ratios (1.0 without one).
+    The *_t arrays hold each timepoint's production cost, MW produced,
+    overloaded lines and switches into t (0 at t=0).
     """
 
     overloaded_lines: int
@@ -254,38 +226,39 @@ class SolutionReport:
     production_cost: float
     switching_cost: float
     fulfillment: np.ndarray = field(repr=False)
-    mean_fulfillment: float = 0.0
-    fulfilled_timepoints: int = 0
-    switches: int = 0
-
-    def __post_init__(self):
-        self.fulfillment = np.asarray(self.fulfillment, dtype=float)
-        if np.isnan(self.fulfillment).any():
-            raise ValueError("fulfillment ratios must not contain NaN")
+    mean_fulfillment: float
+    fulfilled_timepoints: int
+    switches: int
+    cost_per_t: np.ndarray = field(repr=False)
+    produced_per_t: np.ndarray = field(repr=False)
+    overloaded_per_t: np.ndarray = field(repr=False)
+    switches_into_t: np.ndarray = field(repr=False)
 
 
 def evaluate_schedule(inst: ProblemInstance, Z: np.ndarray) -> SolutionReport:
-    """Score a schedule on the published metrics (overloads, cost, power, switches)."""
+    """Score a schedule on the published metrics (overloads, cost, power,
+    switches), validating it once and gathering its MW and costs once."""
     Z = validate_schedule(Z, inst.T, inst.n, inst.k)
-    loads = line_loads(inst, Z)
-    overloaded = loads > inst.M
-    produced = power_production(inst, Z).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(
-            inst.tau > 0,
-            produced / np.where(inst.tau > 0, inst.tau, 1.0),
-            np.where(produced > 0, np.inf, 1.0),
-        )
-    fulfilled = int(np.count_nonzero(ratios >= 1.0))
-    finite = ratios[np.isfinite(ratios)]
-    mean_ratio = float(finite.mean()) if finite.size else float("inf")
+    a_idx = np.arange(inst.n)
+    prod = inst.p[a_idx, Z - 1]  # (T, n) MW
+    cost = inst.c[np.arange(inst.T)[:, None], a_idx, Z - 1]
+    overloaded = (prod @ inst.S > inst.M).sum(axis=1)
+    produced = prod.sum(axis=1)
+    switched = np.count_nonzero(np.diff(Z, axis=0), axis=1)
+    positive = inst.tau > 0
+    ratios = np.where(positive, produced / np.where(positive, inst.tau, 1.0),
+                      np.where(produced > 0, np.inf, 1.0))
     return SolutionReport(
         overloaded_lines=int(overloaded.sum()),
-        mean_overloaded_per_timepoint=float(overloaded.sum(axis=1).mean()),
-        production_cost=production_cost(inst, Z),
-        switching_cost=switching_cost(inst, Z),
+        mean_overloaded_per_timepoint=float(overloaded.mean()),
+        production_cost=float(cost.sum()),
+        switching_cost=float(inst.gamma * np.abs(np.diff(prod, axis=0)).sum()),
         fulfillment=ratios,
-        mean_fulfillment=mean_ratio,
-        fulfilled_timepoints=fulfilled,
-        switches=count_switches(inst, Z),
+        mean_fulfillment=float(ratios[positive].mean()) if positive.any() else 1.0,
+        fulfilled_timepoints=int(np.count_nonzero(ratios >= 1.0)),
+        switches=int(switched.sum()),
+        cost_per_t=cost.sum(axis=1),
+        produced_per_t=produced,
+        overloaded_per_t=overloaded,
+        switches_into_t=np.concatenate([[0], switched]),
     )

@@ -121,9 +121,31 @@ MUTANTS: dict[str, Mutant] = {
         DECOMP, "random_subproblem(rng, grid, x,", "random_subproblem(rng, qubo, x,",
         (TEST_DECOMP + "test_desk_sub_walks_skip_repeated_periods",
          TEST_DECOMP + "test_trace_logs_only_true_improvements")),
+    # the one report: a zero target counts as met, and switches are changes
+    "mean-fulfillment-of-finite-ratios": Mutant(
+        MODEL, "float(ratios[positive].mean()) if positive.any() else 1.0,",
+        "float(ratios[np.isfinite(ratios)].mean()),",
+        ("tests/test_model.py::"
+         "test_zero_target_renders_finite_or_inf_never_nan",
+         "tests/test_cli.py::"
+         "test_penalty_norm_on_zero_targets_writes_finite_cells")),
+    "switches-count-every-transition": Mutant(
+        MODEL, "switched = np.count_nonzero(np.diff(Z, axis=0), axis=1)",
+        "switched = np.full(inst.T - 1, inst.n)",
+        ("tests/test_model.py::test_cost_and_switch_metrics_hand_values",)),
+    # decode_one_hot and read_schedule count a block's bits in one reader
+    "block-reader-caps-counts-at-one": Mutant(
+        MODEL, "return blocks @ np.ones(k, dtype=np.int64),",
+        "return np.minimum(blocks @ np.ones(k, dtype=np.int64), 1),",
+        ("tests/test_model.py::test_decode_flags_empty_and_double_blocks",)),
+    # a promoted static is marked by its position, not a tag a dataset writes
+    "static-tag-marks-promotion": Mutant(
+        DATA, "        if a < listed:\n",
+        '        if res.type_tag != "static":\n',
+        ("tests/test_cli.py::test_controllable_of_type_static_exits_2",)),
     "fulfilled-needs-surplus": Mutant(
-        MODEL, "fulfilled = int(np.count_nonzero(ratios >= 1.0))",
-        "fulfilled = int(np.count_nonzero(ratios > 1.0))",
+        MODEL, "fulfilled_timepoints=int(np.count_nonzero(ratios >= 1.0)),",
+        "fulfilled_timepoints=int(np.count_nonzero(ratios > 1.0)),",
         ("tests/test_model.py::"
          "test_zero_target_renders_finite_or_inf_never_nan",)),
     "hard-weight-without-floor": Mutant(

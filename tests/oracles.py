@@ -1,15 +1,16 @@
 """Reference code the tests check the package against.
 
-Scalar re-computations of the two soft penalties (the oracle acceptance
-criterion 1 holds the matrix builders to), the bit position of the one-hot
-layout, and a cycle set applied swap by swap.  Nothing in the package calls
-these; they live here so that the package holds only what runs.
+Scalar re-computations of the two soft penalties, and the production and
+switching cost of a schedule (the oracles acceptance criterion 1 holds the
+matrix builders to), the bit position of the one-hot layout, and a cycle set
+applied swap by swap.  Nothing in the package calls these; they live here so
+that the package holds only what runs.
 """
 
 import numpy as np
 
 from redispatch.encodings import compute_bounds
-from redispatch.model import ProblemInstance
+from redispatch.model import ProblemInstance, validate_schedule
 
 
 def penalty_scalar(h: float) -> float:
@@ -47,6 +48,21 @@ def load_penalty(inst: ProblemInstance, x: np.ndarray, *,
             v = (inst.p * inst.S[:, l : l + 1]).ravel()
             total += penalty_scalar((inst.M[t, l] - float(v @ x[t])) / bound[t, l])
     return total
+
+
+def production_cost(inst: ProblemInstance, Z: np.ndarray) -> float:
+    """Total production cost of the schedule."""
+    Z = validate_schedule(Z, inst.T, inst.n, inst.k)
+    t_idx = np.arange(inst.T)[:, None]
+    a_idx = np.arange(inst.n)[None, :]
+    return float(inst.c[t_idx, a_idx, Z - 1].sum())
+
+
+def switching_cost(inst: ProblemInstance, Z: np.ndarray) -> float:
+    """gamma times the summed |MW delta| over consecutive timepoints."""
+    Z = validate_schedule(Z, inst.T, inst.n, inst.k)
+    prod = inst.p[np.arange(inst.n)[None, :], Z - 1]
+    return float(inst.gamma * np.abs(np.diff(prod, axis=0)).sum())
 
 
 def flat_index(t: int, a: int, i: int, n: int, k: int) -> int:

@@ -35,13 +35,12 @@ from redispatch.model import (
     decode_one_hot,
     encode_one_hot,
     first_adjacency_violation,
-    production_cost,
-    switching_cost,
 )
 from redispatch.qubo import normalize_range
 from redispatch.solvers import Budget, SolveRequest, brute_force, tabu_search
 
-from oracles import apply_cycle, load_penalty, power_penalty
+from oracles import (apply_cycle, load_penalty, power_penalty,
+                     production_cost, switching_cost)
 from test_encodings import random_instance
 
 

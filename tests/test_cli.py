@@ -286,6 +286,23 @@ def test_bad_input_exits_2(tmp_path, network_dir, capsys, command, extra):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["S", "L"])
+def test_controllable_of_type_static_exits_2(tmp_path, capsys, size):
+    # "static" names no cost range: only a promoted fixed element (L
+    # promotes) runs for free, and a dataset cannot claim that by its tag
+    net = write_synthetic_network(tmp_path / "net", n_controllables=4,
+                                  n_lines=3, raw_timepoints=8, n_fixed=2,
+                                  seed=1)
+    path = net / "controllables.csv"
+    header, first, *rest = path.read_text().splitlines()
+    ident, _, ratings = first.split(",", 2)
+    path.write_text("\n".join([header, f"{ident},Static,{ratings}", *rest])
+                    + "\n")
+    assert main(["build-instance", "--data-dir", str(net), "--size", size,
+                 "--out", str(tmp_path / "i.json")]) == 2
+    assert "no cost range for resource type 'static'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [
     ("build-instance", "--size", "S"), ("build-instance", "--size", "L"),
     ("estimate-sensitivity",)], ids=["build-S", "build-L", "sensitivity"])
@@ -488,6 +505,26 @@ def test_experiment_penalty_norm(tmp_path, network_dir, capsys):
     assert (out / "MANIFEST.json").exists()
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["experiment"] == "penalty-norm"
+
+
+def test_penalty_norm_on_zero_targets_writes_finite_cells(tmp_path, capsys):
+    # no timepoint asks for power: each counts as fulfilled, so the mean
+    # fulfillment is 1.0 and no summary reads the std of an inf
+    net = write_synthetic_network(tmp_path / "net", n_controllables=4,
+                                  n_lines=3, raw_timepoints=8, n_fixed=2,
+                                  seed=1)
+    path = net / "controllable_profiles.csv"
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join(
+        [header, *(row.rpartition(",")[0] + ",0.0" for row in rows)]) + "\n")
+    out = tmp_path / "exp"
+    assert main(["experiment", "penalty-norm", "--data-dir", str(net),
+                 "--seeds", "0,1", "--out-dir", str(out)]) == 0
+    for name in ("penalty_norm.csv", "penalty_norm_summary.csv"):
+        records = list(csv.DictReader((out / name).read_text().splitlines()))
+        cells = [cell for record in records
+                 for col, cell in record.items() if col != "variant"]
+        assert records and all(math.isfinite(float(c)) for c in cells), name
 
 
 def test_experiment_score_norm_single_timepoint(tmp_path, network_dir, capsys):

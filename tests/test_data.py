@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redispatch import data as data_mod
+from redispatch.cli import SIZE_PRESETS
 from redispatch.data import (
     BadLevelsError,
     ParseError,
@@ -28,6 +29,7 @@ from redispatch.data import (
     write_synthetic_network,
 )
 from redispatch.encodings import build_objective, compute_bounds
+from redispatch.experiments import composed_objective
 from redispatch.model import encode_one_hot, first_adjacency_violation
 
 
@@ -571,3 +573,40 @@ def test_instance_dict_round_trip_defaults():
     doc.pop("s_box")
     back = instance_from_dict(doc)
     assert back.gamma == 1.0 and back.s_box == (0.0, 1.0)
+
+
+# the MW columns of each network file, and the line rating (kV * kA gives MW)
+MW_COLUMNS = {"controllables.csv": ("min_mw", "max_mw"),
+              "controllable_profiles.csv": ("mw",),
+              "fixed_profiles.csv": ("mw",), "flows.csv": ("mw",),
+              "lines.csv": ("max_current_ka",)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), lines=st.integers(1, 3), fixed=st.integers(0, 3),
+       seed=st.integers(0, 2**16), j=st.integers(-4, 4))
+def test_power_of_two_units_leave_the_csv_objective_bits(tmp_path_factory, n,
+                                                         lines, fixed, seed, j):
+    # every MW figure of the files times 2^j, exact in binary: the fit, the
+    # bounds and the score spans scale with it, so no objective bit moves
+    root = tmp_path_factory.mktemp("units")
+    nets = [write_synthetic_network(root / name, n, lines, 8, n_fixed=fixed,
+                                    seed=seed) for name in ("one", "scaled")]
+    for name, columns in MW_COLUMNS.items():
+        header, *rows = (nets[1] / name).read_text().splitlines()
+        at = [header.split(",").index(col) for col in columns]
+        cells = [row.split(",") for row in rows]
+        for row in cells:
+            for i in at:
+                row[i] = repr(float(row[i]) * 2.0**j)
+        (nets[1] / name).write_text(
+            "\n".join([header, *map(",".join, cells)]) + "\n")
+    for preset in SIZE_PRESETS.values():
+        objectives = []
+        for net in nets:
+            try:  # a network the writer makes unbuildable fails alike scaled
+                objectives.append(composed_objective(build_instance(
+                    load_network(net), seed=seed, **preset)))
+            except ValueError as exc:
+                objectives.append(type(exc))
+        assert objectives[0] == objectives[1], preset

@@ -33,12 +33,11 @@ from redispatch.model import (
     ProblemInstance,
     encode_one_hot,
     first_adjacency_violation,
-    production_cost,
-    switching_cost,
 )
 from redispatch.qubo import DegenerateRangeError, normalize_range, weighted_sum
 
-from oracles import load_penalty, penalty_scalar, power_penalty
+from oracles import (load_penalty, penalty_scalar, power_penalty,
+                     production_cost, switching_cost)
 
 
 def random_instance(rng, T=None, n=None, k=None, L=None, monotone_cost=False):

@@ -4,19 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from redispatch import model
 from redispatch.model import (
     NotOneHotError,
     ProblemInstance,
-    count_switches,
     decode_one_hot,
     encode_one_hot,
     evaluate_schedule,
     first_adjacency_violation,
     is_adjacent_feasible,
-    line_loads,
-    power_production,
-    production_cost,
-    switching_cost,
 )
 
 from oracles import flat_index
@@ -100,21 +96,52 @@ def test_adjacency_violation_detection():
 def test_power_and_loads_hand_values():
     inst = tiny_instance()
     Z = np.array([[2, 3], [1, 1]])
-    prod = power_production(inst, Z)
-    assert prod.tolist() == [[5.0, 4.0], [0.0, 0.0]]
-    loads = line_loads(inst, Z)
-    # line load = 0.5 * resource0 + 1.0 * resource1
-    assert loads[:, 0].tolist() == [5 * 0.5 + 4 * 1.0, 0.0]
+    # MW produced: 5 + 4 at t=0, nothing at t=1
+    assert evaluate_schedule(inst, Z).produced_per_t.tolist() == [9.0, 0.0]
+    # line load = 0.5 * resource0 + 1.0 * resource1: 6.5 at t=0, 0 at t=1;
+    # a load at its limit is not an overload
+    for limits, overloaded in (([6.5, 0.0], [0, 0]), ([6.4, -0.1], [1, 1])):
+        edged = ProblemInstance(T=2, n=2, k=3, L=1, p=inst.p, c=inst.c,
+                                S=inst.S, M=np.array(limits)[:, None],
+                                tau=inst.tau)
+        report = evaluate_schedule(edged, Z)
+        assert report.overloaded_per_t.tolist() == overloaded
+        assert report.overloaded_lines == sum(overloaded)
 
 
 def test_cost_and_switch_metrics_hand_values():
     inst = tiny_instance()
-    Z = np.array([[2, 3], [3, 2]])
-    assert production_cost(inst, Z) == 50 + 20 + 100 + 10
+    report = evaluate_schedule(inst, np.array([[2, 3], [3, 2]]))
+    assert report.cost_per_t.tolist() == [50 + 20, 100 + 10]
+    assert report.production_cost == 50 + 20 + 100 + 10
     # |10-5| + |2-4| summed across resources, gamma = 1
-    assert switching_cost(inst, Z) == pytest.approx(5 + 2)
-    assert count_switches(inst, Z) == 2
-    assert count_switches(inst, np.array([[2, 3], [2, 3]])) == 0
+    assert report.switching_cost == pytest.approx(5 + 2)
+    assert report.switches == 2
+    assert report.switches_into_t.tolist() == [0, 2]
+    report = evaluate_schedule(inst, np.array([[2, 3], [3, 3]]))
+    assert (report.switches, report.switches_into_t.tolist()) == (1, [0, 1])
+    report = evaluate_schedule(inst, np.array([[2, 3], [2, 3]]))
+    assert report.switches == 0 and report.switching_cost == 0.0
+    assert report.switches_into_t.tolist() == [0, 0]
+    doubled = ProblemInstance(T=2, n=2, k=3, L=1, p=inst.p, c=inst.c, S=inst.S,
+                              M=inst.M, tau=inst.tau, gamma=2.0)
+    report = evaluate_schedule(doubled, np.array([[2, 3], [3, 2]]))
+    assert report.switching_cost == pytest.approx(2 * (5 + 2))
+
+
+def test_a_report_validates_its_schedule_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return validate(*args)
+
+    validate = model.validate_schedule
+    monkeypatch.setattr(model, "validate_schedule", counting)
+    evaluate_schedule(tiny_instance(), np.array([[2, 3], [3, 2]]))
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="states must lie in"):
+        evaluate_schedule(tiny_instance(), np.array([[2, 4], [3, 2]]))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -152,16 +179,27 @@ def test_zero_target_renders_finite_or_inf_never_nan():
     report = evaluate_schedule(zeroed, np.array([[2, 2], [2, 2]]))
     assert report.fulfillment[0] == np.inf  # produced > 0 against zero target
     assert report.fulfilled_timepoints >= 1
+    # the mean reads the timepoints that ask for power: t=1's 7 MW against 6
+    assert report.mean_fulfillment == 7 / 6
     report_off = evaluate_schedule(zeroed, np.array([[1, 1], [2, 2]]))
     assert report_off.fulfillment[0] == 1.0  # nothing asked, nothing produced
     # that timepoint counts as fulfilled, beside t=1's 7 MW against 6
     assert report_off.fulfilled_timepoints == 2
+    assert report_off.mean_fulfillment == 7 / 6
     exact = ProblemInstance(
         T=2, n=2, k=3, L=1, p=inst.p, c=inst.c, S=inst.S, M=inst.M,
         tau=np.array([5.0, 7.0]))
     report_exact = evaluate_schedule(exact, np.array([[2, 1], [2, 2]]))
     assert report_exact.fulfillment.tolist() == [1.0, 1.0]
     assert report_exact.fulfilled_timepoints == 2  # a met target counts
+    # with no target positive every timepoint counts as met: the mean is 1.0,
+    # not the mean of nothing, while a ratio keeps its documented inf
+    idle = ProblemInstance(T=2, n=2, k=3, L=1, p=inst.p, c=inst.c, S=inst.S,
+                           M=inst.M, tau=np.zeros(2))
+    report_idle = evaluate_schedule(idle, np.array([[2, 1], [1, 1]]))
+    assert report_idle.fulfillment.tolist() == [np.inf, 1.0]
+    assert report_idle.mean_fulfillment == 1.0
+    assert report_idle.fulfilled_timepoints == 2
 
 
 def test_overload_counting():
