@@ -2,9 +2,12 @@
 
 Both strategies pick a subset of variables, clamp the rest at their current
 values, solve the reduced QUBO with a small sampler and merge the sub-result
-back when that does not worsen the full score.  None of this preserves the
-one-hot structure; infeasible intermediate vectors are allowed and simply pay
-the hard-constraint penalties of the composed objective.
+back when that does not worsen the full score.  On the exactly rounded
+objective a clamp's numbers are the objective's own, so sub-problems above
+16 variables are never built: their tabu walks start from the objective's
+coupling lists.  None of this preserves the one-hot structure; infeasible
+intermediate vectors are allowed and simply pay the hard-constraint
+penalties of the composed objective.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from .solvers import (
     SolveRequest,
     SolveResult,
     brute_force,
-    tabu_search,
     _all_deltas,
+    _tabu_on_free_bits,
 )
+from .solvers import tabu_search  # noqa: F401 - perfbench/spans.py wraps it here
 
 __all__ = [
     "DecomposeConfig",
@@ -61,16 +65,13 @@ class DecomposeConfig:
             raise ValueError("time_limit must be positive")
 
 
-def random_subproblem(
-    rng: np.random.Generator, qubo: Qubo, x: np.ndarray, size: int
-) -> tuple[Qubo, np.ndarray]:
-    """Clamp all but `size` uniformly chosen variables at their current bits."""
-    return qubo.clamp(x, rng.choice(qubo.dim, size=min(size, qubo.dim),
-                                    replace=False))
+def random_subproblem(rng: np.random.Generator, dim: int, size: int) -> np.ndarray:
+    """The sorted indices of `size` variables out of dim, chosen uniformly."""
+    return np.sort(rng.choice(dim, size=min(size, dim), replace=False))
 
 
-def score_subproblem(qubo: Qubo, x: np.ndarray, size: int) -> tuple[Qubo, np.ndarray]:
-    """Clamp all but the `size` variables with the largest |flip delta|.
+def score_subproblem(qubo: Qubo, x: np.ndarray, size: int) -> np.ndarray:
+    """The sorted indices of the `size` variables with the largest |flip delta|.
 
     Ties break toward the lower variable index, so the selection is
     deterministic.
@@ -78,7 +79,7 @@ def score_subproblem(qubo: Qubo, x: np.ndarray, size: int) -> tuple[Qubo, np.nda
     deltas = np.abs(_all_deltas(qubo, np.asarray(x)))
     # stable sort on (-|delta|, index)
     order = np.lexsort((np.arange(qubo.dim), -deltas))
-    return qubo.clamp(x, order[:size])
+    return np.sort(order[:size])
 
 
 def decompose_loop(
@@ -93,14 +94,18 @@ def decompose_loop(
     strategy stops after a step that leaves x unchanged: its selection and
     sub-solve depend on x alone, so every later step would repeat it.
 
-    Steps select, clamp, solve and merge on round_to_grid(qubo), where every
+    Steps select, solve and merge on grid = round_to_grid(qubo), where every
     score a step forms is exact: the trace logs true improvements only (its
     last row is the gridded score of best, bit for bit), and a tabu
-    sub-walk back in a state repeats it, so its periods are skipped.  The
+    sub-walk back in a state repeats it, so its periods are skipped.  An
+    exhaustive step clamps grid; a tabu step walks the free bits straight
+    from grid's coupling lists (solvers._tabu_on_free_bits), by the list
+    kernel at every size, to the bits tabu_search gives on the clamp.  The
     returned score is qubo's own evaluate of best.
     """
     x = _bit_vector(x0, qubo.dim, "x0")
     grid = round_to_grid(qubo)
+    adjacency = grid.adjacency()
     rng = np.random.default_rng(config.seed)
     started = time.monotonic()
     deadline = started + config.time_limit
@@ -110,23 +115,24 @@ def decompose_loop(
     while steps < config.max_steps and time.monotonic() <= deadline:
         steps += 1
         if config.strategy == "random":
-            sub, remap = random_subproblem(rng, grid, x, config.subproblem_size)
+            free = random_subproblem(rng, qubo.dim, config.subproblem_size)
         else:
-            sub, remap = score_subproblem(grid, x, config.subproblem_size)
-        sub_req = SolveRequest(
-            qubo=sub,
-            initial=x[remap],
-            seed=int(rng.integers(2**31)),
-            budget=Budget(max_iterations=2000),
-        )
-        result = brute_force(sub_req) if sub.dim <= 16 else tabu_search(sub_req)
-        # sub scores already include the clamp offset, i.e. the full score,
-        # exactly on the grid; the tolerance lets a zero-gain move merge
-        # even from a sub-solver whose score rounds a few ulps high
+            free = score_subproblem(grid, x, config.subproblem_size)
+        seed = int(rng.integers(2**31))  # drawn every step: later picks read rng
+        budget = Budget(max_iterations=2000)
+        if free.size <= 16:
+            sub, _ = grid.clamp(x, free)
+            result = brute_force(SolveRequest(qubo=sub, initial=x[free],
+                                              seed=seed, budget=budget))
+        else:
+            result = _tabu_on_free_bits(adjacency, x, free, score, budget)
+        # sub scores are full scores, exact on the grid; the tolerance lets
+        # a zero-gain move merge even from a sub-solver whose score rounds a
+        # few ulps high
         merge = result.score <= score + 1e-12 * (1.0 + abs(score))
-        moved = merge and bool(np.any(x[remap] != result.best))
+        moved = merge and bool(np.any(x[free] != result.best))
         if merge:
-            x[remap] = result.best
+            x[free] = result.best
             if result.score < score:
                 score = result.score
                 trace.append((steps, score))

@@ -168,9 +168,10 @@ def _factored_qubo(f: Factors) -> Qubo:
     """The Qubo of f.
 
     Timepoint t's nk x nk block holds the x_j coefficients on its diagonal
-    and the j < j2 cross terms above it.  Every sum over r runs in order
-    (a C-order reduction; np.einsum without optimize) and none uses BLAS,
-    so the bits do not depend on the BLAS thread count.
+    and the j < j2 cross terms above it, computed in strips of 64 rows from
+    the diagonal rightwards, so no product below it is formed.  Every sum
+    over r runs in order (a C-order reduction; np.einsum without optimize)
+    and none uses BLAS, so the bits do not depend on the BLAS thread count.
     """
     V, lin, quad = f.V, f.lin, f.quad
     T, nk = lin.shape[0], V.shape[0]
@@ -178,11 +179,18 @@ def _factored_qubo(f: Factors) -> Qubo:
     Vt = np.ascontiguousarray(V.T)
     with np.errstate(over="ignore", invalid="ignore"):  # Qubo rejects inf, nan
         diag = (lin[:, :, None] * Vt + quad[:, :, None] * Vt * Vt).sum(axis=1)
-    vals = np.empty((T, iu.size))  # one block at a time, not T
+    # strip from row a: rows a..a+63, columns a.., the kept entries in the
+    # row-major order of iu, ju
+    strips = [(a, *np.triu_indices(min(64, nk - a), m=nk - a))
+              for a in range(0, nk, 64)]
+    vals = np.empty((T, iu.size))
     for t in range(T):
-        block = np.einsum("ir,jr,r->ij", V, V, 2.0 * quad[t])
-        np.fill_diagonal(block, diag[t])
-        vals[t] = block[iu, ju]
+        at, q2 = 0, 2.0 * quad[t]
+        for a, i, j in strips:
+            strip = np.einsum("ir,jr,r->ij", V[a:a + 64], V[a:], q2)
+            np.fill_diagonal(strip, diag[t, a:a + 64])
+            vals[t, at:at + i.size] = strip[i, j]
+            at += i.size
     base = (np.arange(T) * nk)[:, None]
     offset = float(np.cumsum(np.append(0.0, f.const))[-1])  # in (t, r) order
     return Qubo(T * nk, base + iu, base + ju, vals, offset)

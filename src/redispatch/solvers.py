@@ -112,24 +112,66 @@ class _Walk:
     Holds the seeded generator, the current vector x with its signs
     1 - 2 x (exactly +-1.0), the score change of flipping each bit, the
     running score, the incumbent with its improvement trace, and the
-    wall-clock deadline.  flip keeps all of them current.
+    wall-clock deadline.  flip keeps all of them current.  A walk made by
+    on_free_bits has no QUBO and no generator: only the list kernel runs it.
     """
 
     def __init__(self, req: SolveRequest):
+        self.started = time.monotonic()
         self.qubo = req.qubo
         self.rng = np.random.default_rng(req.seed)
-        self.x = (self.rng.integers(0, 2, size=req.qubo.dim).astype(np.int8)
-                  if req.initial is None else
-                  _bit_vector(req.initial, req.qubo.dim, "initial vector"))
-        self.sign = 1.0 - 2.0 * self.x
-        self.started = time.monotonic()
-        self.deadline = self.started + req.budget.time_limit
-        _, self.neighbors, self.weights = req.qubo.adjacency()
-        self.deltas = _all_deltas(req.qubo, self.x)
-        self.score = req.qubo.evaluate(self.x)
-        self.best = self.x.copy()
-        self.best_score = self.score
-        self.trace = [(0, self.score)]
+        x = (self.rng.integers(0, 2, size=req.qubo.dim).astype(np.int8)
+             if req.initial is None else
+             _bit_vector(req.initial, req.qubo.dim, "initial vector"))
+        _, neighbors, weights = req.qubo.adjacency()
+        self._start(x, neighbors, weights, _all_deltas(req.qubo, x),
+                    req.qubo.evaluate(x), req.budget)
+
+    @classmethod
+    def on_free_bits(cls, adjacency, x: np.ndarray, free: np.ndarray,
+                     score: float, budget: Budget) -> "_Walk":
+        """The walk over the free bits of grid.clamp(x, free), from x[free],
+        built from adjacency = grid.adjacency() without the clamp.
+
+        grid is a QUBO on its grid (round_to_grid), where every sum is
+        exact, and score is grid.evaluate(x), so the clamp's numbers are
+        known: its deltas are grid's deltas at x restricted to the sorted
+        (non-empty) index array free, its couplings those of grid among the
+        free bits, and its score at x[free] is score.  The bits are those of
+        a _Walk on the clamp (up to the sign of a zero delta).
+        """
+        walk = cls.__new__(cls)
+        walk.started = time.monotonic()
+        diag, neighbors, weights = adjacency
+        k, bits = free.size, free.tolist()
+        nbs = [neighbors[f] for f in bits]
+        # entry e of nb and w lists a neighbour of free bit owner[e]
+        owner = np.repeat(np.arange(k), [nb.size for nb in nbs])
+        nb = np.concatenate(nbs)
+        w = np.concatenate([weights[f] for f in bits])
+        inner = diag[free] + np.bincount(owner, weights=w * x[nb], minlength=k)
+        local = np.full(x.size, -1)  # index among the free bits, -1: clamped
+        local[free] = np.arange(k)
+        local = local[nb]
+        keep = local >= 0
+        ends = np.cumsum(np.bincount(owner[keep], minlength=k)).tolist()
+        cuts = list(zip([0, *ends], ends))
+        local, w = local[keep], w[keep]
+        sub = x[free]
+        walk._start(sub, [local[a:b] for a, b in cuts], [w[a:b] for a, b in cuts],
+                    (1.0 - 2.0 * sub) * inner, score, budget)
+        return walk
+
+    def _start(self, x, neighbors, weights, deltas, score, budget) -> None:
+        self.x = x
+        self.sign = 1.0 - 2.0 * x
+        self.deadline = self.started + budget.time_limit
+        self.neighbors, self.weights = neighbors, weights
+        self.deltas = deltas
+        self.score = score
+        self.best = x.copy()
+        self.best_score = score
+        self.trace = [(0, score)]
 
     def flip(self, i: int, it: int) -> None:
         """Flip bit i at iteration it, updating deltas, score and incumbent."""
@@ -146,12 +188,14 @@ class _Walk:
             self.best = x.copy()
             self.trace.append((it, self.score))
 
-    def result(self, iterations: int, qubo: Qubo) -> SolveResult:
-        """The incumbent scored by qubo's evaluate, not by summed deltas."""
-        return SolveResult(best=self.best, score=qubo.evaluate(self.best),
-                           iterations=iterations,
-                           wall_seconds=time.monotonic() - self.started,
-                           trace=self.trace)
+    def result(self, iterations: int, qubo: Qubo | None = None) -> SolveResult:
+        """The incumbent scored by qubo's evaluate, not by summed deltas;
+        without a qubo, the walk's own best score (exact on a grid)."""
+        return SolveResult(
+            best=self.best,
+            score=self.best_score if qubo is None else qubo.evaluate(self.best),
+            iterations=iterations,
+            wall_seconds=time.monotonic() - self.started, trace=self.trace)
 
 
 @functools.cache
@@ -270,6 +314,21 @@ def tabu_search(req: SolveRequest) -> SolveResult:
         walk = _Walk(req)
         it = _tabu_on_arrays(walk, limit, tenure)
     return walk.result(it, req.qubo)
+
+
+def _tabu_on_free_bits(adjacency, x: np.ndarray, free: np.ndarray,
+                       score: float, budget: Budget) -> SolveResult:
+    """tabu_search on grid.clamp(x, free)[0] from x[free], without the clamp:
+    the list kernel on _Walk.on_free_bits(adjacency, x, free, score, budget).
+
+    Gives the best, iterations and trace of that tabu_search at every size
+    (above _SMALL_DIM its array path walks the clamp, already on the grid,
+    to the same bits), and as score the walk's exact best: the gridded
+    score of best, which the clamp's evaluate gives too.
+    """
+    walk = _Walk.on_free_bits(adjacency, x, free, score, budget)
+    it = _tabu_on_lists(walk, budget.max_iterations, max(10, free.size // 50))
+    return walk.result(it)
 
 
 def _tabu_on_arrays(walk: _Walk, limit: int, tenure: int) -> int:

@@ -57,6 +57,8 @@ QUBO, TEST_QUBO = "src/redispatch/qubo.py", "tests/test_qubo.py::"
 DECOMP, TEST_DECOMP = ("src/redispatch/decomposers.py",
                        "tests/test_decomposers.py::")
 ENCODINGS = "src/redispatch/encodings.py"
+FREE_BITS = ("tests/test_decomposers.py::"
+             "test_tabu_on_free_bits_matches_tabu_on_the_clamp")
 CRITERION_1 = ("tests/test_acceptance.py::"
                "test_criterion_1_scalar_matrix_agreement")
 
@@ -117,10 +119,20 @@ MUTANTS: dict[str, Mutant] = {
         DECOMP, "score=qubo.evaluate(x)", "score=grid.evaluate(x)",
         (TEST_DECOMP + "test_scores_never_increase_and_merge_is_consistent",
          TEST_DECOMP + "test_trace_logs_only_true_improvements")),
-    "decompose-clamps-original": Mutant(
-        DECOMP, "random_subproblem(rng, grid, x,", "random_subproblem(rng, qubo, x,",
+    # tabu steps walk the free bits from the grid's coupling lists
+    "sub-walk-keeps-upper-couplings": Mutant(
+        SOLVERS, "keep = local >= 0", "keep = local > owner",
+        (FREE_BITS,)),
+    "sub-walk-deltas-without-diagonal": Mutant(
+        SOLVERS, "inner = diag[free] + np.bincount(", "inner = np.bincount(",
+        (FREE_BITS,)),
+    "decompose-walks-unrounded-lists": Mutant(
+        DECOMP, "adjacency = grid.adjacency()", "adjacency = qubo.adjacency()",
         (TEST_DECOMP + "test_desk_sub_walks_skip_repeated_periods",
          TEST_DECOMP + "test_trace_logs_only_true_improvements")),
+    "decompose-clamps-original": Mutant(
+        DECOMP, "sub, _ = grid.clamp(x, free)", "sub, _ = qubo.clamp(x, free)",
+        (TEST_DECOMP + "test_exhaustive_steps_clamp_the_grid",)),
     # the one report: a zero target counts as met, and switches are changes
     "mean-fulfillment-of-finite-ratios": Mutant(
         MODEL, "float(ratios[positive].mean()) if positive.any() else 1.0,",

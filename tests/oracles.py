@@ -2,8 +2,8 @@
 
 Scalar re-computations of the two soft penalties, and the production and
 switching cost of a schedule (the oracles acceptance criterion 1 holds the
-matrix builders to), the bit position of the one-hot layout, and a cycle set
-applied swap by swap.  Nothing in the package calls these; they live here so
+matrix builders to), the bit position of the one-hot layout, a cycle set
+applied swap by swap, and a tabu sub-solve on a built clamp.  Nothing in the package calls these; they live here so
 that the package holds only what runs.
 """
 
@@ -11,6 +11,7 @@ import numpy as np
 
 from redispatch.encodings import compute_bounds
 from redispatch.model import ProblemInstance, validate_schedule
+from redispatch.solvers import Budget, SolveRequest, SolveResult, tabu_search
 
 
 def penalty_scalar(h: float) -> float:
@@ -76,3 +77,12 @@ def apply_cycle(cycle, x: np.ndarray) -> np.ndarray:
     for on, off in cycle.swaps:
         out[on], out[off] = x[off], x[on]
     return out
+
+
+def clamped_tabu(grid, x: np.ndarray, free: np.ndarray,
+                 budget: Budget) -> SolveResult:
+    """tabu_search on grid.clamp(x, free) from x[free]: a decomposer's tabu
+    step with the sub-QUBO built.  Reference for solvers._tabu_on_free_bits,
+    which walks the same free bits from grid's coupling lists."""
+    sub, remap = grid.clamp(x, free)
+    return tabu_search(SolveRequest(qubo=sub, initial=x[remap], budget=budget))

@@ -25,7 +25,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "redispatch"
 
 # (module, name) imported only so that the tracer can wrap the name there
-TRACER_ONLY_IMPORTS = {("redispatch.encodings", "normalize_range")}
+TRACER_ONLY_IMPORTS = {("redispatch.encodings", "normalize_range"),
+                       ("redispatch.decomposers", "tabu_search")}
 
 
 def load_spans():

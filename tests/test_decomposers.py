@@ -5,8 +5,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from redispatch import decomposers, solvers
+from redispatch import decomposers, qubo as qubo_mod, solvers
 from redispatch.data import build_instance, load_network, write_synthetic_network
 from redispatch.decomposers import (
     DecomposeConfig,
@@ -17,9 +18,16 @@ from redispatch.decomposers import (
 from redispatch.experiments import composed_objective
 from redispatch.model import encode_one_hot
 from redispatch.qubo import Qubo, round_to_grid
-from redispatch.solvers import Budget, SolveResult, _all_deltas
+from redispatch.solvers import (
+    Budget,
+    SolveResult,
+    _SMALL_DIM,
+    _all_deltas,
+    _tabu_on_free_bits,
+)
 
-from test_solvers import enumerate_minimum, random_qubo
+from oracles import clamped_tabu
+from test_solvers import enumerate_minimum, integer_qubo, random_qubo
 
 
 @pytest.fixture(scope="module")
@@ -64,30 +72,34 @@ def test_random_subproblem_clamp_consistency():
     rng = np.random.default_rng(0)
     q = random_qubo(rng, 14)
     x = rng.integers(0, 2, 14)
-    sub, remap = random_subproblem(np.random.default_rng(1), q, x, 5)
-    assert sub.dim == 5 and remap.shape == (5,)
+    free = random_subproblem(np.random.default_rng(1), q.dim, 5)
+    # the draw of rng.choice, sorted: the order clamp gives its free bits
+    drawn = np.random.default_rng(1).choice(14, size=5, replace=False)
+    assert free.tolist() == sorted(drawn.tolist())
+    sub, remap = q.clamp(x, free)
+    assert sub.dim == 5 and remap.tolist() == free.tolist()
     # scoring the sub-vector extracted from x reproduces the full score
     assert sub.evaluate(x[remap]) == pytest.approx(q.evaluate(x), rel=1e-12)
+    assert random_subproblem(rng, 14, 20).tolist() == list(range(14))
 
 
 def test_score_subproblem_picks_largest_deltas():
     rng = np.random.default_rng(2)
     q = random_qubo(rng, 12)
     x = rng.integers(0, 2, 12)
-    sub, remap = score_subproblem(q, x, 4)
+    free = score_subproblem(q, x, 4)
+    assert free.tolist() == sorted(set(free.tolist())) and free.size == 4
     deltas = np.abs(_all_deltas(q, x))
-    chosen = set(remap.tolist())
+    chosen = set(free.tolist())
     worst_in = min(deltas[i] for i in chosen)
     best_out = max(deltas[i] for i in range(12) if i not in chosen)
     assert worst_in >= best_out - 1e-12
-    assert sub.evaluate(x[remap]) == pytest.approx(q.evaluate(x), rel=1e-12)
 
 
 def test_score_subproblem_tie_breaks_toward_low_index():
     # identical diagonal, no couplings: every flip delta ties
     q = Qubo(6, range(6), range(6), np.ones(6))
-    _, remap = score_subproblem(q, np.zeros(6, dtype=int), 3)
-    assert sorted(remap.tolist()) == [0, 1, 2]
+    assert score_subproblem(q, np.zeros(6, dtype=int), 3).tolist() == [0, 1, 2]
 
 
 def test_full_size_subproblem_is_exact_solve():
@@ -246,3 +258,86 @@ def test_desk_sub_walks_skip_repeated_periods(desk_l, monkeypatch):
                                                 max_steps=steps, seed=1))
     assert res.iterations == steps
     assert 0 < len(ticks) < 0.25 * steps * 2000
+
+
+# ------------------------------- tabu steps straight from the coupling lists
+
+
+def assert_same_sub_walk(grid, x, free, budget):
+    """_tabu_on_free_bits gives the bits of tabu_search on the built clamp."""
+    result = _tabu_on_free_bits(grid.adjacency(), x, free, grid.evaluate(x),
+                                budget)
+    reference = clamped_tabu(grid, x, free, budget)
+    assert result.best.dtype == reference.best.dtype == np.int8
+    assert result.best.tolist() == reference.best.tolist()
+    assert result.score.hex() == reference.score.hex()
+    assert result.iterations == reference.iterations
+    assert result.trace == reference.trace
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(17, 60), density=st.sampled_from([0.05, 0.3, 1.0]),
+       ties=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       flips=st.integers(0, 800), data=st.data())
+def test_tabu_on_free_bits_matches_tabu_on_the_clamp(dim, density, ties, seed,
+                                                      flips, data):
+    # integer weights tie often, so walks repeat states and skip periods
+    q = (integer_qubo(seed, dim, density) if ties else
+         random_qubo(np.random.default_rng(seed), dim, density))
+    rng = np.random.default_rng(seed + 1)
+    x = rng.integers(0, 2, dim).astype(np.int8)
+    size = data.draw(st.integers(17, dim))
+    free = np.sort(rng.choice(dim, size=size, replace=False))
+    assert_same_sub_walk(round_to_grid(q), x, free,
+                         Budget(max_iterations=flips))
+
+
+def test_tabu_on_free_bits_above_small_dim_matches_the_array_path(desk_l):
+    # tabu_search walks a clamp of more than _SMALL_DIM bits by numpy arrays;
+    # on the grid the list kernel gives the same bits
+    q, x0 = desk_l
+    rng = np.random.default_rng(5)
+    free = np.sort(rng.choice(q.dim, size=_SMALL_DIM + 40, replace=False))
+    result = assert_same_sub_walk(round_to_grid(q), x0, free,
+                                  Budget(max_iterations=2000))
+    assert len(result.trace) > 2
+
+
+def test_tabu_steps_build_no_sub_qubo(desk_l, monkeypatch):
+    # above 16 free bits a step neither clamps nor re-grids: the loop grids
+    # the objective once; exhaustive steps still clamp, once each
+    q, x0 = desk_l
+    calls = {"clamp": 0, "round_to_grid": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qubo_mod.Qubo, "clamp",
+                        counted("clamp", qubo_mod.Qubo.clamp))
+    for module in (decomposers, solvers):
+        monkeypatch.setattr(module, "round_to_grid",
+                            counted("round_to_grid", round_to_grid))
+    steps = 20
+    res = decompose_loop(q, x0, DecomposeConfig(subproblem_size=40,
+                                                max_steps=steps, seed=1))
+    assert res.iterations == steps and len(res.trace) > 2
+    assert calls == {"clamp": 0, "round_to_grid": 1}
+    decompose_loop(q, x0, DecomposeConfig(subproblem_size=12,
+                                          max_steps=steps, seed=1))
+    assert calls == {"clamp": steps, "round_to_grid": 2}
+
+
+def test_exhaustive_steps_clamp_the_grid(desk_l):
+    # a brute-force step scores the clamp of the gridded objective, so its
+    # improvements are exact too
+    q, x0 = desk_l
+    res = decompose_loop(q, x0, DecomposeConfig(subproblem_size=12,
+                                                max_steps=20, seed=0))
+    scores = [s for _, s in res.trace]
+    assert len(scores) > 1
+    assert all(b < a for a, b in zip(scores, scores[1:]))
+    assert scores[-1] == round_to_grid(q).evaluate(res.best)  # bit for bit
