@@ -16,7 +16,7 @@ from .model import (
     evaluate_schedule,
     is_adjacent_feasible,
 )
-from .qubo import Qubo, weighted_sum, normalize_range
+from .qubo import InputError, Qubo, weighted_sum, normalize_range
 from .encodings import (
     build_onehot_qubo,
     build_adjacency_qubo,
@@ -56,6 +56,7 @@ __all__ = [
     "decode_one_hot",
     "evaluate_schedule",
     "is_adjacent_feasible",
+    "InputError",
     "Qubo",
     "weighted_sum",
     "normalize_range",

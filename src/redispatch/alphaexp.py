@@ -25,7 +25,7 @@ import numpy as np
 
 from .encodings import FactoredObjective
 from .model import ProblemInstance, decode_one_hot, first_adjacency_violation
-from .qubo import Qubo, _bit_vector, _integer
+from .qubo import Qubo, _bit_vector, _count
 from .solvers import (Budget, SolveRequest, SolveResult, brute_force,
                       tabu_search)
 
@@ -275,10 +275,8 @@ def alpha_expansion(
     """
     if budget is None:
         budget = Budget(max_iterations=1000)
-    if _integer(batch_size, "batch_size") < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-    if _integer(seed, "seed") < 0:
-        raise ValueError("seed must be non-negative")
+    _count(batch_size, "batch_size", 1)
+    _count(seed, "seed")
     x = _bit_vector(x0, inst.dim, "x0")
     objective = qubo.factored
     if objective is None or objective.linear.size != inst.dim or (

@@ -11,7 +11,9 @@ Every command writes a MANIFEST.json recording the full effective
 configuration, seeds included, and its SHA-256 hash; repeating a command
 with the same manifest inputs and iteration-bounded budgets reproduces the
 CSV outputs byte for byte.  A command rejects every flag it does not read.
-Exit codes: 0 success, 2 bad configuration or input, 3 runtime failure.
+Exit codes: 0 success, 2 bad configuration or input (any
+redispatch.InputError, or a missing file), 3 runtime failure.  The package
+checks its own arguments; this module checks only the flags themselves.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .encodings import InfeasibleBoundError
 from .experiments import (
     REPORT_COLUMNS,
     SOLVERS,
@@ -43,8 +44,8 @@ from .experiments import (
     run_timeseries,
     write_csv,
 )
-from .qubo import NonFiniteError
-from .solvers import TooLargeError, write_trace_csv
+from .qubo import InputError
+from .solvers import write_trace_csv
 
 __all__ = ["main"]
 
@@ -69,8 +70,8 @@ SOLVER_SIZES = {"batch_size": ("alpha",),
                 "subproblem_size": ("random-decomp", "score-decomp")}
 
 
-class ConfigError(Exception):
-    """Bad flags, config file or input data; maps to exit code 2."""
+class ConfigError(InputError):
+    """Bad flags or config file; an InputError, so exit code 2."""
 
 
 def _package_version() -> str:
@@ -143,21 +144,6 @@ def _shape_flags(args, size: str | None) -> list:
             for key in ("T", "k", "promote_statics")]
 
 
-def _check_T(T: int, ds: data_mod.NetworkDataset) -> None:
-    if not 1 <= T <= ds.raw_timepoints:
-        raise ConfigError(f"T must be in 1..{ds.raw_timepoints}, got {T}")
-
-
-def _check_budgets(args, dests) -> None:
-    """Reject a negative count or a non-positive time limit among dests."""
-    for dest in dests:
-        value = getattr(args, dest)
-        if dest == "time_limit" and value is not None and not value > 0:
-            raise ConfigError("--time-limit must be positive")
-        if value is not None and value < 0:
-            raise ConfigError(f"--{dest.replace('_', '-')} must be non-negative")
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -175,8 +161,6 @@ def cmd_build_instance(args) -> int:
             n, k_s, t_s, L = (int(v) for v in args.synthetic.split(","))
         except ValueError as exc:
             raise ConfigError(f"--synthetic wants n,k,T,L integers: {exc}") from exc
-        if min(n, k_s, t_s, L) < 1:
-            raise ConfigError(f"--synthetic wants positive n,k,T,L, got {args.synthetic}")
         for flag, given, value in (("--T", T, t_s), ("--k", k, k_s)):
             if given not in (None, value):
                 raise ConfigError(f"{flag} {given} disagrees with --synthetic "
@@ -185,9 +169,8 @@ def cmd_build_instance(args) -> int:
     else:
         if T is None or k is None:
             raise ConfigError("need --size S|L or explicit --T and --k")
-        ds = data_mod.load_network(args.data_dir)
-        _check_T(T, ds)
-        inst = data_mod.build_instance(ds, T, k, seed=args.seed,
+        inst = data_mod.build_instance(data_mod.load_network(args.data_dir),
+                                       T, k, seed=args.seed,
                                        promote_statics=promote)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -203,7 +186,6 @@ def cmd_build_instance(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _check_budgets(args, ("max_iterations", "time_limit"))
     sizes = {}
     for dest, readers in SOLVER_SIZES.items():
         flag, value = f"--{dest.replace('_', '-')}", getattr(args, dest)
@@ -211,12 +193,11 @@ def cmd_solve(args) -> int:
             value = getattr(ExperimentSettings, dest)
         elif args.solver not in readers:
             raise ConfigError(f"{flag} does not apply to solver {args.solver}")
-        elif value < 1:
-            raise ConfigError(f"{flag} must be at least 1")
         sizes[dest] = value
     inst = data_mod.load_instance(args.instance)
     result = run_solver(args.solver, inst, composed_objective(inst), args.seed,
-                        args.max_iterations, args.time_limit or math.inf,
+                        args.max_iterations,
+                        math.inf if args.time_limit is None else args.time_limit,
                         **sizes)
     out = _out_dir(args)
     Z, feasible, report = read_out(inst, result.best)
@@ -260,7 +241,6 @@ def cmd_experiment(args) -> int:
             raise ConfigError(f"--{dest.replace('_', '-')} does not apply to "
                               f"experiment {args.which}")
         given[field] = getattr(args, dest)
-    _check_budgets(args, reads)
     ds = data_mod.load_network(args.data_dir)
     out = _out_dir(args)
     if args.seeds:
@@ -268,11 +248,8 @@ def cmd_experiment(args) -> int:
             given["seeds"] = tuple(int(s) for s in args.seeds.split(","))
         except ValueError as exc:
             raise ConfigError(f"--seeds wants comma separated integers: {exc}") from exc
-        if min(given["seeds"]) < 0:
-            raise ConfigError("--seeds must be non-negative")
     T, k, promote = _shape_flags(args, args.size)
     settings = ExperimentSettings(T=T, k=k, promote_statics=promote, **given)
-    _check_T(settings.T, ds)
     summary = runner(ds, settings, out)
     config = {
         "which": args.which, "data_dir": str(args.data_dir),
@@ -289,11 +266,10 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_estimate_sensitivity(args) -> int:
-    _check_budgets(args, ("max_iterations",))
     ds = data_mod.load_network(args.data_dir)
-    out = _out_dir(args)
     phi = np.hstack([ds.controllable_profiles, ds.fixed_profiles])
     fit = data_mod.estimate_sensitivity(phi, ds.flows, args.max_iterations)
+    out = _out_dir(args)
     source_ids = [c.id for c in ds.controllables] + list(ds.fixed_ids)
     write_csv(out / "sensitivity.csv", ["source_id", "line_id", "sensitivity"],
               [[ident, line.id, fit.S[i, l]]
@@ -376,12 +352,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args, parser)
-        if getattr(args, "seed", 0) < 0:
-            raise ConfigError("--seed must be non-negative")
         return args.func(args)
-    except (ConfigError, data_mod.ParseError, data_mod.SchemaError,
-            data_mod.BadLevelsError, FileNotFoundError,
-            InfeasibleBoundError, NonFiniteError, TooLargeError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import ProblemInstance, DEFAULT_WEIGHTS
-from .qubo import NonFiniteError
+from .qubo import InputError, NonFiniteError, _count, _integer
 
 __all__ = [
     "ParseError",
@@ -56,15 +56,15 @@ __all__ = [
 ]
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """A CSV cell could not be parsed; message carries file and line."""
 
 
-class SchemaError(ValueError):
+class SchemaError(InputError):
     """A CSV file misses columns or violates a structural rule."""
 
 
-class BadLevelsError(ValueError):
+class BadLevelsError(InputError):
     """Too few states to discretize a production range."""
 
 
@@ -251,8 +251,8 @@ def load_network(path) -> NetworkDataset:
 
 def aggregate_time(ds: NetworkDataset, T: int) -> NetworkDataset:
     """Mean-pool all series into T windows; a remainder widens the last window."""
-    if not 1 <= T <= ds.raw_timepoints:
-        raise ValueError(f"T must be in 1..{ds.raw_timepoints}, got {T}")
+    if not 1 <= _integer(T, "T") <= ds.raw_timepoints:
+        raise InputError(f"T must be in 1..{ds.raw_timepoints}, got {T}")
     width = ds.raw_timepoints // T
     bounds = [i * width for i in range(T)] + [ds.raw_timepoints]
 
@@ -332,8 +332,7 @@ def estimate_sensitivity(
     Injections so large that lip overflows, or flows so large that the
     loss or its gradient overflows, raise NonFiniteError.
     """
-    if max_iterations < 0:
-        raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
+    _count(max_iterations, "max_iterations")
     phi = np.asarray(injections, dtype=float)
     psi = np.asarray(flows, dtype=float)
     if phi.ndim != 2 or psi.ndim != 2 or phi.shape[0] != psi.shape[0]:
@@ -452,7 +451,7 @@ def build_instance(
     per promote_statics, kept read-only on `ds` and shared by every later
     instance built from that dataset.
     """
-    if k < 2:  # checked before any array of k states is allocated
+    if _integer(k, "k") < 2:  # before any array of k states is allocated
         raise BadLevelsError(f"need at least 2 states, got {k}")
     fits, listed = ds._fits, len(ds.controllables)
     if promote_statics:
@@ -460,7 +459,7 @@ def build_instance(
     n = len(ds.controllables)
     levels = np.zeros((n, k))
     rates = np.zeros(n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed"))
     for a, res in enumerate(ds.controllables):
         if a < listed:
             levels[a] = discretize_levels(res.min_mw, res.max_mw, k)
@@ -504,11 +503,14 @@ def synth_instance(
     the planted schedule produces, and line limits leave it a safety margin,
     so under a cost-only objective the planted schedule is the optimum.
     Returns (instance, planted schedule).  BadLevelsError if k < 2: one
-    state produces nothing, so no target or limit leaves any slack.
+    state produces nothing, so no target or limit leaves any slack; an
+    InputError unless n, T and L are at least 1 and the seed is not negative.
     """
-    if k < 2:
+    if _integer(k, "k") < 2:
         raise BadLevelsError(f"need at least 2 states, got {k}")
-    rng = np.random.default_rng(seed)
+    for name, size in (("n", n), ("T", T), ("L", L)):
+        _count(size, name, 1)
+    rng = np.random.default_rng(_count(seed, "seed"))
     p = np.hstack([
         np.zeros((n, 1)),
         np.sort(rng.uniform(1.0, 10.0, size=(n, k - 1)), axis=1),
@@ -545,7 +547,8 @@ def write_synthetic_network(
     Flows are produced from a planted sensitivity matrix applied to the
     generated injection profiles, and line ratings are set so the remaining
     capacity sits at 45% of the span between the fleet's minimum and maximum
-    controllable flow.  Returns the directory path.
+    controllable flow; a line whose fixed loads would leave it no positive
+    rating is rated at that 45% margin alone.  Returns the directory path.
     """
     rng = np.random.default_rng(seed)
     root = Path(path)
@@ -592,6 +595,7 @@ def write_synthetic_network(
     fixed_worst = (fixed @ S_true[n_controllables:]).max(axis=0)
     margin = lo_flow + 0.45 * (hi_flow - lo_flow)
     rating = fixed_worst + margin
+    rating = np.where(rating > 0, rating, margin)
     with open(root / "lines.csv", "w", encoding="ascii") as fh:
         fh.write("id,voltage_kv,max_current_ka\n")
         for l in range(n_lines):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import Qubo, _bit_vector, _integer, round_to_grid
+from .qubo import InputError, Qubo, _bit_vector, _count, round_to_grid
 from .solvers import (
     Budget,
     SolveRequest,
@@ -53,16 +53,13 @@ class DecomposeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if _integer(self.subproblem_size, "subproblem_size") < 1:
-            raise ValueError("subproblem_size must be at least 1")
+        _count(self.subproblem_size, "subproblem_size", 1)
         if self.strategy not in ("random", "score"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if _integer(self.max_steps, "max_steps") < 0:
-            raise ValueError("max_steps must be non-negative")
-        if _integer(self.seed, "seed") < 0:
-            raise ValueError("seed must be non-negative")
+            raise InputError(f"unknown strategy {self.strategy!r}")
+        _count(self.max_steps, "max_steps")
+        _count(self.seed, "seed")
         if not self.time_limit > 0:  # also rejects NaN
-            raise ValueError("time_limit must be positive")
+            raise InputError("time_limit must be positive")
 
 
 def random_subproblem(rng: np.random.Generator, dim: int, size: int) -> np.ndarray:

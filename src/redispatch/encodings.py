@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemInstance, encode_one_hot
-from .qubo import Qubo, weighted_sum
+from .qubo import InputError, Qubo, weighted_sum
 from .qubo import normalize_range  # noqa: F401 - perfbench/spans.py wraps it here
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-class InfeasibleBoundError(ValueError):
+class InfeasibleBoundError(InputError):
     """A penalty normalization bound came out non-positive."""
 
 

@@ -35,7 +35,7 @@ from .model import (
     is_adjacent_feasible,
     read_schedule,
 )
-from .qubo import Qubo, normalize_range, weighted_sum
+from .qubo import Qubo, _count, normalize_range, weighted_sum
 from .solvers import (
     Budget,
     SolveRequest,
@@ -80,6 +80,10 @@ class ExperimentSettings:
     subproblem_size: int = 40
     batch_size: int = 12
     promote_statics: bool = False
+
+    def __post_init__(self):
+        for seed in self.seeds:
+            _count(seed, "seeds")
 
 
 def fmt(value) -> str:
@@ -262,8 +266,8 @@ def run_score_norm(ds: NetworkDataset, settings: ExperimentSettings,
             scores = q.evaluate_many(sample)
             spread_rows.append([name, label, float(scores.min()),
                                 float(np.median(scores)), float(scores.max())])
+            guarded = add_hard_terms(inst, [(1.0, q)], _hard_weight(span))
             for seed in settings.seeds:
-                guarded = add_hard_terms(inst, [(1.0, q)], _hard_weight(span))
                 _, feasible, report = _solve_schedule(
                     inst, guarded, seed, settings.tabu_iterations)
                 solve_rows.append([name, label, seed,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qubo import NonFiniteError, _integer
+from .qubo import NonFiniteError, _count
 
 __all__ = [
     "ProblemInstance",
@@ -90,10 +90,7 @@ class ProblemInstance:
 
     def __post_init__(self):
         for name in ("T", "n", "k", "L"):
-            val = _integer(getattr(self, name), name)
-            if val < 1:
-                raise ValueError(f"{name} must be a positive integer, got {val!r}")
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, _count(getattr(self, name), name, 1))
         shapes = {"p": (self.n, self.k), "c": (self.T, self.n, self.k),
                   "S": (self.n, self.L), "M": (self.T, self.L), "tau": (self.T,)}
         for name, shape in shapes.items():

@@ -26,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "Qubo",
+    "InputError",
     "DimensionMismatchError",
     "DegenerateRangeError",
     "NonFiniteError",
@@ -33,6 +34,12 @@ __all__ = [
     "normalize_range",
     "round_to_grid",
 ]
+
+
+class InputError(ValueError):
+    """The package rejects an argument or input: a bad count, seed, budget
+    or size, or bad data.  The command line exits 2 on it; the package's
+    other ValueErrors flag its own faults and exit 3."""
 
 
 class DimensionMismatchError(ValueError):
@@ -43,7 +50,7 @@ class DegenerateRangeError(ValueError):
     """Score range normalization was asked for an empty score range."""
 
 
-class NonFiniteError(ValueError):
+class NonFiniteError(InputError):
     """A coefficient or the offset is NaN or infinite, or a computation overflowed."""
 
 
@@ -57,9 +64,7 @@ class Qubo:
                  "factored")
 
     def __init__(self, dim: int, rows=(), cols=(), vals=(), offset: float = 0.0):
-        dim, offset = _integer(dim, "dim"), float(offset)
-        if dim < 0:
-            raise ValueError(f"dim must be non-negative, got {dim!r}")
+        dim, offset = _count(dim, "dim"), float(offset)
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         vals = np.asarray(vals, dtype=float).ravel()
@@ -183,8 +188,8 @@ class Qubo:
         x = np.asarray(x)
         if x.shape != (self.dim,):
             raise ValueError(f"bit vector has shape {x.shape}, expected ({self.dim},)")
-        xf = x.astype(float, copy=False)
-        return float(self.offset + (self.vals * xf[self.rows] * xf[self.cols]).sum())
+        xb = x.astype(bool, copy=False)
+        return float(self.offset + (self.vals * xb[self.rows] * xb[self.cols]).sum())
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         """Score a (batch, dim) matrix of bit vectors at once.
@@ -272,8 +277,7 @@ def normalize_range(
         raise DegenerateRangeError(
             f"score range [{score_min}, {score_max}] is empty"
         )
-    if ones_count < 1:
-        raise ValueError("ones_count must be at least 1")
+    _count(ones_count, "ones_count", 1)
     span = score_max - score_min
     shift = score_min / ones_count
     diag = np.arange(q.dim) * (q.dim + 1)
@@ -317,12 +321,20 @@ def round_to_grid(q: Qubo) -> Qubo:
 
 
 def _integer(value, name: str) -> int:
-    """value as an int; ValueError unless it is an integer (operator.index:
+    """value as an int; InputError unless it is an integer (operator.index:
     a float, even 2.0, NaN or infinity, is not)."""
     try:
         return operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _count(value, name: str, least: int = 0) -> int:
+    """value as an int of at least `least`; InputError otherwise."""
+    value = _integer(value, name)
+    if value < least:
+        raise InputError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def _bit_vector(x, dim: int, name: str) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .qubo import Qubo, _bit_vector, _integer, round_to_grid
+from .qubo import InputError, Qubo, _bit_vector, _count, round_to_grid
 
 __all__ = [
     "TooLargeError",
@@ -41,7 +41,7 @@ BRUTE_FORCE_LIMIT = 24
 _SMALL_DIM = 160
 
 
-class TooLargeError(ValueError):
+class TooLargeError(InputError):
     """Exhaustive enumeration was requested beyond the hard dimension cap."""
 
 
@@ -59,10 +59,9 @@ class Budget:
     time_limit: float = math.inf
 
     def __post_init__(self):
-        if _integer(self.max_iterations, "max_iterations") < 0:
-            raise ValueError("max_iterations must be non-negative")
+        _count(self.max_iterations, "max_iterations")
         if not self.time_limit > 0:  # also rejects NaN
-            raise ValueError("time_limit must be positive")
+            raise InputError("time_limit must be positive")
 
 
 @dataclass
@@ -75,8 +74,7 @@ class SolveRequest:
     budget: Budget = field(default_factory=Budget)
 
     def __post_init__(self):
-        if _integer(self.seed, "seed") < 0:
-            raise ValueError("seed must be non-negative")
+        _count(self.seed, "seed")
 
 
 @dataclass

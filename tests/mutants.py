@@ -59,6 +59,7 @@ DECOMP, TEST_DECOMP = ("src/redispatch/decomposers.py",
 ENCODINGS = "src/redispatch/encodings.py"
 FREE_BITS = ("tests/test_decomposers.py::"
              "test_tabu_on_free_bits_matches_tabu_on_the_clamp")
+BAD_INPUT = "tests/test_cli.py::test_bad_input_exits_2"
 CRITERION_1 = ("tests/test_acceptance.py::"
                "test_criterion_1_scalar_matrix_agreement")
 
@@ -277,9 +278,27 @@ MUTANTS: dict[str, Mutant] = {
         (CRITERION_1,)),
     # counts are integers: the old check let a whole float through
     "instance-accepts-float-dims": Mutant(
-        MODEL, "val = _integer(getattr(self, name), name)\n            if val < 1:",
-        "val = getattr(self, name)\n            if int(val) != val or val < 1:",
-        ("tests/test_cli.py::test_bad_input_exits_2",)),
+        MODEL, "object.__setattr__(self, name, _count(getattr(self, name), name, 1))",
+        "val = getattr(self, name)\n"
+        "            if int(val) != val or val < 1:\n"
+        "                raise ValueError(f\"{name} must be a positive integer\")\n"
+        "            object.__setattr__(self, name, val)",
+        (BAD_INPUT,)),
+    # the package owns its argument rules: a rejected argument is an
+    # InputError (exit 2), and no command line copy backs a rule up
+    "solve-time-limit-0-means-none": Mutant(
+        "src/redispatch/cli.py",
+        "math.inf if args.time_limit is None else args.time_limit",
+        "args.time_limit or math.inf",
+        (BAD_INPUT,)),
+    "budget-rejects-with-plain-value-error": Mutant(
+        SOLVERS, '_count(self.max_iterations, "max_iterations")',
+        "if self.max_iterations < 0:\n"
+        '            raise ValueError("max_iterations must be non-negative")',
+        (BAD_INPUT,)),
+    "synthetic-rating-below-zero": Mutant(
+        DATA, "    rating = np.where(rating > 0, rating, margin)\n", "",
+        (TEST_DATA + "test_small_synthetic_networks_all_load",)),
 }
 
 

@@ -142,6 +142,22 @@ def test_network_without_fixed_elements_loads(tmp_path):
         compute_bounds(inst)
 
 
+def test_small_synthetic_networks_all_load(tmp_path):
+    # with loads alone among the fixed elements a line's worst fixed flow can
+    # sit below minus the controllable margin; such a line is rated at the
+    # margin, where it once got a negative rating the reader rejects
+    example = write_synthetic_network(tmp_path / "example", 1, 1, 8,
+                                      n_fixed=1, seed=1)
+    build_instance(load_network(example), seed=1, **SIZE_PRESETS["S"])
+    shapes = [(n, lines, fixed, seed) for n in range(1, 5)
+              for lines in range(1, 4) for fixed in range(4)
+              for seed in range(5)]
+    for n, lines, fixed, seed in shapes:
+        load_network(write_synthetic_network(
+            tmp_path / f"{n}-{lines}-{fixed}-{seed}", n, lines, 8,
+            n_fixed=fixed, seed=seed))
+
+
 def test_inverted_rating_rejected(network_dir):
     path = network_dir / "controllables.csv"
     lines = path.read_text().splitlines()

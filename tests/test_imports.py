@@ -1,11 +1,16 @@
 """Every name a package module imports is used there or re-exported, every
-parameter of a package function is read, and every definition of the package
-runs outside the tests."""
+parameter of a package function is read, every definition of the package
+runs outside the tests, and loading a network pulls in nothing but numpy."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import redispatch
+from redispatch.data import write_synthetic_network
 
 SRC = Path(redispatch.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -103,3 +108,27 @@ def test_every_definition_runs_outside_the_tests():
     benchmark = sorted(PERFBENCH.glob("*.py"))
     assert callers and benchmark
     assert _uncalled_definitions(modules, callers + benchmark) == []
+
+
+# run in a fresh interpreter: the top-level modules outside the standard
+# library that importing redispatch from argv[1] and loading argv[2] adds
+LOAD_PROBE = """
+import json, sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import redispatch
+redispatch.load_network(sys.argv[2])
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(added - set(sys.stdlib_module_names))))
+"""
+
+
+def test_loading_a_network_imports_only_numpy(tmp_path):
+    # the benchmark's setup_s times exactly this work in a fresh interpreter;
+    # a module-level import of anything heavier shows there first
+    net = write_synthetic_network(tmp_path / "net", 3, 2, 6, n_fixed=2)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-c", LOAD_PROBE, str(SRC.parent), str(net)],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert json.loads(done.stdout) == ["numpy", "redispatch"]
